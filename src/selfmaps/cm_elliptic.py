@@ -13,7 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .qorders import OrderParams, QuadElem, conjugate, elements_of_norm, norm, units
+from .qorders import (
+    OrderParams,
+    QuadElem,
+    conjugate,
+    elements_of_norm,
+    norm,
+    prime_norm_elements,
+    units,
+)
 
 __all__ = [
     "CurveModel",
@@ -28,6 +36,7 @@ __all__ = [
     "pullback_exponent",
     "aut_group",
     "endomorphisms_of_degree",
+    "endomorphisms_of_prime_degree",
     "check_curve_endo",
 ]
 
@@ -201,6 +210,17 @@ def endomorphisms_of_degree(curve: CurveModel, m: int) -> tuple[QuadElem, ...]:
         return ()
     root = QuadElem(_INTEGER_CARRIER, s, 0)
     return (-root, root) if s else (root,)
+
+
+def endomorphisms_of_prime_degree(curve: CurveModel, p: int) -> tuple[QuadElem, ...]:
+    """endomorphisms_of_degree(curve, p) for a prime p, which is not checked.
+
+    With CM this is the Cornacchia search; without CM a prime is never a
+    square, so there are none.
+    """
+    if curve.has_cm:
+        return prime_norm_elements(curve.order, p)
+    return ()
 
 
 def check_curve_endo(curve: CurveModel, alpha: QuadElem) -> None:

@@ -19,13 +19,16 @@ from .cm_elliptic import (
     CurveModel,
     TorsionPoint,
     aut_group,
-    endomorphisms_of_degree,
+    dual,
+    endomorphisms_of_prime_degree,
     kernel_on_torsion,
     normalize_point,
     pullback_exponent,
+    torsion_action,
 )
 from .ns_lattice import atiyah_deg2_search, square_degree_certificate
 from .qorders import (
+    NotPrimeError,
     OrderParams,
     QuadElem,
     conjugate,
@@ -129,6 +132,50 @@ def _require_split_torsion(desc: EllipticBundleDescriptor) -> SplitTorsion:
     return desc.bundle
 
 
+def _aut_routes(curve: CurveModel, point: TorsionPoint) -> dict[int, AutRoute]:
+    """Residue mod k -> the automorphism route covering that class of degrees.
+
+    An automorphism with pullback exponent m covers the degrees congruent
+    to m or -m mod k.  Automorphisms are tried in aut_group order and each
+    residue keeps the first one that reaches it, m before -m.
+    """
+    routes: dict[int, AutRoute] = {}
+    for phi in aut_group(curve):
+        m = pullback_exponent(phi, point)
+        if m is not None:
+            for r in (m, (-m) % point.k):
+                routes.setdefault(r, AutRoute(phi, m))
+    return routes
+
+
+def _decide(
+    curve: CurveModel, point: TorsionPoint, routes: dict[int, AutRoute], p: int
+) -> PrimeDecision:
+    """prime_achievable for a prime p, given the descriptor's _aut_routes table.
+
+    An isogeny alpha fixes L up to inverse when its dual sends v to v or
+    -v mod k; v has exact order k, so that is pullback exponent 1 or k-1.
+    """
+    k = point.k
+    r = p % k
+    if r == 0:
+        return PrimeDecision(prime=p, k=k, achievable=True, witness=TorsionMultiple(k))
+    route = routes.get(r)
+    if route is not None:
+        return PrimeDecision(prime=p, k=k, achievable=True, witness=route)
+    v = point.v
+    minus_v = ((-v[0]) % k, (-v[1]) % k)
+    candidates = endomorphisms_of_prime_degree(curve, p)
+    for alpha in candidates:
+        w = torsion_action(dual(alpha), k).apply_mod(v, k)
+        if w == v:
+            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
+        if w == minus_v:
+            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, -1))
+    reason = "no_isogeny" if candidates else "no_residue"
+    return PrimeDecision(prime=p, k=k, achievable=False, reason=reason)
+
+
 def prime_achievable(desc: EllipticBundleDescriptor, p: int) -> PrimeDecision:
     """Decide a single prime degree for a split torsion bundle.
 
@@ -145,24 +192,8 @@ def prime_achievable(desc: EllipticBundleDescriptor, p: int) -> PrimeDecision:
     """
     bundle = _require_split_torsion(desc)
     if not is_prime(p):
-        raise ValueError(f"need a prime degree, got {p!r}")
-    point = bundle.point
-    k = point.k
-    if p % k == 0:
-        return PrimeDecision(prime=p, k=k, achievable=True, witness=TorsionMultiple(k))
-    for phi in aut_group(desc.curve):
-        m = pullback_exponent(phi, point)
-        if m is not None and (p % k == m or (p + m) % k == 0):
-            return PrimeDecision(prime=p, k=k, achievable=True, witness=AutRoute(phi, m))
-    candidates = endomorphisms_of_degree(desc.curve, p)
-    for alpha in candidates:
-        m = pullback_exponent(alpha, point)
-        if m == 1 % k:
-            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
-        if m == (k - 1) % k:
-            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, -1))
-    reason = "no_isogeny" if candidates else "no_residue"
-    return PrimeDecision(prime=p, k=k, achievable=False, reason=reason)
+        raise NotPrimeError(f"need a prime degree, got {p!r}")
+    return _decide(desc.curve, bundle.point, _aut_routes(desc.curve, bundle.point), p)
 
 
 @dataclass(frozen=True)
@@ -173,10 +204,12 @@ class ScanReport:
 
 
 def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
-    """Run prime_achievable over every prime up to bound."""
+    """prime_achievable for every prime up to bound, with one residue table."""
     if bound < 2:
         raise ValueError(f"need bound >= 2, got {bound!r}")
-    decisions = [prime_achievable(desc, p) for p in primes_up_to(bound)]
+    point = _require_split_torsion(desc).point
+    routes = _aut_routes(desc.curve, point)
+    decisions = [_decide(desc.curve, point, routes, p) for p in primes_up_to(bound)]
     return ScanReport(
         bound=bound,
         achievable=tuple(d for d in decisions if d.achievable),
@@ -241,26 +274,20 @@ def _certificate_attempt(desc: EllipticBundleDescriptor) -> DegreeCertificate | 
     per-prime witness.  Together these cover all primes, and products
     of primes follow by composing.
     """
-    bundle = _require_split_torsion(desc)
-    point = bundle.point
+    point = _require_split_torsion(desc).point
     k = point.k
-    residue_witnesses: dict[int, Witness] = {}
-    for phi in aut_group(desc.curve):
-        m = pullback_exponent(phi, point)
-        if m is None:
-            continue
-        for r in (m % k, (-m) % k):
-            if gcd(r, k) == 1 and r not in residue_witnesses:
-                residue_witnesses[r] = AutRoute(phi, m)
-    special_witnesses: dict[int, Witness] = {}
-    for p in (q for q in primes_up_to(k) if k % q == 0):
-        decision = prime_achievable(desc, p)
-        if not decision.achievable:
-            return None
-        assert decision.witness is not None
-        special_witnesses[p] = decision.witness
+    routes = _aut_routes(desc.curve, point)
+    residue_witnesses: dict[int, Witness] = {
+        r: route for r, route in routes.items() if gcd(r, k) == 1
+    }
     if any(gcd(r, k) == 1 and r not in residue_witnesses for r in range(k)):
         return None
+    special_witnesses: dict[int, Witness] = {}
+    for p in (q for q in primes_up_to(k) if k % q == 0):
+        witness = _decide(desc.curve, point, routes, p).witness
+        if witness is None:
+            return None
+        special_witnesses[p] = witness
     return DegreeCertificate(
         k=k, residue_witnesses=residue_witnesses, special_witnesses=special_witnesses
     )
@@ -304,7 +331,7 @@ def nonsplit_verdict(desc: EllipticBundleDescriptor, bound: int = 1000) -> Verdi
         raise ValueError("split torsion bundles are classified by admits_all_degrees")
     if isinstance(bundle, (AtiyahDegreeZero, SplitNonTorsion)):
         non_norm = tuple(
-            p for p in primes_up_to(bound) if not endomorphisms_of_degree(desc.curve, p)
+            p for p in primes_up_to(bound) if not endomorphisms_of_prime_degree(desc.curve, p)
         )
         shape = (
             "indecomposable degree-0 bundle"
@@ -319,15 +346,21 @@ def nonsplit_verdict(desc: EllipticBundleDescriptor, bound: int = 1000) -> Verdi
             missing_examples=non_norm,
         )
     if isinstance(bundle, AtiyahDegreeOne):
-        assert atiyah_deg2_search() == ()
+        hits = atiyah_deg2_search()
+        if hits:
+            raise RuntimeError(f"degree-2 section equations are solvable at {hits}")
         return MissingPrimes(
             missing=(2,),
             scan_bound=None,
             note="no solution to the degree-2 section equations (exhaustive search)",
         )
-    assert isinstance(bundle, SplitNonzeroDegree)
+    if not isinstance(bundle, SplitNonzeroDegree):
+        raise ValueError(f"unknown bundle shape {type(bundle).__name__}")
     cert = square_degree_certificate(-abs(bundle.degree))
-    assert cert.degree_is_square
+    if not cert.degree_is_square:
+        raise RuntimeError(
+            f"square-degree certificate fails for self-intersection {-abs(bundle.degree)}"
+        )
     return SquaresOnly(
         reason=(
             f"the section with self-intersection {-abs(bundle.degree)} is the unique "

@@ -4,7 +4,9 @@ The pair (t, n), t in {0, 1} and n >= 1, fixes the multiplication rule.
 The discriminant t**2 - 4n is then always negative, so the norm form
 x**2 + t*x*y + n*y**2 is positive definite and every search by norm is
 a finite exhaustion.  Brute-force enumeration is deliberate: it is the
-ground truth the rest of the package is checked against.
+ground truth the rest of the package is checked against.  The one fast
+path, prime_norm_elements (Cornacchia's algorithm for a prime norm),
+serves the per-prime scans and is tested against elements_of_norm.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 __all__ = [
+    "NotPrimeError",
     "OrderParams",
     "QuadElem",
     "SplitType",
@@ -22,6 +26,7 @@ __all__ = [
     "conjugate",
     "units",
     "elements_of_norm",
+    "prime_norm_elements",
     "degree_two_table",
     "is_prime",
     "primes_up_to",
@@ -34,6 +39,10 @@ __all__ = [
     "split_residues",
     "euler_totient",
 ]
+
+
+class NotPrimeError(ValueError):
+    """A routine defined only for primes (or only odd primes) got another integer."""
 
 
 @dataclass(frozen=True, order=True)
@@ -130,9 +139,68 @@ def elements_of_norm(order: OrderParams, m: int) -> tuple[QuadElem, ...]:
     return tuple(sorted(found, key=lambda a: (a.y, a.x)))
 
 
+@lru_cache(maxsize=256)
 def units(order: OrderParams) -> tuple[QuadElem, ...]:
     """Norm-one elements; 4 for discriminant -4, 6 for -3, else 2."""
     return elements_of_norm(order, 1)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
+    a %= p
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, root = t * c % p, root * b % p
+    return root
+
+
+def prime_norm_elements(order: OrderParams, p: int) -> tuple[QuadElem, ...]:
+    """All elements of prime norm p, equal to elements_of_norm(order, p).
+
+    p must be prime; it is not checked, since callers pass sieve output.
+    For odd p prime to the discriminant D, Euler's criterion on D decides
+    whether a solution can exist, so an inert prime costs one pow.  Else
+    Cornacchia's algorithm (Cohen, Alg. 1.5.3) solves X**2 + |D|*y**2 = 4p
+    with X = 2x + t*y, giving one element pi of norm p.  The ideal (pi)
+    is one of the two primes above p, so every element of norm p is a
+    unit times pi or its conjugate.  p = 2 and p | D, which covers the
+    conductor of a non-maximal order, go to the brute-force search.
+    """
+    d = -order.discriminant
+    if p == 2 or d % p == 0:
+        return elements_of_norm(order, p)
+    if legendre_euler(-d, p) != 1:
+        return ()
+    b = _sqrt_mod_prime(-d, p)
+    if b % 2 != d % 2:
+        b = p - b
+    a, limit = 2 * p, math.isqrt(4 * p)
+    while b > limit:
+        a, b = b, a % b
+    rest = 4 * p - b * b
+    if rest % d != 0:
+        return ()
+    y = math.isqrt(rest // d)
+    if y * y != rest // d:
+        return ()
+    pi = QuadElem(order, (b - order.t * y) // 2, y)
+    found = {u * alpha for u in units(order) for alpha in (pi, conjugate(pi))}
+    return tuple(sorted(found, key=lambda a: (a.y, a.x)))
 
 
 def degree_two_table(n_max: int) -> dict[OrderParams, tuple[QuadElem, ...]]:
@@ -217,9 +285,11 @@ def legendre(a: int, p: int) -> int:
     Computed by Euler's criterion and cross-checked against the
     reciprocity evaluation on every call; the redundancy is the point.
     """
-    assert p > 2 and is_prime(p), f"p must be an odd prime, got {p!r}"
+    if p <= 2 or not is_prime(p):
+        raise NotPrimeError(f"p must be an odd prime, got {p!r}")
     e = legendre_euler(a, p)
-    assert e == legendre_reciprocity(a, p), f"legendre mismatch at ({a}, {p})"
+    if e != legendre_reciprocity(a, p):
+        raise RuntimeError(f"legendre mismatch at ({a}, {p})")
     return e
 
 
@@ -235,7 +305,8 @@ def split_type(order: OrderParams, p: int) -> SplitType:
     p = 2 reads the discriminant mod 8 (odd discriminants only; even ones
     are ramified at 2), odd p uses the Legendre symbol of the discriminant.
     """
-    assert is_prime(p), f"p must be prime, got {p!r}"
+    if not is_prime(p):
+        raise NotPrimeError(f"p must be prime, got {p!r}")
     d = order.discriminant
     if p == 2:
         if d % 2 == 0:
@@ -248,7 +319,8 @@ def split_type(order: OrderParams, p: int) -> SplitType:
 
 def is_norm_of_prime(order: OrderParams, p: int) -> QuadElem | None:
     """Brute-force witness: the (y, x)-smallest element of norm p, if any."""
-    assert is_prime(p), f"p must be prime, got {p!r}"
+    if not is_prime(p):
+        raise NotPrimeError(f"p must be prime, got {p!r}")
     elems = elements_of_norm(order, p)
     return elems[0] if elems else None
 

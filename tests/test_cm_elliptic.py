@@ -11,6 +11,7 @@ from selfmaps.cm_elliptic import (
     check_curve_endo,
     dual,
     endomorphisms_of_degree,
+    endomorphisms_of_prime_degree,
     exact_order,
     kernel_on_torsion,
     normalize_point,
@@ -18,7 +19,7 @@ from selfmaps.cm_elliptic import (
     rational_rep,
     torsion_action,
 )
-from selfmaps.qorders import OrderParams, QuadElem, norm
+from selfmaps.qorders import OrderParams, QuadElem, norm, primes_up_to
 
 GAUSS = OrderParams(0, 1)
 EISENSTEIN = OrderParams(1, 1)
@@ -147,6 +148,15 @@ def test_endomorphisms_of_degree():
     assert endomorphisms_of_degree(nocm, 7) == ()
     with pytest.raises(ValueError):
         endomorphisms_of_degree(nocm, 0)
+
+
+def test_endomorphisms_of_prime_degree_matches_general_search():
+    curves = [CurveModel.no_cm()] + [
+        CurveModel.cm(OrderParams(t, n)) for t in (0, 1) for n in range(1, 7)
+    ]
+    for curve in curves:
+        for p in primes_up_to(1000):
+            assert endomorphisms_of_prime_degree(curve, p) == endomorphisms_of_degree(curve, p)
 
 
 def test_nocm_elements_behave_like_integers():

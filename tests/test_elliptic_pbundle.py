@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from math import gcd
 
 import pytest
@@ -6,6 +9,7 @@ from selfmaps.cm_elliptic import (
     CurveModel,
     TorsionPoint,
     aut_group,
+    endomorphisms_of_degree,
     kernel_on_torsion,
     pullback_exponent,
     torsion_action,
@@ -33,8 +37,10 @@ from selfmaps.verdicts import (
     InfinitelyManyMissing,
     IsogenyRoute,
     MissingPrimes,
+    PrimeDecision,
     SquaresOnly,
     TorsionMultiple,
+    verdict_to_payload,
 )
 
 GAUSS = OrderParams(0, 1)
@@ -242,6 +248,74 @@ def test_witness_soundness_on_scans():
                 assert norm(w.alpha) == decision.prime
                 expected = 1 % k if w.sign == 1 else (k - 1) % k
                 assert pullback_exponent(w.alpha, desc.bundle.point) == expected
+
+
+def _reference_decision(desc, p):
+    """The per-prime rule spelled out: every automorphism's pullback exponent
+    in aut_group order, then the brute-force norm-p elements."""
+    point = desc.bundle.point
+    k = point.k
+    if p % k == 0:
+        return PrimeDecision(prime=p, k=k, achievable=True, witness=TorsionMultiple(k))
+    for phi in aut_group(desc.curve):
+        m = pullback_exponent(phi, point)
+        if m is not None and (p % k == m or (p + m) % k == 0):
+            return PrimeDecision(prime=p, k=k, achievable=True, witness=AutRoute(phi, m))
+    candidates = endomorphisms_of_degree(desc.curve, p)
+    for alpha in candidates:
+        m = pullback_exponent(alpha, point)
+        if m == 1 % k:
+            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
+        if m == (k - 1) % k:
+            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, -1))
+    reason = "no_isogeny" if candidates else "no_residue"
+    return PrimeDecision(prime=p, k=k, achievable=False, reason=reason)
+
+
+def test_scan_table_matches_per_prime_rule():
+    # one seeded exact-order point per (curve, k); scan_primes shares one
+    # residue table and the Cornacchia search, the reference uses neither
+    rng = random.Random(3)
+    curves = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)), CurveModel.cm(OrderParams(0, 6)))
+    primes = primes_up_to(3000)
+    for curve in curves:
+        for k in range(1, 13):
+            points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
+            desc = split_desc(curve, k, rng.choice(points))
+            report = scan_primes(desc, 3000)
+            scanned = {d.prime: d for d in report.achievable}
+            assert set(report.missing) | set(scanned) == set(primes)
+            for p in primes:
+                decision = prime_achievable(desc, p)
+                assert decision == _reference_decision(desc, p), (curve, k, p)
+                if decision.achievable:
+                    assert scanned[p] == decision, (curve, k, p)
+                else:
+                    assert p in report.missing, (curve, k, p)
+
+
+# sha256 of the verdict payloads of every curve model x k <= 8 x unit
+# orbit of exact-order points (the necessity grid) plus every exact-order
+# kernel point of the exceptional families, as computed by the per-prime
+# rule before the residue table was shared.
+CERTIFICATE_GRID_SHA256 = "b275b97b5a30263e9d9a63958a2a74fcf9d8edb8c55977fa8c49c96f09b1c1e3"
+
+
+def test_certificates_on_grid_unchanged():
+    rows = []
+    for curve in ALL_CURVES:
+        for k in range(1, 9):
+            for v in _orbit_representatives(curve, k):
+                verdict = admits_all_degrees(split_desc(curve, k, v))
+                rows.append([repr(curve), k, list(v), verdict_to_payload(verdict)])
+    for family in exceptional_triples():
+        curve = CurveModel.cm(family.order)
+        for point in _exact_kernel_points(family):
+            verdict = admits_all_degrees(EllipticBundleDescriptor(curve, SplitTorsion(point)))
+            rows.append([repr(curve), family.k, list(point.v), verdict_to_payload(verdict)])
+    assert len(rows) == 356
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == CERTIFICATE_GRID_SHA256
 
 
 def test_compose_decisions_bookkeeping():

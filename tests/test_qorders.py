@@ -4,9 +4,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from selfmaps.qorders import (
+    NotPrimeError,
     OrderParams,
     QuadElem,
     SplitType,
@@ -20,6 +21,7 @@ from selfmaps.qorders import (
     legendre_euler,
     legendre_reciprocity,
     norm,
+    prime_norm_elements,
     primes_up_to,
     split_density_report,
     split_residues,
@@ -214,10 +216,17 @@ def test_legendre_euler_against_square_enumeration():
 
 
 def test_legendre_rejects_bad_modulus():
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotPrimeError):
         legendre(3, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(NotPrimeError):
         legendre(3, 9)
+
+
+def test_prime_checks_raise_not_prime():
+    with pytest.raises(NotPrimeError):
+        split_type(GAUSS, 9)
+    with pytest.raises(NotPrimeError):
+        is_norm_of_prime(GAUSS, 1)
 
 
 def test_split_type_frozen_cases():
@@ -244,6 +253,42 @@ def test_norm_witness_iff_not_inert():
             else:
                 assert witness is not None
                 assert norm(witness) == p
+
+
+PRIMES_50K = primes_up_to(50_000)
+
+
+def _prime_divisors(m):
+    return [p for p in primes_up_to(m) if m % p == 0]
+
+
+# n = 3, 4 give the non-maximal orders of discriminant -12 and -16, and
+# n = 5, 6 class number two; p = 2 and the p dividing D take the
+# brute-force branch, every other prime the Cornacchia branch.
+orders_40_st = st.builds(OrderParams, t=st.integers(0, 1), n=st.integers(1, 40))
+order_and_prime_st = orders_40_st.flatmap(
+    lambda o: st.tuples(
+        st.just(o),
+        st.one_of(
+            st.sampled_from(PRIMES_50K),
+            st.sampled_from([2] + _prime_divisors(-o.discriminant)),
+        ),
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(order_and_prime_st)
+def test_prime_norm_elements_matches_brute_force(pair):
+    order, p = pair
+    assert prime_norm_elements(order, p) == elements_of_norm(order, p)
+
+
+def test_prime_norm_elements_bench_orders_sweep():
+    orders = (GAUSS, EISENSTEIN, DISC8, DISC7, OrderParams(0, 5), OrderParams(0, 6))
+    for order in orders:
+        for p in PRIMES_50K[:3000]:
+            assert prime_norm_elements(order, p) == elements_of_norm(order, p), (order, p)
 
 
 def test_split_density_report():
