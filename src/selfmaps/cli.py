@@ -49,6 +49,7 @@ from .group_condition import (
     CayleyGroup,
     GroupFileError,
     GroupValidationError,
+    RhoBarReport,
     load_group,
     rho_bar_surjective,
 )
@@ -209,7 +210,7 @@ def _build_curve(fields: _Fields) -> CurveModel:
         t, n = fields.take_pair("order")
         try:
             return CurveModel.cm(OrderParams(t, n))
-        except (ValueError, AssertionError) as exc:
+        except ValueError as exc:
             raise DescriptorError(f"bad order parameters: {exc}") from None
     raise DescriptorError(f"curve= must be cm or nocm, got {kind!r}")
 
@@ -268,16 +269,10 @@ def load_descriptor(path: str | Path) -> SurfaceDescriptor:
     raise DescriptorError(f"unknown surface= value {surface!r}")
 
 
-def _high_genus_verdict(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, dict]:
-    if desc.prime == 1:
-        verdict: Verdict = AllDegrees(
-            note="trivial twist: fiber self-maps of every degree extend to the bundle"
-        )
-        return verdict, {"p": 1}
-    report = rho_bar_surjective(desc.group, desc.prime)
-    detail = {
+def _group_details(group: CayleyGroup, report: RhoBarReport) -> dict:
+    return {
         "p": report.p,
-        "group_order": desc.group.order,
+        "group_order": group.order,
         "holds": report.holds,
         "subgroups": [
             {
@@ -287,20 +282,36 @@ def _high_genus_verdict(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
             }
             for sub in report.subgroup_reports
         ],
+        "witnesses": {str(r): list(w) for r, w in sorted(report.witnesses.items())},
     }
+
+
+def _fan_details(fan: Fan) -> dict:
+    return {
+        "rays": [list(r) for r in fan.rays],
+        "self_intersections": list(self_intersections(fan)),
+    }
+
+
+def _high_genus_verdict(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, dict]:
+    if desc.prime == 1:
+        verdict: Verdict = AllDegrees(
+            note="trivial twist: fiber self-maps of every degree extend to the bundle"
+        )
+        return verdict, {"p": 1}
+    report = rho_bar_surjective(desc.group, desc.prime)
     if not report.subgroup_reports:
         raise DescriptorError(
             f"group of order {desc.group.order} has no cyclic subgroup of order {desc.prime}"
         )
+    detail = _group_details(desc.group, report)
     if report.holds:
-        detail["witnesses"] = {
-            str(r): list(w) for r, w in sorted(report.witnesses.items())
-        }
         verdict = AllDegrees(
             note=f"conjugation on an order-{report.p} subgroup covers every "
             "residue class up to sign"
         )
         return verdict, detail
+    del detail["witnesses"]
     p = report.p
     uncovered_everywhere = set(range(1, p))
     for sub in report.subgroup_reports:
@@ -322,10 +333,7 @@ def classify_descriptor(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
     if desc.surface in _SIMPLE_SURFACES:
         return InfinitelyManyMissing(reason=_SIMPLE_SURFACES[desc.surface]), {}
     if desc.surface == "toric":
-        return toric_verdict(desc.fan), {
-            "rays": [list(r) for r in desc.fan.rays],
-            "self_intersections": list(self_intersections(desc.fan)),
-        }
+        return toric_verdict(desc.fan), _fan_details(desc.fan)
     if desc.surface == "elliptic_bundle":
         e = desc.elliptic
         detail = {"curve": repr(e.curve), "bundle": type(e.bundle).__name__}
@@ -440,26 +448,23 @@ def render_report(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_classify(args: argparse.Namespace) -> tuple[Report, int]:
+# a subcommand handler returns its verdict (None for table-style commands),
+# its details dict and its exit code; main times it and builds the Report
+_Outcome = tuple[Verdict | None, dict, int]
+
+
+def _cmd_classify(args: argparse.Namespace) -> _Outcome:
     desc = load_descriptor(args.descriptor)
-    start = time.perf_counter()
     verdict, details = classify_descriptor(desc, args.bound)
     details["surface"] = desc.surface
-    report = Report(
-        command="classify",
-        verdict=verdict,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, 0
+    return verdict, details, 0
 
 
-def _cmd_scan(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     desc = load_descriptor(args.descriptor)
     if desc.surface != "elliptic_bundle" or not isinstance(desc.elliptic.bundle, SplitTorsion):
         raise DescriptorError("scan needs an elliptic_bundle descriptor with bundle=split_torsion")
     e = desc.elliptic
-    start = time.perf_counter()
     rows: list[dict] = []
     missing: list[int] = []
     if args.bound >= 2:
@@ -487,23 +492,15 @@ def _cmd_scan(args: argparse.Namespace) -> tuple[Report, int]:
         "achievable_count": len(rows) - len(missing),
         "missing_count": len(missing),
     }
-    report = Report(
-        command="scan",
-        verdict=None,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, 0
+    return None, details, 0
 
 
-def _cmd_density(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_density(args: argparse.Namespace) -> _Outcome:
     try:
         order = OrderParams(args.order[0], args.order[1])
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise DescriptorError(f"bad order parameters: {exc}") from None
-    start = time.perf_counter()
-    density = split_density_report(order, args.bound)
-    details = density.as_dict()
+    details = split_density_report(order, args.bound).as_dict()
     if args.modulus is not None:
         if args.modulus < 2:
             raise DescriptorError(f"modulus must be at least 2, got {args.modulus}")
@@ -513,17 +510,10 @@ def _cmd_density(args: argparse.Namespace) -> tuple[Report, int]:
             "count": len(hits),
             "smallest": hits[0] if hits else None,
         }
-    report = Report(
-        command="density",
-        verdict=None,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, 0
+    return None, details, 0
 
 
-def _cmd_cm_table(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.perf_counter()
+def _cmd_cm_table(args: argparse.Namespace) -> _Outcome:
     table = degree_two_table(args.max_n)
     rows = [
         {
@@ -535,64 +525,22 @@ def _cmd_cm_table(args: argparse.Namespace) -> tuple[Report, int]:
         for order, elems in table.items()
         if elems
     ]
-    details = {"max_n": args.max_n, "orders_scanned": len(table), "rows": rows}
-    report = Report(
-        command="cm-table",
-        verdict=None,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, 0
+    return None, {"max_n": args.max_n, "orders_scanned": len(table), "rows": rows}, 0
 
 
-def _cmd_toric(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_toric(args: argparse.Namespace) -> _Outcome:
     fan = load_fan(args.fan_file)
-    start = time.perf_counter()
-    verdict = toric_verdict(fan)
-    details = {
-        "rays": [list(r) for r in fan.rays],
-        "self_intersections": list(self_intersections(fan)),
-    }
-    report = Report(
-        command="toric",
-        verdict=verdict,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, 0
+    return toric_verdict(fan), _fan_details(fan), 0
 
 
-def _cmd_group_check(args: argparse.Namespace) -> tuple[Report, int]:
+def _cmd_group_check(args: argparse.Namespace) -> _Outcome:
     group = load_group(args.group_file)
     if not is_prime(args.p):
         raise DescriptorError(f"p must be prime, got {args.p}")
-    start = time.perf_counter()
-    result = rho_bar_surjective(group, args.p)
-    details = {
-        "group_order": group.order,
-        "p": result.p,
-        "holds": result.holds,
-        "subgroups": [
-            {
-                "generator": sub.subgroup.generator,
-                "image": list(sub.image),
-                "covered": sub.covered,
-            }
-            for sub in result.subgroup_reports
-        ],
-        "witnesses": {str(r): list(w) for r, w in sorted(result.witnesses.items())},
-    }
-    report = Report(
-        command="group-check",
-        verdict=None,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, 0
+    return None, _group_details(group, rho_bar_surjective(group, args.p)), 0
 
 
-def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Report, int]:
-    start = time.perf_counter()
+def _cmd_verify_paper(args: argparse.Namespace) -> _Outcome:
     results = run_claims(negative_test=args.negative_test)
     details: dict = {
         "claims": [
@@ -610,13 +558,7 @@ def _cmd_verify_paper(args: argparse.Namespace) -> tuple[Report, int]:
         all_passed = all(r.passed for r in results)
         details["all_passed"] = all_passed
         code = 0 if all_passed else 1
-    report = Report(
-        command="verify-paper",
-        verdict=None,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
-    return report, code
+    return None, details, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -668,8 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        report, code = args.handler(args)
+        verdict, details, code = args.handler(args)
     except (
         DescriptorError,
         FanFileError,
@@ -681,6 +624,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = Report(
+        command=args.command,
+        verdict=verdict,
+        details=details,
+        timing_ms=round((time.perf_counter() - start) * 1000, 3),
+    )
     if args.json:
         print(json.dumps(report_to_payload(report), indent=2, sort_keys=True))
     else:

@@ -37,7 +37,6 @@ __all__ = [
     "aut_group",
     "endomorphisms_of_degree",
     "endomorphisms_of_prime_degree",
-    "check_curve_endo",
 ]
 
 # Carrier for the integer endomorphisms of a curve without complex
@@ -221,12 +220,3 @@ def endomorphisms_of_prime_degree(curve: CurveModel, p: int) -> tuple[QuadElem, 
     if curve.has_cm:
         return prime_norm_elements(curve.order, p)
     return ()
-
-
-def check_curve_endo(curve: CurveModel, alpha: QuadElem) -> None:
-    """Reject elements that are not endomorphisms of the given curve."""
-    if curve.has_cm:
-        if alpha.order != curve.order:
-            raise ValueError(f"{alpha!r} does not live in {curve!r}")
-    elif alpha.y != 0:
-        raise ValueError(f"{alpha!r} is not an integer endomorphism")

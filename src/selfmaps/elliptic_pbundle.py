@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence, Union
+from typing import Union
 
 from .cm_elliptic import (
     CurveModel,
@@ -32,7 +32,6 @@ from .qorders import (
     OrderParams,
     QuadElem,
     conjugate,
-    euler_totient,
     is_prime,
     norm,
     primes_up_to,
@@ -49,7 +48,6 @@ from .verdicts import (
     TorsionMultiple,
     Verdict,
     Witness,
-    witness_degrees,
 )
 
 __all__ = [
@@ -68,8 +66,6 @@ __all__ = [
     "nonsplit_verdict",
     "exceptional_triples",
     "matching_exceptional_family",
-    "totient_filter",
-    "compose_decisions",
 ]
 
 
@@ -367,27 +363,3 @@ def nonsplit_verdict(desc: EllipticBundleDescriptor, bound: int = 1000) -> Verdi
             "negative curve, so every self-map has square degree"
         )
     )
-
-
-def totient_filter(k: int) -> bool:
-    """Fast necessary condition for all degrees at torsion level k on a generic curve."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k!r}")
-    return euler_totient(k) < 4
-
-
-def compose_decisions(decisions: Sequence[PrimeDecision]) -> tuple[int, int]:
-    """(base degree, fiber degree) of the composite of per-prime witnesses.
-
-    Degrees multiply under composition, so a composite degree is
-    witnessed by chaining the per-prime routes; this is bookkeeping on
-    the pairs, not a construction of the composite map.
-    """
-    base, fiber = 1, 1
-    for decision in decisions:
-        if not decision.achievable or decision.witness is None:
-            raise ValueError(f"prime {decision.prime} has no witness to compose")
-        b, f = witness_degrees(decision.witness, decision.prime)
-        base *= b
-        fiber *= f
-    return base, fiber

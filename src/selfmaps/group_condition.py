@@ -195,7 +195,8 @@ def find_cyclic_subgroups(group: CayleyGroup, p: int) -> tuple[CyclicSubgroup, .
         while cur != 0:
             elems.append(cur)
             cur = group.mul(cur, g)
-        assert len(elems) == p
+        if len(elems) != p:
+            raise RuntimeError(f"element {g} of order {p} generates {len(elems)} elements")
         seen.update(elems)
         out.append(CyclicSubgroup(generator=g, order=p, elements=tuple(sorted(elems))))
     return tuple(out)
@@ -351,6 +352,8 @@ def parse_group_text(text: str) -> np.ndarray:
         n = int(lines[0])
     except ValueError as exc:
         raise GroupFileError(f"first line must be the order, got {lines[0]!r}") from exc
+    if n > GROUP_ORDER_CAP:
+        raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
     if len(lines) != n + 1:
         raise GroupFileError(f"expected {n} rows after the order line, got {len(lines) - 1}")
     rows = []

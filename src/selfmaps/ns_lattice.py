@@ -17,11 +17,8 @@ from .qorders import is_prime
 __all__ = [
     "NSClass",
     "EndoOnNS",
-    "RamificationRecord",
     "SquareDegreeCertificate",
     "intersect",
-    "relative_canonical_class",
-    "ramification_class",
     "square_degree_certificate",
     "atiyah_deg2_search",
     "toric_prime_candidates",
@@ -53,38 +50,6 @@ def intersect(c1: NSClass, c2: NSClass) -> int:
     """Intersection number under H.H = e, H.F = 1, F.F = 0."""
     _same_surface(c1, c2)
     return c1.h * c2.h * c1.e + c1.h * c2.f + c1.f * c2.h
-
-
-def relative_canonical_class(e: int) -> NSClass:
-    """Relative canonical class -2H + eF.
-
-    Pinned by adjunction: the restriction to a fiber has degree -2, and
-    pairing with each of the two sections H and H - e*F returns the
-    negative of that section's self-intersection.  Its square is
-    4e - 4e = 0, which the tests check as a polynomial identity.
-    """
-    return NSClass(-2, e, e)
-
-
-@dataclass(frozen=True)
-class RamificationRecord:
-    ns_class: NSClass
-    r2_zero: bool
-
-
-def ramification_class(degree: int, e: int) -> RamificationRecord:
-    """Ramification class (1 - degree) times the relative canonical class.
-
-    For a degree >= 2 self-map compatible with the ruling this is
-    (2(degree-1)) * H - e(degree-1) * F, an isotropic class; r2_zero
-    records the squared value being zero, computed with intersect and
-    not assumed.
-    """
-    if degree < 2:
-        raise ValueError(f"self-map degree must be at least 2, got {degree!r}")
-    k_rel = relative_canonical_class(e)
-    r = (1 - degree) * k_rel
-    return RamificationRecord(ns_class=r, r2_zero=intersect(r, r) == 0)
 
 
 @dataclass(frozen=True)

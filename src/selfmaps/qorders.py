@@ -36,8 +36,6 @@ __all__ = [
     "split_type",
     "is_norm_of_prime",
     "split_density_report",
-    "split_residues",
-    "euler_totient",
 ]
 
 
@@ -366,52 +364,3 @@ def split_density_report(order: OrderParams, bound: int) -> SplitDensityReport:
         inert_count=counts[SplitType.INERT],
         ramified_count=counts[SplitType.RAMIFIED],
     )
-
-
-def _smallest_prime_in_class(residue: int, modulus: int) -> int:
-    candidate = residue if residue > 1 else residue + modulus
-    for _ in range(10**6):
-        if is_prime(candidate):
-            return candidate
-        candidate += modulus
-    raise RuntimeError(f"no prime found in class {residue} mod {modulus}")
-
-
-def split_residues(order: OrderParams, modulus: int) -> frozenset[int]:
-    """Residue classes mod modulus consisting entirely of split primes.
-
-    Splitting depends on p only through the discriminant character, which
-    is periodic with period |D|, so the modulus must be a multiple of |D|.
-    One prime per coprime class is sampled; periodicity does the rest.
-    Classes sharing a factor with the modulus have at most one prime each
-    and are left out.
-    """
-    d = abs(order.discriminant)
-    if modulus < 1 or modulus % d != 0:
-        raise ValueError(f"modulus must be a positive multiple of |D| = {d}")
-    out = set()
-    for r in range(1, modulus):
-        if math.gcd(r, modulus) != 1:
-            continue
-        p = _smallest_prime_in_class(r, modulus)
-        if split_type(order, p) is SplitType.SPLIT:
-            out.add(r)
-    return frozenset(out)
-
-
-def euler_totient(k: int) -> int:
-    """Totient by trial factorization."""
-    if k < 1:
-        raise ValueError(f"totient needs a positive integer, got {k!r}")
-    result = k
-    m = k
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            result -= result // f
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        result -= result // m
-    return result

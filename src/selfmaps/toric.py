@@ -85,12 +85,17 @@ def _det(u: Ray, v: Ray) -> int:
 
 
 def _winding_number(rays: tuple[Ray, ...]) -> int:
-    total = 0.0
-    for i, u in enumerate(rays):
-        v = rays[(i + 1) % len(rays)]
-        step = math.atan2(v[1], v[0]) - math.atan2(u[1], u[0])
-        total += step % (2 * math.pi)
-    return round(total / (2 * math.pi))
+    """Turns of the ray cycle around the origin, counted exactly.
+
+    Needs every consecutive determinant positive: then each step turns
+    counterclockwise by less than half a turn, and it reaches the
+    positive x-axis exactly when it ends on that axis or passes from the
+    lower to the upper half-plane.  Each full turn reaches it once.
+    """
+    return sum(
+        (v[1] == 0 and v[0] > 0) or (u[1] < 0 < v[1])
+        for u, v in zip(rays, rays[1:] + rays[:1])
+    )
 
 
 def validate_fan(rays) -> Fan:
@@ -165,7 +170,8 @@ def toric_verdict(fan: Fan) -> Verdict:
             )
         # only two surfaces have no negative boundary curve; with 4 rays
         # this is the product of two lines, which takes every degree
-        assert len(fan) == 4, "no-negative-curve fan must have 3 or 4 rays"
+        if len(fan) != 4:
+            raise RuntimeError(f"fan with no negative curve has {len(fan)} rays, not 3 or 4")
         return AllDegrees(
             note="product of two lines: independent power maps on the factors hit every degree"
         )

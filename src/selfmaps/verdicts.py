@@ -26,7 +26,6 @@ __all__ = [
     "SquaresOnly",
     "FiniteCandidatePrimes",
     "Verdict",
-    "witness_degrees",
     "witness_to_payload",
     "witness_from_payload",
     "verdict_to_payload",
@@ -40,8 +39,6 @@ class TorsionMultiple:
 
     k: int
 
-    route_rank = 0
-
 
 @dataclass(frozen=True)
 class AutRoute:
@@ -50,8 +47,6 @@ class AutRoute:
 
     phi: QuadElem
     m: int
-
-    route_rank = 1
 
 
 @dataclass(frozen=True)
@@ -62,17 +57,8 @@ class IsogenyRoute:
     alpha: QuadElem
     sign: int
 
-    route_rank = 2
-
 
 Witness = Union[TorsionMultiple, AutRoute, IsogenyRoute]
-
-
-def witness_degrees(witness: Witness, degree: int) -> tuple[int, int]:
-    """(base degree, fiber degree) of the self-map a witness builds."""
-    if isinstance(witness, IsogenyRoute):
-        return (degree, 1)
-    return (1, degree)
 
 
 @dataclass(frozen=True)

@@ -212,6 +212,13 @@ def test_group_check(tmp_path, capsys):
     assert code == 2
 
 
+def test_group_order_cap_checked_before_rows(tmp_path, capsys):
+    grp = write(tmp_path, "huge.grp", "10001\n")
+    code, _, err = run_cli(capsys, "group-check", grp, "2")
+    assert code == 2
+    assert err == "error: order 10001 exceeds cap 10000\n"
+
+
 def _fake_results(fail_exceptional):
     from selfmaps.claims import ClaimResult
 

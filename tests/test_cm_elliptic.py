@@ -8,7 +8,6 @@ from selfmaps.cm_elliptic import (
     EndoMatrix,
     TorsionPoint,
     aut_group,
-    check_curve_endo,
     dual,
     endomorphisms_of_degree,
     endomorphisms_of_prime_degree,
@@ -165,15 +164,6 @@ def test_nocm_elements_behave_like_integers():
         assert rational_rep(alpha).rows() in (((3, 0), (0, 3)), ((-3, 0), (0, -3)))
         assert dual(alpha) == alpha
         assert norm(alpha) == 9
-
-
-def test_check_curve_endo():
-    check_curve_endo(CurveModel.cm(GAUSS), q(GAUSS, 2, 1))
-    with pytest.raises(ValueError):
-        check_curve_endo(CurveModel.cm(GAUSS), q(DISC7, 2, 1))
-    check_curve_endo(CurveModel.no_cm(), q(GAUSS, 5, 0))
-    with pytest.raises(ValueError):
-        check_curve_endo(CurveModel.no_cm(), q(GAUSS, 0, 1))
 
 
 def test_torsion_action_rejects_bad_level():

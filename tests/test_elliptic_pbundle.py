@@ -22,13 +22,11 @@ from selfmaps.elliptic_pbundle import (
     SplitNonzeroDegree,
     SplitTorsion,
     admits_all_degrees,
-    compose_decisions,
     exceptional_triples,
     matching_exceptional_family,
     nonsplit_verdict,
     prime_achievable,
     scan_primes,
-    totient_filter,
 )
 from selfmaps.qorders import OrderParams, QuadElem, norm, primes_up_to
 from selfmaps.verdicts import (
@@ -318,21 +316,6 @@ def test_certificates_on_grid_unchanged():
     assert digest == CERTIFICATE_GRID_SHA256
 
 
-def test_compose_decisions_bookkeeping():
-    gauss5 = split_desc(CurveModel.cm(GAUSS), 5, (1, 2))
-    disc7 = split_desc(CurveModel.cm(DISC7), 4, (2, 1))
-    d2 = prime_achievable(gauss5, 2)
-    d5 = prime_achievable(gauss5, 5)
-    assert compose_decisions([d2, d5]) == (1, 10)
-    iso2 = prime_achievable(disc7, 2)
-    aut3 = prime_achievable(disc7, 3)
-    base, fiber = compose_decisions([iso2, aut3])
-    assert (base, fiber) == (2, 3) and base * fiber == 6
-    bad = prime_achievable(split_desc(CurveModel.no_cm(), 5, (1, 0)), 2)
-    with pytest.raises(ValueError):
-        compose_decisions([bad])
-
-
 def test_nonsplit_atiyah_degree_zero():
     desc = EllipticBundleDescriptor(CurveModel.cm(GAUSS), AtiyahDegreeZero())
     verdict = nonsplit_verdict(desc)
@@ -367,9 +350,3 @@ def test_nonsplit_rejects_torsion_descriptor():
         nonsplit_verdict(split_desc(CurveModel.no_cm(), 2, (1, 0)))
     with pytest.raises(ValueError):
         SplitNonzeroDegree(0)
-
-
-def test_totient_filter():
-    assert [k for k in range(1, 13) if totient_filter(k)] == [1, 2, 3, 4, 6]
-    with pytest.raises(ValueError):
-        totient_filter(0)

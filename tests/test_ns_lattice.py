@@ -10,8 +10,6 @@ from selfmaps.ns_lattice import (
     NSClass,
     atiyah_deg2_search,
     intersect,
-    ramification_class,
-    relative_canonical_class,
     square_degree_certificate,
     toric_prime_candidates,
 )
@@ -43,42 +41,10 @@ def test_mismatched_surfaces_rejected():
         NSClass(1, 0, 1) + NSClass(1, 0, 0)
 
 
-def test_relative_canonical_square_vanishes():
-    # K.K is linear in e; vanishing on two values proves the identity,
-    # the wider grid is free
-    for e in range(-50, 51):
-        k = relative_canonical_class(e)
-        assert intersect(k, k) == 0
-        # adjunction data that pinned the class
-        assert intersect(k, NSClass(0, 1, e)) == -2
-        assert intersect(k, NSClass(1, 0, e)) == -e
-        assert intersect(k, NSClass(1, -e, e)) == e
-
-
 def test_other_section_self_intersection():
     for e in range(-20, 21):
         other = NSClass(1, -e, e)
         assert intersect(other, other) == -e
-
-
-def test_ramification_class_values_and_isotropy():
-    # e = 0: conventions cannot disagree
-    rec = ramification_class(2, 0)
-    assert (rec.ns_class.h, rec.ns_class.f) == (2, 0)
-    assert rec.r2_zero
-    rec = ramification_class(3, 1)
-    assert (rec.ns_class.h, rec.ns_class.f) == (4, -2)
-    assert intersect(rec.ns_class, rec.ns_class) == 0
-    # R.R is polynomial of degree 2 in d and 1 in e; a 3 x 2 grid of
-    # vanishing points forces the zero polynomial, the loop is larger
-    for degree in range(2, 21):
-        for e in range(-50, 51):
-            assert ramification_class(degree, e).r2_zero
-
-
-def test_ramification_rejects_degree_one():
-    with pytest.raises(ValueError):
-        ramification_class(1, 3)
 
 
 def test_from_degrees_frozen():

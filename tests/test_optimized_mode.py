@@ -35,7 +35,8 @@ BUNDLES = {
 SCRIPT = """
 import json, sys
 from types import SimpleNamespace
-from selfmaps import elliptic_pbundle as eb
+import numpy
+from selfmaps import elliptic_pbundle as eb, group_condition as gc, toric
 from selfmaps.cm_elliptic import CurveModel
 from selfmaps.qorders import NotPrimeError, OrderParams, legendre, split_type
 from selfmaps.verdicts import verdict_to_payload
@@ -72,6 +73,15 @@ eb.square_degree_certificate = lambda c: SimpleNamespace(degree_is_square=False)
 out["square_proof_step_raises"] = raises(
     lambda: eb.nonsplit_verdict(eb.EllipticBundleDescriptor(curve, bundles["split_degree"])), RuntimeError
 )
+# element 1 generates all of Z/6; claiming it has order 3 must not yield
+# a six-element "subgroup of order 3"
+z6 = gc.build_cyclic(6)
+gc.element_orders = lambda group: numpy.array([1, 3, 3, 2, 3, 6])
+out["subgroup_order_step_raises"] = raises(lambda: gc.find_cyclic_subgroups(z6, 3), RuntimeError)
+# a fan without negative curves must be the plane or the product of lines
+five_rays = toric.validate_fan(((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)))
+toric.self_intersections = lambda fan: (0,) * len(fan)
+out["toric_ray_count_step_raises"] = raises(lambda: toric.toric_verdict(five_rays), RuntimeError)
 print(json.dumps(out))
 """
 
@@ -87,6 +97,7 @@ def test_checks_hold_under_python_optimize():
     assert out["optimize"] == 1
     assert out["legendre_raises"] and out["split_type_raises"]
     assert out["deg2_proof_step_raises"] and out["square_proof_step_raises"]
+    assert out["subgroup_order_step_raises"] and out["toric_ray_count_step_raises"]
     curve = CurveModel.cm(OrderParams(0, 1))
     expected = {
         name: verdict_to_payload(nonsplit_verdict(EllipticBundleDescriptor(curve, bundle), 200))

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,6 @@ from selfmaps.qorders import (
     conjugate,
     degree_two_table,
     elements_of_norm,
-    euler_totient,
     is_norm_of_prime,
     is_prime,
     legendre,
@@ -24,7 +22,6 @@ from selfmaps.qorders import (
     prime_norm_elements,
     primes_up_to,
     split_density_report,
-    split_residues,
     split_type,
     units,
 )
@@ -303,45 +300,3 @@ def test_split_density_report():
 def test_split_density_bound_check():
     with pytest.raises(ValueError):
         split_density_report(GAUSS, 50)
-
-
-def test_split_residues_frozen():
-    assert split_residues(GAUSS, 4) == frozenset({1})
-    assert split_residues(GAUSS, 8) == frozenset({1, 5})
-    assert split_residues(DISC7, 7) == frozenset({1, 2, 4})
-    assert split_residues(EISENSTEIN, 3) == frozenset({1})
-    with pytest.raises(ValueError):
-        split_residues(GAUSS, 6)
-
-
-def test_split_residues_describe_whole_classes():
-    rng = random.Random(7)
-    for order in (GAUSS, DISC7):
-        modulus = abs(order.discriminant) * 2
-        good = split_residues(order, modulus)
-        for p in rng.sample(primes_up_to(2000), 200):
-            if math.gcd(p, modulus) != 1:
-                continue
-            expected = p % modulus in good
-            assert (split_type(order, p) is SplitType.SPLIT) == expected
-
-
-def test_totient_gcd_count_oracle():
-    for k in range(1, 501):
-        assert euler_totient(k) == sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
-
-
-def test_totient_sieve_oracle_to_10k():
-    bound = 10**4
-    phi = list(range(bound + 1))
-    for p in range(2, bound + 1):
-        if phi[p] == p:  # p is prime, untouched so far
-            for mult in range(p, bound + 1, p):
-                phi[mult] -= phi[mult] // p
-    for k in range(1, bound + 1):
-        assert euler_totient(k) == phi[k]
-
-
-def test_totient_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        euler_totient(0)

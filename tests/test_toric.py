@@ -144,6 +144,68 @@ def test_noether_sum_under_blow_ups(start, corners):
     assert sum(selfs) == 12 - 3 * len(fan)
 
 
+def _corner_chain(steps: int) -> list[tuple[int, int]]:
+    """Blow up the plane's corner fan, always next to the newest ray.
+
+    Each step inserts the sum of rays j and j+1, and j moves on after
+    every odd-numbered step, so coordinates grow like Fibonacci numbers.
+    """
+    rays = [(1, 0), (1, 1), (0, 1), (-1, -1)]
+    j = 0
+    for step in range(1, steps + 1):
+        u, v = rays[j], rays[j + 1]
+        rays.insert(j + 1, (u[0] + v[0], u[1] + v[1]))
+        if step % 2 == 1:
+            j += 1
+    return rays
+
+
+def test_winding_exact_at_large_coordinates():
+    # 81 rays with coordinates near 2**54, where summed float angle
+    # steps drift and counted this valid fan as winding twice
+    rays = _corner_chain(77)
+    assert len(rays) == 81
+    assert max(abs(c) for ray in rays for c in ray).bit_length() >= 54
+    fan = validate_fan(rays)
+    assert sum(self_intersections(fan)) == 12 - 3 * len(fan)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.integers(min_value=0, max_value=4),
+    offsets=st.lists(st.sampled_from((-1, 0)), min_size=100, max_size=130),
+)
+def test_blow_up_chains_stay_valid(start, offsets):
+    # blowing up on either side of the ray inserted last makes the
+    # coordinates grow exponentially along the chain
+    fan = validate_fan(PROJECTIVE_PLANE if start == 0 else hirzebruch(start))
+    newest = fan.rays[0]
+    for offset in offsets:
+        i = (fan.rays.index(newest) + offset) % len(fan)
+        u, v = fan.rays[i], fan.rays[(i + 1) % len(fan)]
+        newest = (u[0] + v[0], u[1] + v[1])
+        fan = blow_up(fan, i)
+    assert sum(self_intersections(fan)) == 12 - 3 * len(fan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shears=st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=1, max_size=6))
+def test_winding_invariant_under_unimodular_maps(shears):
+    # each (x, y) -> (-y, x + k*y) has determinant 1, so it keeps the
+    # consecutive determinants, primitivity, distinctness and the winding
+    # number, and it pushes the coordinates far beyond float precision
+    def transform(rays):
+        for k in shears:
+            rays = [(-y, x + k * y) for x, y in rays]
+        return rays
+
+    fan = validate_fan(transform(_corner_chain(20)))
+    assert sum(self_intersections(fan)) == 12 - 3 * len(fan)
+    double = ((1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0), (1, -1))
+    with pytest.raises(WindingError, match="winds 2 times"):
+        validate_fan(transform(double))
+
+
 def test_wall_relation_guard_on_raw_fan():
     # bypassing validate_fan can break the wall relation; the guard fires
     broken = Fan(rays=((1, 0), (0, 1), (-1, -3)))

@@ -6,19 +6,15 @@ from selfmaps.elliptic_pbundle import (
     SplitTorsion,
     admits_all_degrees,
 )
-from selfmaps.qorders import OrderParams, QuadElem
+from selfmaps.qorders import OrderParams
 from selfmaps.verdicts import (
     AllDegrees,
-    AutRoute,
     FiniteCandidatePrimes,
     InfinitelyManyMissing,
-    IsogenyRoute,
     MissingPrimes,
     SquaresOnly,
-    TorsionMultiple,
     verdict_from_payload,
     verdict_to_payload,
-    witness_degrees,
 )
 
 GAUSS = OrderParams(0, 1)
@@ -28,12 +24,6 @@ def roundtrip(verdict):
     payload = verdict_to_payload(verdict)
     assert payload["kind"] == verdict.kind
     return verdict_from_payload(payload)
-
-
-def test_witness_degrees():
-    assert witness_degrees(TorsionMultiple(5), 5) == (1, 5)
-    assert witness_degrees(AutRoute(QuadElem(GAUSS, 0, 1), 2), 3) == (1, 3)
-    assert witness_degrees(IsogenyRoute(QuadElem(GAUSS, 1, 1), 1), 2) == (2, 1)
 
 
 def test_simple_verdict_roundtrips():
