@@ -318,7 +318,7 @@ def _high_genus_verdict(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
         reachable = {m % p for m in sub.image} | {-m % p for m in sub.image}
         uncovered_everywhere &= set(range(1, p)) - reachable
     examples = tuple(
-        q for q in primes_up_to(max(bound, 2)) if q % p in uncovered_everywhere
+        q for q in primes_up_to(bound) if q % p in uncovered_everywhere
     )
     verdict = InfinitelyManyMissing(
         reason=f"no cyclic subgroup of order {p} is conjugated onto every "

@@ -39,7 +39,7 @@ __all__ = [
 
 GROUP_ORDER_CAP = 10000
 
-# row-block size for the quadratic table scans; bounds peak memory
+# row or column block size for the quadratic table scans; bounds peak memory
 _BLOCK = 1024
 
 
@@ -95,8 +95,8 @@ def _generating_set(table: np.ndarray) -> list[int]:
             prods = np.unique(
                 np.concatenate(
                     [
-                        table[frontier][:, kidx].ravel(),
-                        table[kidx][:, frontier].ravel(),
+                        table[np.ix_(frontier, kidx)].ravel(),
+                        table[np.ix_(kidx, frontier)].ravel(),
                     ]
                 )
             )
@@ -122,8 +122,34 @@ def _check_associativity(table: np.ndarray, gens: list[int]) -> None:
                 )
 
 
+def _latin_failure(table: np.ndarray) -> str | None:
+    """Message for the first row, then column, that is not a permutation."""
+    n = table.shape[0]
+    idx = np.arange(n, dtype=table.dtype)
+    for start in range(0, n, _BLOCK):
+        if (np.sort(table[start : start + _BLOCK], axis=1) != idx).any():
+            return "some row is not a permutation"
+    for start in range(0, n, _BLOCK):
+        if (np.sort(table[:, start : start + _BLOCK], axis=0) != idx[:, None]).any():
+            return "some column is not a permutation"
+    return None
+
+
 def validate_group(table_like) -> CayleyGroup:
-    """Check shape, range, Latin property, identity 0, inverses, associativity."""
+    """Check shape, range, Latin property, identity 0, inverses, associativity.
+
+    The Latin (row and column permutation) check runs only when a later
+    check fails, to report the same first failing stage as the ordered
+    checks.  A table that passes needs no Latin check: once 0 is a
+    two-sided identity, the middle elements g with (xg)y = x(gy) for all
+    x, y are closed under the product in any magma, so Light's test on a
+    generating set proves full associativity; identity, two-sided
+    inverses and associativity make a group, and a group table is a
+    Latin square.  On any other table of order over 64, Light's test
+    fails within log2(n) + 1 generators: the greedy generators that
+    pass it generate a group, each at least doubling it.  A read-only
+    int32 input is used without a copy.
+    """
     table = np.asarray(table_like)
     if not np.issubdtype(table.dtype, np.integer):
         raise GroupValidationError("table entries must be integers")
@@ -136,20 +162,23 @@ def validate_group(table_like) -> CayleyGroup:
         raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
     if table.min() < 0 or table.max() >= n:
         raise GroupValidationError("table entries must be element indices")
-    table = table.astype(np.int32)
+    if table.dtype != np.int32 or table.flags.writeable:
+        table = table.astype(np.int32)
     idx = np.arange(n, dtype=np.int32)
-    for row in table:
-        if np.bincount(row, minlength=n).max() != 1:
-            raise GroupValidationError("some row is not a permutation")
-    for col in np.ascontiguousarray(table.T):
-        if np.bincount(col, minlength=n).max() != 1:
-            raise GroupValidationError("some column is not a permutation")
-    if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
-        raise GroupValidationError("identity must be element 0")
-    inverse = np.argmin(table, axis=1).astype(np.int32)
-    if not np.array_equal(table[inverse, idx], np.zeros(n, dtype=np.int32)):
-        raise GroupValidationError("inverses are not two-sided")
-    _check_associativity(table, _generating_set(table))
+    inverse = np.empty(n, dtype=np.int32)
+    try:
+        if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
+            raise GroupValidationError("identity must be element 0")
+        for start in range(0, n, _BLOCK):
+            inverse[start : start + _BLOCK] = np.argmin(table[start : start + _BLOCK], axis=1)
+        if (table[inverse, idx] != 0).any() or (table[idx, inverse] != 0).any():
+            raise GroupValidationError("inverses are not two-sided")
+        _check_associativity(table, _generating_set(table))
+    except GroupValidationError:
+        latin = _latin_failure(table)
+        if latin is not None:
+            raise GroupValidationError(latin) from None
+        raise
     table.setflags(write=False)
     inverse.setflags(write=False)
     return CayleyGroup(order=n, table=table, inverse=inverse)
@@ -246,7 +275,7 @@ def conjugation_rho(group: CayleyGroup, sub: CyclicSubgroup) -> dict[int, int]:
         if whole_group:
             prods = group.table[start:stop]
         else:
-            prods = np.take(group.table[norm[start:stop]], norm, axis=1)
+            prods = group.table[norm[start:stop, None], norm[None, :]]
         expected = delta[start:stop, None] * delta[None, :] % np.int32(p)
         if not np.array_equal(rho_of[prods], expected):
             raise RuntimeError("conjugation exponents do not form a homomorphism")
@@ -323,14 +352,14 @@ def build_semidirect(p: int) -> CayleyGroup:
     n = p * (p - 1)
     if n > GROUP_ORDER_CAP:
         raise GroupValidationError(f"order {n} = p(p-1) exceeds cap {GROUP_ORDER_CAP}")
-    a = np.arange(n, dtype=np.int32) // (p - 1)
-    u = np.arange(n, dtype=np.int32) % (p - 1) + 1
-    table = np.empty((n, n), dtype=np.int32)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        prod_a = (a[start:stop, None] + u[start:stop, None] * a[None, :]) % p
-        prod_u = (u[start:stop, None] * u[None, :]) % p
-        table[start:stop] = prod_a * (p - 1) + prod_u - 1
+    a = np.arange(p, dtype=np.int32)
+    u = np.arange(1, p, dtype=np.int32)
+    # index of (a + u*b, u*v) split into its a-part and u-part; one
+    # broadcast add writes the whole table as [a, u, b, v]
+    prod_a = (a[:, None, None] + u[None, :, None] * a[None, None, :]) % p * (p - 1)
+    prod_u = (u[:, None] * u[None, :]) % p - 1
+    table = (prod_a[:, :, :, None] + prod_u[None, :, None, :]).reshape(n, n)
+    table.setflags(write=False)
     return validate_group(table)
 
 
@@ -356,6 +385,19 @@ def parse_group_text(text: str) -> np.ndarray:
         raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
     if len(lines) != n + 1:
         raise GroupFileError(f"expected {n} rows after the order line, got {len(lines) - 1}")
+    # numpy's parser takes a subset of what int() takes and gives the
+    # same values there.  It only sees ASCII rows: numpy 2.4.6 segfaulted
+    # in about a third of fresh runs on a row holding U+AAE60.  Anything
+    # else, and every error, goes through the per-row loop and its
+    # row-numbered messages.
+    if n > 0 and all(map(str.isascii, lines[1:])):
+        try:
+            table = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if table.shape == (n, n):
+                return table
     rows = []
     for lineno, line in enumerate(lines[1:], start=1):
         parts = line.split()
@@ -365,7 +407,10 @@ def parse_group_text(text: str) -> np.ndarray:
             rows.append([int(x) for x in parts])
         except ValueError as exc:
             raise GroupFileError(f"row {lineno}: not integers") from exc
-    return np.array(rows, dtype=np.int64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise GroupValidationError("table entries must be element indices") from None
 
 
 def load_group(path) -> CayleyGroup:

@@ -125,6 +125,15 @@ def test_classify_high_genus_descriptor(tmp_path, capsys):
     assert payload["verdict"]["missing_examples"][0] == 2
 
 
+def test_high_genus_missing_examples_stay_under_bound(tmp_path, capsys):
+    group_file(tmp_path, "c7.grp", build_cyclic(7))
+    desc = write(tmp_path, "hg7.desc", "surface=high_genus_bundle\np=7\ngroup_file=c7.grp\n")
+    for bound, examples in ((1, []), (2, [2]), (12, [2, 3, 5, 11])):
+        code, out, _ = run_cli(capsys, "classify", desc, "--bound", str(bound), "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"]["missing_examples"] == examples
+
+
 def test_scan_table(tmp_path, capsys):
     desc = write(tmp_path, "exc.desc", EXC_DESCRIPTOR)
     code, out, _ = run_cli(capsys, "scan", desc, "--bound", "30", "--json")
@@ -217,6 +226,15 @@ def test_group_order_cap_checked_before_rows(tmp_path, capsys):
     code, _, err = run_cli(capsys, "group-check", grp, "2")
     assert code == 2
     assert err == "error: order 10001 exceeds cap 10000\n"
+
+
+def test_group_check_oversized_entry_is_an_input_error(tmp_path, capsys):
+    for entry in ("99999999999999999999999", "-99999999999999999999999"):
+        grp = write(tmp_path, "big.grp", f"2\n0 1\n1 {entry}\n")
+        code, out, err = run_cli(capsys, "group-check", grp, "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: table entries must be element indices\n"
 
 
 def _fake_results(fail_exceptional):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfmaps.group_condition import (
     CayleyGroup,
@@ -247,3 +249,177 @@ def test_load_group(tmp_path):
     group = load_group(path)
     assert group.order == 3
     assert group.inv(1) == 2
+
+
+def _oracle_failure(table):
+    """The ordered checks by brute force; None for a group, else the failing stage."""
+    t = np.asarray(table).tolist()
+    n = len(t)
+    idx = list(range(n))
+    if any(sorted(row) != idx for row in t):
+        return "some row is not a permutation", None
+    if any(sorted(col) != idx for col in zip(*t)):
+        return "some column is not a permutation", None
+    if t[0] != idx or [row[0] for row in t] != idx:
+        return "identity must be element 0", None
+    inverse = [row.index(0) for row in t]
+    if any(t[inverse[i]][i] != 0 for i in idx):
+        return "inverses are not two-sided", None
+    bad_middles = {
+        g for x in idx for g in idx for y in idx if t[t[x][g]][y] != t[x][t[g][y]]
+    }
+    if bad_middles:
+        return "associativity fails", bad_middles
+    return None
+
+
+# a loop (Latin square with identity 0) in which 2 * 3 = 0 but 3 * 2 = 1
+ONE_SIDED_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+
+# Z/6 with the intercalate 1,4 x 1,4 swapped: a loop with two-sided
+# inverses that is not associative
+SWAPPED_Z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+SWAPPED_Z6[1][1] = SWAPPED_Z6[4][4] = 5
+SWAPPED_Z6[1][4] = SWAPPED_Z6[4][1] = 2
+
+BASE_TABLES = [
+    *(np.asarray(build_cyclic(n).table).tolist() for n in (1, 2, 4, 6, 7)),
+    *(np.asarray(build_semidirect(p).table).tolist() for p in (3, 5)),
+    ONE_SIDED_LOOP,
+    SWAPPED_Z6,
+]
+
+
+def _intercalates(t):
+    """Row pairs i < k and column pairs j < l holding a 2x2 subsquare a b / b a."""
+    n = len(t)
+    return [
+        (i, k, j, l)
+        for i, k in itertools.combinations(range(n), 2)
+        for j, l in itertools.combinations(range(n), 2)
+        if t[i][j] == t[k][l] and t[i][l] == t[k][j]
+    ]
+
+
+@st.composite
+def corrupted_tables(draw):
+    t = [row[:] for row in draw(st.sampled_from(BASE_TABLES))]
+    n = len(t)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    kinds = st.sampled_from(["swap", "intercalate", "relabel", "rows"])
+    for kind in draw(st.lists(kinds, max_size=3)):
+        if kind == "swap":
+            (i1, j1), (i2, j2) = draw(cell), draw(cell)
+            t[i1][j1], t[i2][j2] = t[i2][j2], t[i1][j1]
+        elif kind == "intercalate":
+            squares = _intercalates(t)
+            if squares:
+                i, k, j, l = draw(st.sampled_from(squares))
+                t[i][j], t[i][l] = t[i][l], t[i][j]
+                t[k][j], t[k][l] = t[k][l], t[k][j]
+        elif kind == "relabel":
+            # an isomorphic table whose identity can move away from 0
+            sigma = draw(st.permutations(range(n)))
+            relabeled = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    relabeled[sigma[i]][sigma[j]] = sigma[t[i][j]]
+            t = relabeled
+        else:
+            t = [t[i] for i in draw(st.permutations(range(n)))]
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+def test_validate_group_matches_ordered_oracle(table):
+    expected = _oracle_failure(table)
+    if expected is None:
+        group = validate_group(table)
+        assert np.array_equal(group.table, table)
+        return
+    message, bad_middles = expected
+    with pytest.raises(GroupValidationError) as info:
+        validate_group(table)
+    got = str(info.value)
+    if bad_middles is None:
+        assert got == message
+    else:
+        prefix = "associativity fails for triples with middle element "
+        assert got.startswith(prefix)
+        assert int(got[len(prefix) :]) in bad_middles
+
+
+def test_validate_group_copy_semantics():
+    base = (np.add.outer(np.arange(6), np.arange(6)) % 6).astype(np.int32)
+    frozen = base.copy()
+    frozen.setflags(write=False)
+    assert np.shares_memory(validate_group(frozen).table, frozen)
+    group = validate_group(base)
+    assert not np.shares_memory(group.table, base)
+    assert base.flags.writeable
+    assert not group.table.flags.writeable
+
+
+def _parse_rows_reference(text):
+    """The parser with the per-row loop alone: int() on every whitespace-split token."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    n = int(lines[0])
+    if len(lines) != n + 1:
+        raise GroupFileError(f"expected {n} rows after the order line, got {len(lines) - 1}")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=1):
+        parts = line.split()
+        if len(parts) != n:
+            raise GroupFileError(f"row {lineno}: expected {n} entries, got {len(parts)}")
+        try:
+            rows.append([int(x) for x in parts])
+        except ValueError as exc:
+            raise GroupFileError(f"row {lineno}: not integers") from exc
+    return np.array(rows, dtype=np.int64)
+
+
+# integers in forms both parsers read, then tokens only int() reads
+# (1_0, Arabic-Indic three) and tokens neither reads
+CLEAN_TOKENS = st.one_of(
+    st.integers(-3, 12).map(str), st.sampled_from(["+3", "-0", "007", "+0"])
+)
+DIRTY_TOKENS = st.sampled_from(["1_0", "\u0663", "#", "x", "2.0", "0x1"])
+
+
+@st.composite
+def table_texts(draw):
+    n = draw(st.integers(1, 4))
+    tokens_st = CLEAN_TOKENS if draw(st.booleans()) else st.one_of(CLEAN_TOKENS, DIRTY_TOKENS)
+    lines = [str(n)]
+    for _ in range(n):
+        count = draw(st.sampled_from([n, n, n, n, n - 1, n + 1]))
+        tokens = draw(st.lists(tokens_st, min_size=count, max_size=count))
+        seps = draw(
+            st.lists(st.sampled_from([" ", "\t", "  ", " \t "]), min_size=count, max_size=count)
+        )
+        line = "".join(sep + tok for sep, tok in zip(seps, tokens))
+        if draw(st.booleans()):
+            line += draw(st.sampled_from([" # x", "\t#x", ""]))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text).tolist()
+    except (GroupFileError, GroupValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_texts())
+def test_parse_group_text_fast_path_matches_row_loop(text):
+    assert _outcome(parse_group_text, text) == _outcome(_parse_rows_reference, text)
