@@ -46,10 +46,10 @@ from .qorders import (
     QuadElem,
     SplitType,
     degree_two_table,
-    is_norm_of_prime,
     legendre_euler,
     legendre_reciprocity,
     primes_up_to,
+    represented_norms,
     split_density_report,
     split_type,
 )
@@ -216,8 +216,9 @@ def _check_splitting_oracle() -> tuple[bool, str]:
     orders = (EISENSTEIN, GAUSS, DISC7, DISC8)
     primes = primes_up_to(100_000)
     for order in orders:
+        norms = represented_norms(order, primes[-1])
         for p in primes:
-            has_norm = is_norm_of_prime(order, p) is not None
+            has_norm = norms[p] == 1
             if has_norm != (split_type(order, p) is not SplitType.INERT):
                 return False, f"disc {order.discriminant}, p={p}: norm witness disagrees with split type"
         report = split_density_report(order, 100_000)

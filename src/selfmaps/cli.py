@@ -17,13 +17,15 @@ File paths inside a descriptor are resolved relative to the
 descriptor's own directory.  Output is a human-readable summary or,
 with --json, a report payload documented in docs/report_schema.md.
 Exit status: 0 on success, 1 when verify-paper finds a failing claim,
-2 on any input error.
+2 on any input error, 141 when stdout was closed before the report was
+written (the reader of a pipe exited early, as in `| head -1`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -608,6 +610,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe.
+EXIT_CLOSED_PIPE = 141
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
@@ -631,9 +637,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         timing_ms=round((time.perf_counter() - start) * 1000, 3),
     )
     if args.json:
-        print(json.dumps(report_to_payload(report), indent=2, sort_keys=True))
+        text = json.dumps(report_to_payload(report), indent=2, sort_keys=True)
     else:
-        print(render_report(report))
+        text = render_report(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The devnull recipe of the `signal` docs: the rest of the buffer
+        # goes nowhere, so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     return code
 
 

@@ -4,9 +4,14 @@ The pair (t, n), t in {0, 1} and n >= 1, fixes the multiplication rule.
 The discriminant t**2 - 4n is then always negative, so the norm form
 x**2 + t*x*y + n*y**2 is positive definite and every search by norm is
 a finite exhaustion.  Brute-force enumeration is deliberate: it is the
-ground truth the rest of the package is checked against.  The one fast
-path, prime_norm_elements (Cornacchia's algorithm for a prime norm),
-serves the per-prime scans and is tested against elements_of_norm.
+ground truth the rest of the package is checked against.
+represented_norms runs that exhaustion once for every norm up to a
+bound, so a claim about all primes below the bound costs one pass over
+the norm form, not one search per prime.  The one fast path,
+prime_norm_elements (Cornacchia's algorithm for a prime norm), serves
+the per-prime scans and is tested against elements_of_norm.  is_prime
+reads a sieve, built on first use, up to _SIEVE_CAP and trial-divides
+above it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import compress
 
 __all__ = [
     "NotPrimeError",
@@ -26,6 +32,7 @@ __all__ = [
     "conjugate",
     "units",
     "elements_of_norm",
+    "represented_norms",
     "prime_norm_elements",
     "degree_two_table",
     "is_prime",
@@ -34,7 +41,6 @@ __all__ = [
     "legendre_euler",
     "legendre_reciprocity",
     "split_type",
-    "is_norm_of_prime",
     "split_density_report",
 ]
 
@@ -137,6 +143,24 @@ def elements_of_norm(order: OrderParams, m: int) -> tuple[QuadElem, ...]:
     return tuple(sorted(found, key=lambda a: (a.y, a.x)))
 
 
+def represented_norms(order: OrderParams, bound: int) -> bytearray:
+    """flags[m] == 1 exactly when some element has norm m, for 0 <= m <= bound.
+
+    Visits every (x, y) with y >= 0 and norm <= bound, using the bound
+    |2x + t*y| <= isqrt(4*bound - |D|*y**2) of elements_of_norm; y < 0
+    adds nothing since norm(-a) = norm(a).
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound!r}")
+    t, n, d = order.t, order.n, -order.discriminant
+    flags = bytearray(bound + 1)
+    for y in range(math.isqrt(4 * bound // d) + 1):
+        s = math.isqrt(4 * bound - d * y * y)
+        for x in range(-((s + t * y) // 2), (s - t * y) // 2 + 1):
+            flags[x * x + t * x * y + n * y * y] = 1
+    return flags
+
+
 @lru_cache(maxsize=256)
 def units(order: OrderParams) -> tuple[QuadElem, ...]:
     """Norm-one elements; 4 for discriminant -4, 6 for -3, else 2."""
@@ -217,12 +241,32 @@ def degree_two_table(n_max: int) -> dict[OrderParams, tuple[QuadElem, ...]]:
     return table
 
 
+# Above the claim battery's prime bound 10^5; the sieve is built on the
+# first is_prime call, never at import.
+_SIEVE_CAP = 2**17
+
+
+def _prime_flags(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: flags[m] == 1 exactly when m is prime, 0 <= m <= bound (>= 1)."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[0] = flags[1] = 0
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return flags
+
+
+@lru_cache(maxsize=1)
+def _small_prime_flags() -> bytes:
+    return bytes(_prime_flags(_SIEVE_CAP))
+
+
 def is_prime(m: int) -> bool:
-    """Trial division; all callers stay in ranges where this is cheap."""
+    """Sieve lookup up to _SIEVE_CAP, trial division above it."""
     if m < 2:
         return False
-    if m < 4:
-        return True
+    if m <= _SIEVE_CAP:
+        return _small_prime_flags()[m] == 1
     if m % 2 == 0:
         return False
     f = 3
@@ -237,12 +281,7 @@ def primes_up_to(bound: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive bound."""
     if bound < 2:
         return []
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, keep in enumerate(flags) if keep]
+    return list(compress(range(bound + 1), _prime_flags(bound)))
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -313,14 +352,6 @@ def split_type(order: OrderParams, p: int) -> SplitType:
     if d % p == 0:
         return SplitType.RAMIFIED
     return SplitType.SPLIT if legendre(d, p) == 1 else SplitType.INERT
-
-
-def is_norm_of_prime(order: OrderParams, p: int) -> QuadElem | None:
-    """Brute-force witness: the (y, x)-smallest element of norm p, if any."""
-    if not is_prime(p):
-        raise NotPrimeError(f"p must be prime, got {p!r}")
-    elems = elements_of_norm(order, p)
-    return elems[0] if elems else None
 
 
 @dataclass(frozen=True)

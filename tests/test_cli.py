@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selfmaps
 from selfmaps.cli import (
+    EXIT_CLOSED_PIPE,
     DescriptorError,
     main,
     parse_descriptor_text,
@@ -162,6 +168,33 @@ def test_scan_rejects_nontorsion_descriptor(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", desc)
     assert code == 2
     assert "split_torsion" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
+    # `selfmaps scan ... | head -1`: at bound 10^5 the report (about 340 kB
+    # of text, 1.7 MB of JSON) far exceeds a pipe buffer, so writing it
+    # fails once the reader has closed its end
+    desc = write(
+        tmp_path,
+        "k7.desc",
+        "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=7\npoint=1 0\n",
+    )
+    src = str(Path(selfmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "selfmaps.cli", "scan", desc, "--bound", "100000", *mode],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert first.strip() in (b"{", b"scan of k=7 descriptor up to 100000")
+    assert code == EXIT_CLOSED_PIPE == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
 
 
 def test_density_with_modulus(capsys):

@@ -3,9 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selfmaps.qorders import (
+    _SIEVE_CAP,
     NotPrimeError,
     OrderParams,
     QuadElem,
@@ -13,7 +14,6 @@ from selfmaps.qorders import (
     conjugate,
     degree_two_table,
     elements_of_norm,
-    is_norm_of_prime,
     is_prime,
     legendre,
     legendre_euler,
@@ -21,6 +21,7 @@ from selfmaps.qorders import (
     norm,
     prime_norm_elements,
     primes_up_to,
+    represented_norms,
     split_density_report,
     split_type,
     units,
@@ -171,6 +172,26 @@ def test_degree_two_table_bound_check():
         degree_two_table(1)
 
 
+def test_is_prime_matches_trial_division_across_sieve_cap():
+    def trial_division(m):
+        if m < 2:
+            return False
+        f = 2
+        while f * f <= m:
+            if m % f == 0:
+                return False
+            f += 1
+        return True
+
+    for m in range(-10, 2 * _SIEVE_CAP + 1):
+        assert is_prime(m) == trial_division(m), m
+    # 359 and 367 are the primes on either side of sqrt(_SIEVE_CAP)
+    squares = [q * q for q in (359, 367, 9973, 65521)]
+    assert squares[0] < _SIEVE_CAP < squares[1]
+    for m in (_SIEVE_CAP - 1, _SIEVE_CAP, _SIEVE_CAP + 1, 359 * 367, 65521 * 65537, *squares):
+        assert is_prime(m) == trial_division(m), m
+
+
 def test_is_prime_small():
     assert [m for m in range(20) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert not is_prime(9973 * 9973)
@@ -222,8 +243,6 @@ def test_legendre_rejects_bad_modulus():
 def test_prime_checks_raise_not_prime():
     with pytest.raises(NotPrimeError):
         split_type(GAUSS, 9)
-    with pytest.raises(NotPrimeError):
-        is_norm_of_prime(GAUSS, 1)
 
 
 def test_split_type_frozen_cases():
@@ -243,13 +262,10 @@ def test_split_type_frozen_cases():
 def test_norm_witness_iff_not_inert():
     # class number one orders: a prime is a norm exactly when it is not inert
     for order in CLASS_NUMBER_ONE:
+        norms = represented_norms(order, 500)
         for p in primes_up_to(500):
-            witness = is_norm_of_prime(order, p)
-            if split_type(order, p) is SplitType.INERT:
-                assert witness is None
-            else:
-                assert witness is not None
-                assert norm(witness) == p
+            not_inert = split_type(order, p) is not SplitType.INERT
+            assert (norms[p] == 1) == (elements_of_norm(order, p) != ()) == not_inert
 
 
 PRIMES_50K = primes_up_to(50_000)
@@ -279,6 +295,25 @@ order_and_prime_st = orders_40_st.flatmap(
 def test_prime_norm_elements_matches_brute_force(pair):
     order, p = pair
     assert prime_norm_elements(order, p) == elements_of_norm(order, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders_40_st, st.integers(0, 2000))
+@example(OrderParams(0, 1), 2000)
+@example(OrderParams(1, 1), 0)
+@example(OrderParams(1, 40), 1)
+def test_represented_norms_matches_brute_force(order, bound):
+    norms = represented_norms(order, 2000)
+    assert len(norms) == 2001 and norms[0] == 1
+    for m in range(1, 2001):
+        assert norms[m] == (elements_of_norm(order, m) != ()), m
+    # a smaller bound gives a prefix of the same table
+    assert represented_norms(order, bound) == norms[: bound + 1]
+
+
+def test_represented_norms_rejects_negative_bound():
+    with pytest.raises(ValueError):
+        represented_norms(GAUSS, -1)
 
 
 def test_prime_norm_elements_bench_orders_sweep():
