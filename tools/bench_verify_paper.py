@@ -1,10 +1,10 @@
 """Time `selfmaps verify-paper --json` end to end and claim by claim.
 
 Usage:
-    python3 tools/bench_verify_paper.py --label NAME [--checkout DIR] [--runs N] [--out FILE]
+    python3 tools/bench_verify_paper.py --label NAME [--checkout DIR] [--out FILE]
 
 End to end: runs `python -m selfmaps.cli verify-paper --json` against
-DIR/src in N fresh interpreters, one after another, and records the
+DIR/src in RUNS (5) fresh interpreters, one after another, and records the
 median wall time (time.perf_counter around each subprocess) and the
 peak RSS of the largest of them (ru_maxrss of
 resource.getrusage(RUSAGE_CHILDREN), which holds the maximum over
@@ -14,7 +14,7 @@ stored, so two checkouts can be shown to print the same report.
 
 Claim by claim: imports selfmaps from DIR/src into this process, wraps
 each `_check_*` function of the claims module with a timer and calls
-run_claims N times; each claim's seconds are the median over the calls.
+run_claims RUNS times; each claim's seconds are the median over the calls.
 The first call also pays the one-time set-up (caches and sieves).
 
 The result goes under runs[NAME] in FILE (default BENCH_verify_paper.json
@@ -40,6 +40,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+RUNS = 5
 _TIMING_LINE = re.compile(r'^  "timing_ms": [^\n]*\n', re.MULTILINE)
 
 
@@ -52,11 +53,11 @@ def _describe(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def cli_runs(src: Path, runs: int) -> dict:
+def cli_runs(src: Path) -> dict:
     """Median wall and peak RSS of `verify-paper --json` in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(src))
     walls, digests = [], set()
-    for _ in range(runs):
+    for _ in range(RUNS):
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "selfmaps.cli", "verify-paper", "--json"],
@@ -79,8 +80,8 @@ def cli_runs(src: Path, runs: int) -> dict:
     }
 
 
-def claim_seconds(src: Path, runs: int) -> dict:
-    """Median in-process seconds of each claim over `runs` calls of run_claims."""
+def claim_seconds(src: Path) -> dict:
+    """Median in-process seconds of each claim over RUNS calls of run_claims."""
     sys.path.insert(0, str(src))
     claims = importlib.import_module("selfmaps.claims")
     spent: dict[str, list[float]] = {}
@@ -101,7 +102,7 @@ def claim_seconds(src: Path, runs: int) -> dict:
         claim = attr.removeprefix("_check_").replace("_", "-")
         setattr(claims, attr, timed(claim, getattr(claims, attr)))
     totals = []
-    for _ in range(runs):
+    for _ in range(RUNS):
         start = time.perf_counter()
         results = claims.run_claims()
         totals.append(time.perf_counter() - start)
@@ -119,18 +120,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this measurement under runs")
     parser.add_argument("--checkout", type=Path, default=REPO, help="checkout whose src/ is timed")
-    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_verify_paper.json")
     args = parser.parse_args()
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     src = args.checkout.resolve() / "src"
     record = {
         "checkout": _describe(args.checkout),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
-        "runs": args.runs,
-        "cli": cli_runs(src, args.runs),
-        "in_process": claim_seconds(src, args.runs),
+        "runs": RUNS,
+        "cli": cli_runs(src),
+        "in_process": claim_seconds(src),
     }
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     bench["command"] = "python -m selfmaps.cli verify-paper --json"
