@@ -49,8 +49,6 @@ from .elliptic_pbundle import (
 from .cm_elliptic import CurveModel, TorsionPoint
 from .group_condition import (
     CayleyGroup,
-    GroupFileError,
-    GroupValidationError,
     RhoBarReport,
     load_group,
     rho_bar_surjective,
@@ -64,8 +62,6 @@ from .qorders import (
 )
 from .toric import (
     Fan,
-    FanFileError,
-    FanValidationError,
     load_fan,
     self_intersections,
     toric_verdict,
@@ -392,66 +388,9 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
     return lines
 
 
-def render_report(report: Report) -> str:
-    lines: list[str] = []
-    if report.command == "scan":
-        d = report.details
-        lines.append(f"scan of k={d['k']} descriptor up to {d['bound']}")
-        for row in d["rows"]:
-            mark = "yes" if row["achievable"] else "no "
-            route = row.get("route", row.get("reason", ""))
-            lines.append(f"  {row['prime']:>6}  {mark}  {route}")
-        lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
-        if d["missing"]:
-            lines.append("missing primes: " + ", ".join(str(p) for p in d["missing"]))
-    elif report.command == "density":
-        d = report.details
-        lines.append(
-            f"order (t={d['order']['t']}, n={d['order']['n']}), primes up to {d['bound']}: "
-            f"{d['split_count']} split, {d['inert_count']} inert, {d['ramified_count']} ramified"
-        )
-        lines.append(f"split fraction: {d['split_fraction']:.4f}")
-        if "congruence" in d:
-            c = d["congruence"]
-            lines.append(
-                f"primes = 1 mod {c['modulus']}: {c['count']} (smallest: {c['smallest']})"
-            )
-    elif report.command == "cm-table":
-        d = report.details
-        lines.append(f"orders scanned: n <= {d['max_n']}, both trace values")
-        for row in d["rows"]:
-            elems = " ".join(f"({x},{y})" for x, y in row["elements"])
-            lines.append(
-                f"  t={row['t']} n={row['n']} (disc {row['discriminant']}): {elems}"
-            )
-        lines.append(f"nonempty rows: {len(d['rows'])}")
-    elif report.command == "group-check":
-        d = report.details
-        lines.append(f"group of order {d['group_order']}, p={d['p']}")
-        for sub in d["subgroups"]:
-            mark = "covers" if sub["covered"] else "misses"
-            lines.append(
-                f"  subgroup <{sub['generator']}>: image {sub['image']} {mark} (Z/{d['p']})*"
-            )
-        lines.append(f"condition holds: {'yes' if d['holds'] else 'no'}")
-    elif report.command == "verify-paper":
-        for claim in report.details["claims"]:
-            status = "PASS" if claim["passed"] else "FAIL"
-            lines.append(f"{status} {claim['name']}: {claim['detail']}")
-        if report.details.get("negative_test"):
-            caught = report.details["fault_detected"]
-            lines.append(f"injected fault: {'detected' if caught else 'MISSED'}")
-        else:
-            total = len(report.details["claims"])
-            passed = sum(1 for c in report.details["claims"] if c["passed"])
-            lines.append(f"{passed}/{total} claims pass")
-    if report.verdict is not None:
-        lines.extend(_verdict_lines(report.verdict))
-    return "\n".join(lines)
-
-
 # a subcommand handler returns its verdict (None for table-style commands),
-# its details dict and its exit code; main times it and builds the Report
+# its details dict and its exit code; main times it, builds the Report and,
+# in text mode, prints the renderer's lines above the verdict's
 _Outcome = tuple[Verdict | None, dict, int]
 
 
@@ -460,6 +399,11 @@ def _cmd_classify(args: argparse.Namespace) -> _Outcome:
     verdict, details = classify_descriptor(desc, args.bound)
     details["surface"] = desc.surface
     return verdict, details, 0
+
+
+def _render_verdict_only(details: dict) -> list[str]:
+    """classify and toric print nothing but their verdict."""
+    return []
 
 
 def _cmd_scan(args: argparse.Namespace) -> _Outcome:
@@ -497,6 +441,18 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     return None, details, 0
 
 
+def _render_scan(d: dict) -> list[str]:
+    lines = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
+    for row in d["rows"]:
+        mark = "yes" if row["achievable"] else "no "
+        route = row.get("route", row.get("reason", ""))
+        lines.append(f"  {row['prime']:>6}  {mark}  {route}")
+    lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
+    if d["missing"]:
+        lines.append("missing primes: " + ", ".join(str(p) for p in d["missing"]))
+    return lines
+
+
 def _cmd_density(args: argparse.Namespace) -> _Outcome:
     try:
         order = OrderParams(args.order[0], args.order[1])
@@ -515,6 +471,18 @@ def _cmd_density(args: argparse.Namespace) -> _Outcome:
     return None, details, 0
 
 
+def _render_density(d: dict) -> list[str]:
+    lines = [
+        f"order (t={d['order']['t']}, n={d['order']['n']}), primes up to {d['bound']}: "
+        f"{d['split_count']} split, {d['inert_count']} inert, {d['ramified_count']} ramified",
+        f"split fraction: {d['split_fraction']:.4f}",
+    ]
+    if "congruence" in d:
+        c = d["congruence"]
+        lines.append(f"primes = 1 mod {c['modulus']}: {c['count']} (smallest: {c['smallest']})")
+    return lines
+
+
 def _cmd_cm_table(args: argparse.Namespace) -> _Outcome:
     table = degree_two_table(args.max_n)
     rows = [
@@ -530,6 +498,15 @@ def _cmd_cm_table(args: argparse.Namespace) -> _Outcome:
     return None, {"max_n": args.max_n, "orders_scanned": len(table), "rows": rows}, 0
 
 
+def _render_cm_table(d: dict) -> list[str]:
+    lines = [f"orders scanned: n <= {d['max_n']}, both trace values"]
+    for row in d["rows"]:
+        elems = " ".join(f"({x},{y})" for x, y in row["elements"])
+        lines.append(f"  t={row['t']} n={row['n']} (disc {row['discriminant']}): {elems}")
+    lines.append(f"nonempty rows: {len(d['rows'])}")
+    return lines
+
+
 def _cmd_toric(args: argparse.Namespace) -> _Outcome:
     fan = load_fan(args.fan_file)
     return toric_verdict(fan), _fan_details(fan), 0
@@ -540,6 +517,15 @@ def _cmd_group_check(args: argparse.Namespace) -> _Outcome:
     if not is_prime(args.p):
         raise DescriptorError(f"p must be prime, got {args.p}")
     return None, _group_details(group, rho_bar_surjective(group, args.p)), 0
+
+
+def _render_group_check(d: dict) -> list[str]:
+    lines = [f"group of order {d['group_order']}, p={d['p']}"]
+    for sub in d["subgroups"]:
+        mark = "covers" if sub["covered"] else "misses"
+        lines.append(f"  subgroup <{sub['generator']}>: image {sub['image']} {mark} (Z/{d['p']})*")
+    lines.append(f"condition holds: {'yes' if d['holds'] else 'no'}")
+    return lines
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> _Outcome:
@@ -563,6 +549,19 @@ def _cmd_verify_paper(args: argparse.Namespace) -> _Outcome:
     return None, details, code
 
 
+def _render_verify_paper(d: dict) -> list[str]:
+    lines = [
+        f"{'PASS' if claim['passed'] else 'FAIL'} {claim['name']}: {claim['detail']}"
+        for claim in d["claims"]
+    ]
+    if d["negative_test"]:
+        lines.append(f"injected fault: {'detected' if d['fault_detected'] else 'MISSED'}")
+    else:
+        passed = sum(1 for c in d["claims"] if c["passed"])
+        lines.append(f"{passed}/{len(d['claims'])} claims pass")
+    return lines
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfmaps",
@@ -571,36 +570,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler, render, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit the JSON report payload")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, render=render)
         return p
 
-    p = add("classify", _cmd_classify, "classify a surface descriptor file")
+    p = add("classify", _cmd_classify, _render_verdict_only, "classify a surface descriptor file")
     p.add_argument("descriptor", help="key=value descriptor file")
     p.add_argument("--bound", type=int, default=1000, help="bound for missing-prime example lists")
 
-    p = add("scan", _cmd_scan, "per-prime achievability table for a split torsion bundle")
+    p = add("scan", _cmd_scan, _render_scan, "per-prime achievability table for a split torsion bundle")
     p.add_argument("descriptor", help="elliptic_bundle descriptor with bundle=split_torsion")
     p.add_argument("--bound", type=int, default=10_000, help="scan primes up to this bound")
 
-    p = add("density", _cmd_density, "split/inert/ramified prime counts for an order")
+    p = add("density", _cmd_density, _render_density, "split/inert/ramified prime counts for an order")
     p.add_argument("--order", type=int, nargs=2, metavar=("T", "N"), required=True)
     p.add_argument("--bound", type=int, default=10_000, help="count primes up to this bound")
     p.add_argument("--modulus", type=int, default=None, help="also count primes = 1 mod M")
 
-    p = add("cm-table", _cmd_cm_table, "norm-2 elements for all orders with n up to a limit")
+    p = add("cm-table", _cmd_cm_table, _render_cm_table, "norm-2 elements for all orders with n up to a limit")
     p.add_argument("--max-n", type=int, default=10, help="largest n to include")
 
-    p = add("toric", _cmd_toric, "classify a complete smooth fan given as a ray file")
+    p = add("toric", _cmd_toric, _render_verdict_only, "classify a complete smooth fan given as a ray file")
     p.add_argument("fan_file", help="one 'x y' ray per line, counterclockwise")
 
-    p = add("group-check", _cmd_group_check, "residue coverage of a finite group at a prime")
+    p = add("group-check", _cmd_group_check, _render_group_check, "residue coverage of a finite group at a prime")
     p.add_argument("group_file", help="Cayley table file: order, then one row per line")
     p.add_argument("p", type=int, help="prime subgroup order to test")
 
-    p = add("verify-paper", _cmd_verify_paper, "run the built-in claim battery")
+    p = add("verify-paper", _cmd_verify_paper, _render_verify_paper, "run the built-in claim battery")
     p.add_argument(
         "--negative-test",
         action="store_true",
@@ -619,15 +618,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         verdict, details, code = args.handler(args)
-    except (
-        DescriptorError,
-        FanFileError,
-        FanValidationError,
-        GroupFileError,
-        GroupValidationError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = Report(
@@ -639,7 +630,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.json:
         text = json.dumps(report_to_payload(report), indent=2, sort_keys=True)
     else:
-        text = render_report(report)
+        lines = args.render(details)
+        if verdict is not None:
+            lines.extend(_verdict_lines(verdict))
+        text = "\n".join(lines)
     try:
         print(text)
         sys.stdout.flush()

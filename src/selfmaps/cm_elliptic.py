@@ -100,10 +100,6 @@ class EndoMatrix:
         w = self.apply(v)
         return (w[0] % k, w[1] % k)
 
-    @staticmethod
-    def identity() -> "EndoMatrix":
-        return EndoMatrix(1, 0, 0, 1)
-
     def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.a, self.b), (self.c, self.d))
 

@@ -96,14 +96,6 @@ class EndoOnNS:
         matrix = EndoMatrix(fiber_degree, 0, twist2 // 2, base_degree)
         return cls(pullback=matrix, degree=base_degree * fiber_degree, e=e)
 
-    @property
-    def base_degree(self) -> int:
-        return self.pullback.d
-
-    @property
-    def fiber_degree(self) -> int:
-        return self.pullback.a
-
     def pushforward(self) -> EndoMatrix:
         """degree * pullback^(-1); integral because det(pullback) = degree."""
         p = self.pullback

@@ -1,11 +1,13 @@
-"""Output identity of the `--json` reports of every subcommand but scan.
+"""Output identity of the text and `--json` reports of every subcommand
+but verify-paper.
 
-Each digest is the sha256 of the report payload with its `timing_ms`
-key removed, serialized with sorted keys, as in test_scan_golden.py.
-The corpus covers `classify` on every surface kind, `toric`,
-`group-check` on a passing and a failing group, `density --modulus`
-and `cm-table`; any change to a verdict, a details dict or a witness
-shows here.
+A `--json` digest is the sha256 of the report payload with its
+`timing_ms` key removed, serialized with sorted keys, as in
+test_scan_golden.py.  A text digest is the sha256 of the raw stdout,
+which holds no timing.  The corpus covers `classify` on every surface
+kind, `scan`, `toric`, `group-check` on a passing and a failing group,
+`density --modulus` and `cm-table`; any change to a verdict, a details
+dict, a witness or a rendered line shows here.
 """
 
 from __future__ import annotations
@@ -54,84 +56,148 @@ DESCRIPTORS = {
     "high_genus_fails.desc": "surface=high_genus_bundle\np=7\ngroup_file=cyclic7.grp\n",
 }
 
-# name -> (argv with inputs relative to the corpus directory, sha256 of
-# the payload minus timing_ms)
+# name -> (argv with inputs relative to the corpus directory,
+#          {mode: sha256 of that mode's output})
 GOLDEN = {
     "classify-abelian": (
         ["classify", "abelian.desc"],
-        "1637485f486fd907120c8a53e163853330a34264950de7ef7e3ad7c971104ce9",
+        {
+            "json": "1637485f486fd907120c8a53e163853330a34264950de7ef7e3ad7c971104ce9",
+            "text": "fec7ba35576be31bd0b7540aebae809b272fcdb2567f5f4b694e9c73e4718e72",
+        },
     ),
     "classify-hyperelliptic": (
         ["classify", "hyperelliptic.desc"],
-        "13768956ca6ec31a25ba3b473a29f6d8bdee6bc647d434c5aa4495f96790c7dc",
+        {
+            "json": "13768956ca6ec31a25ba3b473a29f6d8bdee6bc647d434c5aa4495f96790c7dc",
+            "text": "1fb4f2d724f6e7553b288c7635ae50d128451f6b01bdbb4179fe561073fba80c",
+        },
     ),
     "classify-kodaira-one": (
         ["classify", "kodaira_one.desc"],
-        "194ecd104a4a5cf0424a510dd1d0379ecbad1fbf241baa6328aac603e18f785d",
+        {
+            "json": "194ecd104a4a5cf0424a510dd1d0379ecbad1fbf241baa6328aac603e18f785d",
+            "text": "f57c78c47893acbb313bc623959b16374bc516e61f71d62da67465e6a96befa7",
+        },
     ),
     "classify-toric": (
         ["classify", "toric.desc"],
-        "501f0a50733096c9aa96cae2177c47b30e49c655a4e0fc5a62deb9c83f640bab",
+        {
+            "json": "501f0a50733096c9aa96cae2177c47b30e49c655a4e0fc5a62deb9c83f640bab",
+            "text": "9849891e30ca050d16f7141cf9feaba0d41121ab8f990fcd8c593432572fd7dd",
+        },
     ),
     "classify-torsion-certificate": (
         ["classify", "torsion_certificate.desc"],
-        "3a218b606c72eedd1bb403bfaed3b0e4b6c2928c882adc35577831d02b2b78ba",
+        {
+            "json": "3a218b606c72eedd1bb403bfaed3b0e4b6c2928c882adc35577831d02b2b78ba",
+            "text": "512c896dbc6ccd7907527919b42855ad1b7b790371cb485bbd0fc984f48c2ded",
+        },
     ),
     "classify-torsion-missing": (
         ["classify", "torsion_missing.desc"],
-        "feeb73c3faa8cf50fd2e194626123be8ef10dd31feb9a1e6b0a5210f92e38d0a",
+        {
+            "json": "feeb73c3faa8cf50fd2e194626123be8ef10dd31feb9a1e6b0a5210f92e38d0a",
+            "text": "1df77c5e3c2d8a1e1b898d698539d66eba05aa47d13648d8d24f12ce1c11eb3c",
+        },
     ),
     "classify-nontorsion": (
         ["classify", "nontorsion.desc", "--bound", "300"],
-        "54319879b8eeb32d6f532486705e06861cdc90b58daa1a437ebf7e5c99539883",
+        {
+            "json": "54319879b8eeb32d6f532486705e06861cdc90b58daa1a437ebf7e5c99539883",
+            "text": "73ceeab32b4abf6ac33590a1fb078f6cd537b42e807e813638badf0e0624ef10",
+        },
     ),
     "classify-split-degree": (
         ["classify", "split_degree.desc"],
-        "f54fd2d84920b53bf2c4df2dc4b982a44ae1464520bb66325566e00dbe5e1ce0",
+        {
+            "json": "f54fd2d84920b53bf2c4df2dc4b982a44ae1464520bb66325566e00dbe5e1ce0",
+            "text": "9e6b9f39a1844a6f8d9022cc7d2d33098e58ec2682b08b74da3226e3e085e4ba",
+        },
     ),
     "classify-atiyah-deg0": (
         ["classify", "atiyah_deg0.desc", "--bound", "300"],
-        "b77b0c3d86dbc764a36b9fbb90fa3ac3b9a7414b67828d9c452760d42772f97b",
+        {
+            "json": "b77b0c3d86dbc764a36b9fbb90fa3ac3b9a7414b67828d9c452760d42772f97b",
+            "text": "5d8bb612a6b28378a90d5eed34029b74ade9cc963c5a31d9b1d0c41549758597",
+        },
     ),
     "classify-atiyah-deg1": (
         ["classify", "atiyah_deg1.desc"],
-        "b95e7d01946ddd6424daa034ffe1811b7530ede2bbe3ad010b665f10eb27bdd6",
+        {
+            "json": "b95e7d01946ddd6424daa034ffe1811b7530ede2bbe3ad010b665f10eb27bdd6",
+            "text": "a58126e7d41d9a61528d9dd5012162fa31830a3da6e8b823478fe9e7cc08e9fb",
+        },
     ),
     "classify-high-genus-trivial": (
         ["classify", "high_genus_trivial.desc"],
-        "8596d23147be12dcb08c6d7d1b723eb8054dfc5409908f9e5a52cb30d40a06a9",
+        {
+            "json": "8596d23147be12dcb08c6d7d1b723eb8054dfc5409908f9e5a52cb30d40a06a9",
+            "text": "d691aba029df7b7e31ac7768636fee4025f1231b842c6f7be8742de49ca057f5",
+        },
     ),
     "classify-high-genus-holds": (
         ["classify", "high_genus_holds.desc"],
-        "ac7a0a55b679ade107a1c4bc97b61d886df3235369feef99daf166cc44cb0eeb",
+        {
+            "json": "ac7a0a55b679ade107a1c4bc97b61d886df3235369feef99daf166cc44cb0eeb",
+            "text": "4a21d90a81ef2aff810f4f5d3718762512ec24ea9bdcac3982d8f50f55795bcd",
+        },
     ),
     "classify-high-genus-fails": (
         ["classify", "high_genus_fails.desc", "--bound", "200"],
-        "3d648f920dd77c0a213bd11522845b52e195d358116bbc75b3318994c5b4ac6b",
+        {
+            "json": "3d648f920dd77c0a213bd11522845b52e195d358116bbc75b3318994c5b4ac6b",
+            "text": "458b6beb9249080e6b73338ffc6b6614be2f3a27c6b9cda9e8984515adc6867f",
+        },
     ),
     "toric-lines": (
         ["toric", "lines.fan"],
-        "761ff805d4baab404a07edb822ccb7a4b2bd017cd63fdee3f03301c5eac4654d",
+        {
+            "json": "761ff805d4baab404a07edb822ccb7a4b2bd017cd63fdee3f03301c5eac4654d",
+            "text": "b4e0d76dbb041baed7ab40ec8d9475ca4d929a47f6eec713abae94301c34481e",
+        },
     ),
     "toric-twice-blown-up-plane": (
         ["toric", "twice_blown_up_plane.fan"],
-        "e5d5bc9fe6982cb226c59ab07a8d577560188a9a04fa914bb093a569e845cd3e",
+        {
+            "json": "e5d5bc9fe6982cb226c59ab07a8d577560188a9a04fa914bb093a569e845cd3e",
+            "text": "387815be0b1125ff9ca678031958b5400a34959fc8b83f8c082ae56a68fb3db8",
+        },
     ),
     "group-check-semidirect5": (
         ["group-check", "semidirect5.grp", "5"],
-        "9430d413c01eb606f337d251a2418b185ab897ba1cfb9c15e752b7970eb47184",
+        {
+            "json": "9430d413c01eb606f337d251a2418b185ab897ba1cfb9c15e752b7970eb47184",
+            "text": "cdf8342df3f035c9bcf5860ede92a01deb660f6ca90bd963282a92a4b1cd5866",
+        },
     ),
     "group-check-cyclic7": (
         ["group-check", "cyclic7.grp", "7"],
-        "b4ae7a0eada8fc94c57199a3e35eb25153b4e8c80bd86083851ec70d7bbe8b8e",
+        {
+            "json": "b4ae7a0eada8fc94c57199a3e35eb25153b4e8c80bd86083851ec70d7bbe8b8e",
+            "text": "2474388cac7956df330e37b2d6b56c40a49aa688f1f280149c36d6673f492978",
+        },
     ),
     "density-modulus": (
         ["density", "--order", "1", "2", "--bound", "5000", "--modulus", "12"],
-        "981c890212d78c8a55d668b914e534f0e039df83aff209d29989ca3839d3253c",
+        {
+            "json": "981c890212d78c8a55d668b914e534f0e039df83aff209d29989ca3839d3253c",
+            "text": "4255eab82f435d7fc37190148aa25fb5e1426fefca923e66e95f6eae8bdd14b0",
+        },
+    ),
+    "scan-torsion-missing": (
+        ["scan", "torsion_missing.desc", "--bound", "200"],
+        {
+            "json": "6f89bd5eaf828127705a49c3685cb7dafc9c9afb2eb0116d659f904a212977d9",
+            "text": "0a3d2976278e813b8458e8529a429c2308783805462efc8ce3d606d355a7f136",
+        },
     ),
     "cm-table": (
         ["cm-table", "--max-n", "12"],
-        "0e87c8b1855e2754e30f46097652663e5c606be4ccf8d86977bad0aa29d9fa5d",
+        {
+            "json": "0e87c8b1855e2754e30f46097652663e5c606be4ccf8d86977bad0aa29d9fa5d",
+            "text": "c31f591c981633ac3070e5f039648ab69957b8e2c77d39ded0559304ff0aa569",
+        },
     ),
 }
 
@@ -150,15 +216,27 @@ def corpus(tmp_path_factory):
     return root
 
 
-def payload_digest(corpus, capsys, argv: list[str]) -> str:
+def output_digest(corpus, capsys, argv: list[str], mode: str) -> str:
     resolved = [str(corpus / a) if (corpus / a).is_file() else a for a in argv]
-    assert main(resolved + ["--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    del payload["timing_ms"]
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert main(resolved + (["--json"] if mode == "json" else [])) == 0
+    out = capsys.readouterr().out
+    if mode == "json":
+        payload = json.loads(out)
+        del payload["timing_ms"]
+        out = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(out.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_payload_digest(name, corpus, capsys):
-    argv, digest = GOLDEN[name]
-    assert payload_digest(corpus, capsys, argv) == digest
+# json cases keep the bare case name as their test id, so ids stay stable
+# as text cases are added
+CASES = [
+    pytest.param(name, mode, id=name if mode == "json" else f"{name}-text")
+    for mode in ("json", "text")
+    for name in sorted(GOLDEN)
+]
+
+
+@pytest.mark.parametrize(("name", "mode"), CASES)
+def test_cli_payload_digest(name, mode, corpus, capsys):
+    argv, digests = GOLDEN[name]
+    assert output_digest(corpus, capsys, argv, mode) == digests[mode]
