@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -348,8 +349,9 @@ def _witness_text(witness: Witness) -> str:
         return f"torsion multiple (k={witness.k})"
     if isinstance(witness, AutRoute):
         return f"automorphism ({witness.phi.x},{witness.phi.y}) exponent {witness.m}"
-    assert isinstance(witness, IsogenyRoute)
-    return f"isogeny ({witness.alpha.x},{witness.alpha.y}) sign {witness.sign:+d}"
+    if isinstance(witness, IsogenyRoute):
+        return f"isogeny ({witness.alpha.x},{witness.alpha.y}) sign {witness.sign:+d}"
+    raise TypeError(f"not a witness: {witness!r}")
 
 
 def _verdict_lines(verdict: Verdict) -> list[str]:
@@ -380,11 +382,12 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
             lines.append(f"missing examples: {shown}{suffix}")
     elif isinstance(verdict, SquaresOnly):
         lines.append(f"reason: {verdict.reason}")
-    else:
-        assert isinstance(verdict, FiniteCandidatePrimes)
+    elif isinstance(verdict, FiniteCandidatePrimes):
         lines.append(f"candidates: {sorted(verdict.candidates)}")
         if verdict.note:
             lines.append(f"note: {verdict.note}")
+    else:
+        raise TypeError(f"not a verdict: {verdict!r}")
     return lines
 
 
@@ -416,18 +419,26 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     if args.bound >= 2:
         scan = scan_primes(e, args.bound)
         missing = list(scan.missing)
+        # one route text and one payload per distinct witness: an aut
+        # route serves a whole residue class, and the JSON writer encodes
+        # a shared payload once
+        shared: dict[Witness, tuple[str, dict]] = {}
+        later = iter(missing)
+        gap = next(later, None)
         for decision in scan.achievable:
+            while gap is not None and gap < decision.prime:
+                rows.append({"prime": gap, "achievable": False, "reason": "no route"})
+                gap = next(later, None)
+            witness = decision.witness
+            if witness not in shared:
+                shared[witness] = (_witness_text(witness), witness_to_payload(witness))
+            route, payload = shared[witness]
             rows.append(
-                {
-                    "prime": decision.prime,
-                    "achievable": True,
-                    "route": _witness_text(decision.witness),
-                    "witness": witness_to_payload(decision.witness),
-                }
+                {"prime": decision.prime, "achievable": True, "route": route, "witness": payload}
             )
-        for p in scan.missing:
-            rows.append({"prime": p, "achievable": False, "reason": "no route"})
-        rows.sort(key=lambda row: row["prime"])
+        while gap is not None:
+            rows.append({"prime": gap, "achievable": False, "reason": "no route"})
+            gap = next(later, None)
     details = {
         "bound": args.bound,
         "k": e.bundle.k,
@@ -609,6 +620,127 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    """A float as json writes it (allow_nan, so NaN and the infinities pass)."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_constant_text = {None: "null", True: "true", False: "false"}.__getitem__
+# exact type -> text; subclasses take the isinstance path of _IndentWriter.value
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: _constant_text,
+    type(None): _constant_text,
+}
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: converted to str, then quoted."""
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_text(key))
+    if key is None or isinstance(key, bool):
+        return _encode_str(_constant_text(key))
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+class _IndentWriter:
+    """One json.dumps(payload, indent=2, sort_keys=True) call, without the cost.
+
+    With indent, json falls back to its pure-Python encoder.  This writer
+    builds the same text from the stdlib's C string escaper, int.__repr__
+    and per-depth indent strings.  A container reached twice at the same
+    depth, such as a witness payload shared by a whole residue class of
+    scan rows, is encoded once: the memo is keyed on its identity and
+    depth and lives as long as the writer, one call, while the payload
+    keeps every key alive.  Dicts with the same str keys in the same
+    insertion order share one layout: the keys sorted as json sorts
+    them, in a %-template with their separators.  Circular payloads are
+    not detected; the CLI builds none.
+    """
+
+    def __init__(self) -> None:
+        self.memo: dict[tuple[int, int], str] = {}
+        self.layouts: dict[tuple[tuple, int], tuple[list, str]] = {}
+        self.indents: list[str] = []
+
+    def indent(self, depth: int) -> str:
+        while len(self.indents) <= depth:
+            self.indents.append("\n" + "  " * len(self.indents))
+        return self.indents[depth]
+
+    def layout(self, keys: tuple, depth: int) -> tuple[list, str]:
+        """Keys in json's sorted order and a %-template with one %s per value."""
+        inner = self.indent(depth + 1)
+        ordered = sorted(keys)
+        heads = (("{" if i == 0 else ",") + inner + _key_text(key) + ": " for i, key in enumerate(ordered))
+        template = "".join(head.replace("%", "%%") + "%s" for head in heads)
+        return ordered, template + self.indent(depth) + "}"
+
+    def container(self, o, depth: int) -> str:
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            shape = (tuple(o), depth)
+            found = self.layouts.get(shape)
+            if found is None:
+                found = self.layout(shape[0], depth)
+                # 0, 0.0 and False are equal keys that print differently,
+                # so only all-str key tuples share a layout
+                if all(type(key) is str for key in shape[0]):
+                    self.layouts[shape] = found
+            ordered, template = found
+            value = self.value
+            return template % tuple([value(o[key], depth + 1) for key in ordered])
+        if not o:
+            return "[]"
+        inner = self.indent(depth + 1)
+        if all(type(item) is int for item in o):
+            body = ("," + inner).join(map(int.__repr__, o))
+        else:
+            value = self.value
+            body = ("," + inner).join([value(item, depth + 1) for item in o])
+        return "[" + inner + body + self.indent(depth) + "]"
+
+    def value(self, o, depth: int) -> str:
+        scalar = _SCALAR_TEXT.get(type(o))
+        if scalar is not None:
+            return scalar(o)
+        if isinstance(o, (list, tuple, dict)):
+            key = (id(o), depth)
+            text = self.memo.get(key)
+            if text is None:
+                text = self.memo[key] = self.container(o, depth)
+            return text
+        # subclasses; no class can derive from two of str, int and float
+        if isinstance(o, str):
+            return _encode_str(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte."""
+    return _IndentWriter().value(payload, 0)
+
+
 # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe.
 EXIT_CLOSED_PIPE = 141
 
@@ -628,7 +760,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         timing_ms=round((time.perf_counter() - start) * 1000, 3),
     )
     if args.json:
-        text = json.dumps(report_to_payload(report), indent=2, sort_keys=True)
+        text = _json_text(report_to_payload(report))
     else:
         lines = args.render(details)
         if verdict is not None:

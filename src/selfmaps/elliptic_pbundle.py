@@ -19,12 +19,10 @@ from .cm_elliptic import (
     CurveModel,
     TorsionPoint,
     aut_group,
-    dual,
     endomorphisms_of_prime_degree,
     kernel_on_torsion,
     normalize_point,
     pullback_exponent,
-    torsion_action,
 )
 from .ns_lattice import atiyah_deg2_search, square_degree_certificate
 from .qorders import (
@@ -162,12 +160,18 @@ def _decide(
     v = point.v
     minus_v = ((-v[0]) % k, (-v[1]) % k)
     candidates = endomorphisms_of_prime_degree(curve, p)
-    for alpha in candidates:
-        w = torsion_action(dual(alpha), k).apply_mod(v, k)
-        if w == v:
-            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
-        if w == minus_v:
-            return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, -1))
+    if candidates:
+        t, n = curve.order.t, curve.order.n
+        v0, v1 = v
+        for alpha in candidates:
+            # the dual x' + y'*w = (x + t*y) - y*w acts on (1, w) coordinates
+            # by the matrix ((x', -n*y'), (y', x' + t*y')) of rational_rep
+            xd, yd = alpha.x + t * alpha.y, -alpha.y
+            w = ((xd * v0 - n * yd * v1) % k, (yd * v0 + (xd + t * yd) * v1) % k)
+            if w == v:
+                return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
+            if w == minus_v:
+                return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, -1))
     reason = "no_isogeny" if candidates else "no_residue"
     return PrimeDecision(prime=p, k=k, achievable=False, reason=reason)
 

@@ -220,9 +220,15 @@ def prime_norm_elements(order: OrderParams, p: int) -> tuple[QuadElem, ...]:
     y = math.isqrt(rest // d)
     if y * y != rest // d:
         return ()
-    pi = QuadElem(order, (b - order.t * y) // 2, y)
-    found = {u * alpha for u in units(order) for alpha in (pi, conjugate(pi))}
-    return tuple(sorted(found, key=lambda a: (a.y, a.x)))
+    t, n = order.t, order.n
+    x = (b - t * y) // 2
+    # u * alpha for each unit u and alpha in {pi, conj(pi)}, pi = x + y*w,
+    # kept as (y, x) pairs so that sorting gives the elements_of_norm order
+    found = set()
+    for u in units(order):
+        for ax, ay in ((x, y), (x + t * y, -y)):
+            found.add((u.x * ay + u.y * ax + t * u.y * ay, u.x * ax - n * u.y * ay))
+    return tuple(QuadElem(order, ex, ey) for ey, ex in sorted(found))
 
 
 def degree_two_table(n_max: int) -> dict[OrderParams, tuple[QuadElem, ...]]:

@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import selfmaps
 from selfmaps.cli import (
     EXIT_CLOSED_PIPE,
     DescriptorError,
+    _json_text,
     main,
     parse_descriptor_text,
     report_from_payload,
@@ -195,6 +197,63 @@ def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
     assert first.strip() in (b"{", b"scan of k=7 descriptor up to 100000")
     assert code == EXIT_CLOSED_PIPE == 141
     assert (tmp_path / "stderr").read_bytes() == b""
+
+
+# quotes, backslashes, control characters, non-ASCII and astral code points
+TRICKY_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab%{}'), max_size=6) | st.text(
+    max_size=6
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from((n, -n)))
+    | st.floats()
+    | st.sampled_from((-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 1e300, 5e-324))
+    | TRICKY_TEXT
+)
+
+
+def _json_values(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(st.integers(), max_size=5)
+        | st.dictionaries(TRICKY_TEXT, children, max_size=4)
+        # numbers sort together, and 0, 0.0 and False are one key; json,
+        # like sorted, rejects str keys mixed with numbers
+        | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=3)
+    )
+
+
+PAYLOADS = st.recursive(SCALARS, _json_values, max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+@example({})
+@example([])
+@example({"a": {}, "b": [[], {}], "c": ((),)})
+@example({"": [-0.0, float("inf"), float("-inf"), float("nan")]})
+@example({1: "x", 2.5: "y", True: "z"})
+@example([2**64, -(2**100), True, False, None])
+def test_json_writer_matches_json_dumps_indent2(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@given(PAYLOADS)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_shared_subobject_at_two_depths(shared):
+    payload = {"a": shared, "b": [shared, {"c": shared, "d": [shared]}], "e": shared}
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {"k": b"bytes"}, {(1, 2): 3}, {1: 2, "a": 3}])
+def test_json_writer_rejects_what_json_rejects(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _json_text(payload)
 
 
 def test_density_with_modulus(capsys):

@@ -36,7 +36,7 @@ SCRIPT = """
 import json, sys
 from types import SimpleNamespace
 import numpy
-from selfmaps import elliptic_pbundle as eb, group_condition as gc, toric
+from selfmaps import cli, elliptic_pbundle as eb, group_condition as gc, toric
 from selfmaps.cm_elliptic import CurveModel
 from selfmaps.qorders import NotPrimeError, OrderParams, legendre, split_type
 from selfmaps.verdicts import verdict_to_payload
@@ -82,6 +82,12 @@ out["subgroup_order_step_raises"] = raises(lambda: gc.find_cyclic_subgroups(z6, 
 five_rays = toric.validate_fan(((1, 0), (1, 1), (0, 1), (-1, 0), (0, -1)))
 toric.self_intersections = lambda fan: (0,) * len(fan)
 out["toric_ray_count_step_raises"] = raises(lambda: toric.toric_verdict(five_rays), RuntimeError)
+# the text renderers dispatch on witness and verdict classes; an unknown
+# one must raise, not fall through to the last branch
+out["witness_text_dispatch_raises"] = raises(lambda: cli._witness_text(object()), TypeError)
+out["verdict_lines_dispatch_raises"] = raises(
+    lambda: cli._verdict_lines(SimpleNamespace(kind="unknown_kind")), TypeError
+)
 print(json.dumps(out))
 """
 
@@ -98,6 +104,7 @@ def test_checks_hold_under_python_optimize():
     assert out["legendre_raises"] and out["split_type_raises"]
     assert out["deg2_proof_step_raises"] and out["square_proof_step_raises"]
     assert out["subgroup_order_step_raises"] and out["toric_ray_count_step_raises"]
+    assert out["witness_text_dispatch_raises"] and out["verdict_lines_dispatch_raises"]
     curve = CurveModel.cm(OrderParams(0, 1))
     expected = {
         name: verdict_to_payload(nonsplit_verdict(EllipticBundleDescriptor(curve, bundle), 200))

@@ -3,13 +3,17 @@
 Each digest is the sha256 of the scan payload with its `timing_ms` key
 removed, serialized with sorted keys.  The digests were taken from the
 brute-force per-prime scan, so any change to a verdict, witness, route
-text or row order on the fast path shows here.
+text or row order on the fast path shows here.  Each raw digest is the
+sha256 of the raw stdout minus its `  "timing_ms": ` line, so it also
+pins the indent-2 layout of `json.dumps(payload, indent=2,
+sort_keys=True)`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -67,15 +71,36 @@ GOLDEN = {
     ),
 }
 
+# name -> sha256 of the raw `--json` stdout minus the timing_ms line
+RAW_GOLDEN = {
+    "disc12-k7": "31c0adde668db08c49d3f4cc66cc436b968295617cc917f6a0c1bfd29f9b8f28",
+    "disc3-k13-kernel": "8196181ca90bf9d2155525a0c6a95434f9b2d7b7ab7da5ebcb4e43b8582a8da9",
+    "disc7-k11-kernel": "18e5691eb7d73670d6df05ad3a5538de04f684b57c84a2d8f58bc075107dde71",
+    "disc8-k11-kernel": "118e5055e0748aa95f03d886ce63b8339fc01e7539d3fc92881ce024448df62c",
+    "exceptional-gauss-k5": "f439ad0935dceec24f1b184a70c626a11ab39b08922be01d537982fa8beb30f0",
+    "gauss-k13-kernel": "daf7f1dc79db7f2250cb0defd4cf4a1b9b79ad9c5d1f1af0660da583cf10aa83",
+    "gauss-k7-anchor": "42088b581c5506ddc1120a7155267c8764535b4cc9820538d5395c8de67d626b",
+    "n5-k9-kernel": "e99e9ba9dd714c9615fa2c511d3ccb68ab5628104907d576d518ece06975d28b",
+    "n6-k10-kernel": "f80c6b647facd982071860cce5322a19d3abb7d5f274ba86c0d1ab37994e87d3",
+    "nocm-k8": "10a82ffcd89ec8ee369df2637be8b249ad828847c4c2aac3c9e8e86df664efcf",
+    "small-k3-disc7": "62b4893cee1c5dbc1fbf96721f209a06fe720ed8f64a02b71bdf56907525b726",
+}
 
-def scan_digest(tmp_path, capsys, curve: str, k: int, point: tuple[int, int]) -> str:
+TIMING_LINE = re.compile(r'^  "timing_ms": [^\n]*\n', re.MULTILINE)
+
+
+def scan_output(tmp_path, capsys, curve: str, k: int, point: tuple[int, int]) -> str:
     path = tmp_path / "scan.desc"
     path.write_text(
         f"surface=elliptic_bundle\n{curve}\nbundle=split_torsion\nk={k}\n"
         f"point={point[0]} {point[1]}\n"
     )
     assert main(["scan", str(path), "--bound", str(BOUND), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    return capsys.readouterr().out
+
+
+def scan_digest(tmp_path, capsys, curve: str, k: int, point: tuple[int, int]) -> str:
+    payload = json.loads(scan_output(tmp_path, capsys, curve, k, point))
     del payload["timing_ms"]
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
@@ -84,3 +109,11 @@ def scan_digest(tmp_path, capsys, curve: str, k: int, point: tuple[int, int]) ->
 def test_scan_payload_digest(name, tmp_path, capsys):
     curve, k, point, digest = GOLDEN[name]
     assert scan_digest(tmp_path, capsys, curve, k, point) == digest
+
+
+@pytest.mark.parametrize("name", sorted(RAW_GOLDEN))
+def test_scan_raw_output_digest(name, tmp_path, capsys):
+    curve, k, point, _ = GOLDEN[name]
+    out, removed = TIMING_LINE.subn("", scan_output(tmp_path, capsys, curve, k, point))
+    assert removed == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == RAW_GOLDEN[name]

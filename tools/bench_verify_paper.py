@@ -6,11 +6,11 @@ Usage:
 End to end: runs `python -m selfmaps.cli verify-paper --json` against
 DIR/src in RUNS (5) fresh interpreters, one after another, and records the
 median wall time (time.perf_counter around each subprocess) and the
-peak RSS of the largest of them (ru_maxrss of
-resource.getrusage(RUSAGE_CHILDREN), which holds the maximum over
-waited-for children).  Every run must exit 0 and print the same payload
-once its timing_ms line is removed; the sha256 of that payload is
-stored, so two checkouts can be shown to print the same report.
+peak RSS of the largest of them (ru_maxrss of each child, from
+os.wait4).  Every run must exit 0 and print the same payload once its
+timing_ms line is removed; the sha256 of that payload is stored, so two
+checkouts can be shown to print the same report.  tools/bench_scan.py
+reuses cli_runs for `scan`.
 
 Claim by claim: imports selfmaps from DIR/src into this process, wraps
 each `_check_*` function of the claims module with a timer and calls
@@ -32,10 +32,10 @@ import json
 import os
 import platform
 import re
-import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -53,29 +53,40 @@ def _describe(checkout: Path) -> str | None:
     return proc.stdout.strip() or None
 
 
-def cli_runs(src: Path) -> dict:
-    """Median wall and peak RSS of `verify-paper --json` in fresh interpreters."""
+def _run_child(argv: list[str], env: dict) -> tuple[int, str, str, int]:
+    """Exit code, stdout, stderr and peak RSS in kB of one child process.
+
+    os.wait4 gives this child's own ru_maxrss; RUSAGE_CHILDREN would hold
+    the largest of every child waited for so far, earlier cases included.
+    """
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss
+
+
+def cli_runs(src: Path, argv: list[str]) -> dict:
+    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    walls, digests = [], set()
+    walls, digests, peak_kb = [], set(), 0
     for _ in range(RUNS):
         start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "selfmaps.cli", "verify-paper", "--json"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        code, stdout, stderr, rss_kb = _run_child([sys.executable, "-m", "selfmaps.cli", *argv], env)
         walls.append(time.perf_counter() - start)
-        if proc.returncode != 0:
-            raise SystemExit(f"verify-paper exited {proc.returncode}: {proc.stderr}")
-        digests.add(hashlib.sha256(_TIMING_LINE.sub("", proc.stdout, count=1).encode()).hexdigest())
+        if code != 0:
+            raise SystemExit(f"{argv[0]} exited {code}: {stderr}")
+        peak_kb = max(peak_kb, rss_kb)
+        digests.add(hashlib.sha256(_TIMING_LINE.sub("", stdout, count=1).encode()).hexdigest())
     if len(digests) != 1:
-        raise SystemExit(f"verify-paper printed {len(digests)} different payloads")
+        raise SystemExit(f"{argv[0]} printed {len(digests)} different payloads")
     return {
         "wall_s_median": round(statistics.median(walls), 4),
         "wall_s_runs": [round(w, 4) for w in walls],
         # Linux reports ru_maxrss in kB.
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(peak_kb / 1024, 1),
         "payload_sha256": digests.pop(),
     }
 
@@ -127,7 +138,7 @@ def main() -> int:
         "checkout": _describe(args.checkout),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "runs": RUNS,
-        "cli": cli_runs(src),
+        "cli": cli_runs(src, ["verify-paper", "--json"]),
         "in_process": claim_seconds(src),
     }
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
