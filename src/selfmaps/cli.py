@@ -635,7 +635,6 @@ def _float_text(value: float) -> str:
 
 
 _constant_text = {None: "null", True: "true", False: "false"}.__getitem__
-# exact type -> text; subclasses take the isinstance path of _IndentWriter.value
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
@@ -645,32 +644,24 @@ _SCALAR_TEXT = {
 }
 
 
-def _key_text(key) -> str:
-    """A dict key as json writes it: converted to str, then quoted."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_float_text(key))
-    if key is None or isinstance(key, bool):
-        return _encode_str(_constant_text(key))
-    if isinstance(key, int):
-        return _encode_str(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 class _IndentWriter:
-    """One json.dumps(payload, indent=2, sort_keys=True) call, without the cost.
+    """The text of json.dumps with sort_keys and an indent of 2, built fast.
 
-    With indent, json falls back to its pure-Python encoder.  This writer
-    builds the same text from the stdlib's C string escaper, int.__repr__
-    and per-depth indent strings.  A container reached twice at the same
-    depth, such as a witness payload shared by a whole residue class of
-    scan rows, is encoded once: the memo is keyed on its identity and
-    depth and lives as long as the writer, one call, while the payload
-    keeps every key alive.  Dicts with the same str keys in the same
-    insertion order share one layout: the keys sorted as json sorts
-    them, in a %-template with their separators.  Circular payloads are
-    not detected; the CLI builds none.
+    With an indent, json falls back to its pure-Python encoder.  This
+    writer builds the same text from the stdlib's C string escaper,
+    int.__repr__ and per-depth indent strings.  A container reached twice
+    at the same depth, such as a witness payload shared by a whole
+    residue class of scan rows, is encoded once: the memo is keyed on its
+    identity and depth and lives as long as the writer, one call, while
+    the payload keeps every key alive.  Dicts with the same keys in the
+    same insertion order share one layout: the keys sorted, in a
+    %-template with their separators.
+
+    Only what CLI payloads hold is accepted: str keys, and values whose
+    exact type is str, int, float, bool, None, list, tuple or dict.
+    Anything else raises TypeError, also where json.dumps would accept
+    it (int keys, subclasses).  Circular payloads are not detected; the
+    CLI builds none.
     """
 
     def __init__(self) -> None:
@@ -684,25 +675,23 @@ class _IndentWriter:
         return self.indents[depth]
 
     def layout(self, keys: tuple, depth: int) -> tuple[list, str]:
-        """Keys in json's sorted order and a %-template with one %s per value."""
+        """Keys in sorted order and a %-template with one %s per value."""
+        if not all(type(key) is str for key in keys):
+            raise TypeError(f"keys must be str: {keys!r}")
         inner = self.indent(depth + 1)
         ordered = sorted(keys)
-        heads = (("{" if i == 0 else ",") + inner + _key_text(key) + ": " for i, key in enumerate(ordered))
+        heads = (("{" if i == 0 else ",") + inner + _encode_str(key) + ": " for i, key in enumerate(ordered))
         template = "".join(head.replace("%", "%%") + "%s" for head in heads)
         return ordered, template + self.indent(depth) + "}"
 
     def container(self, o, depth: int) -> str:
-        if isinstance(o, dict):
+        if type(o) is dict:
             if not o:
                 return "{}"
             shape = (tuple(o), depth)
             found = self.layouts.get(shape)
             if found is None:
-                found = self.layout(shape[0], depth)
-                # 0, 0.0 and False are equal keys that print differently,
-                # so only all-str key tuples share a layout
-                if all(type(key) is str for key in shape[0]):
-                    self.layouts[shape] = found
+                found = self.layouts[shape] = self.layout(shape[0], depth)
             ordered, template = found
             value = self.value
             return template % tuple([value(o[key], depth + 1) for key in ordered])
@@ -720,24 +709,17 @@ class _IndentWriter:
         scalar = _SCALAR_TEXT.get(type(o))
         if scalar is not None:
             return scalar(o)
-        if isinstance(o, (list, tuple, dict)):
-            key = (id(o), depth)
-            text = self.memo.get(key)
-            if text is None:
-                text = self.memo[key] = self.container(o, depth)
-            return text
-        # subclasses; no class can derive from two of str, int and float
-        if isinstance(o, str):
-            return _encode_str(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            return _float_text(o)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if type(o) not in (list, tuple, dict):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        key = (id(o), depth)
+        text = self.memo.get(key)
+        if text is None:
+            text = self.memo[key] = self.container(o, depth)
+        return text
 
 
 def _json_text(payload) -> str:
-    """json.dumps(payload, indent=2, sort_keys=True), byte for byte."""
+    """Byte for byte what json.dumps(payload, sort_keys=True) prints with an indent of 2."""
     return _IndentWriter().value(payload, 0)
 
 

@@ -200,9 +200,9 @@ def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
 
 
 # quotes, backslashes, control characters, non-ASCII and astral code points
-TRICKY_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab%{}'), max_size=6) | st.text(
-    max_size=6
-)
+TRICKY_TEXT = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600ab%{}'), max_size=6
+) | st.text(max_size=6)
 SCALARS = (
     st.none()
     | st.booleans()
@@ -220,9 +220,6 @@ def _json_values(children):
         | st.lists(children, max_size=4).map(tuple)
         | st.lists(st.integers(), max_size=5)
         | st.dictionaries(TRICKY_TEXT, children, max_size=4)
-        # numbers sort together, and 0, 0.0 and False are one key; json,
-        # like sorted, rejects str keys mixed with numbers
-        | st.dictionaries(st.integers() | st.floats() | st.booleans(), children, max_size=3)
     )
 
 
@@ -235,7 +232,6 @@ PAYLOADS = st.recursive(SCALARS, _json_values, max_leaves=25)
 @example([])
 @example({"a": {}, "b": [[], {}], "c": ((),)})
 @example({"": [-0.0, float("inf"), float("-inf"), float("nan")]})
-@example({1: "x", 2.5: "y", True: "z"})
 @example([2**64, -(2**100), True, False, None])
 def test_json_writer_matches_json_dumps_indent2(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
@@ -248,10 +244,14 @@ def test_json_writer_shared_subobject_at_two_depths(shared):
     assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("payload", [{"a": {1, 2}}, [object()], {"k": b"bytes"}, {(1, 2): 3}, {1: 2, "a": 3}])
-def test_json_writer_rejects_what_json_rejects(payload):
-    with pytest.raises(TypeError):
-        json.dumps(payload, indent=2, sort_keys=True)
+class _Tag(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "payload", [{"a": {1, 2}}, [object()], {"k": b"bytes"}, {1: "int key"}, {"a": [_Tag("x")]}]
+)
+def test_json_writer_rejects_what_payloads_never_hold(payload):
     with pytest.raises(TypeError):
         _json_text(payload)
 

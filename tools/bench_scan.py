@@ -3,7 +3,7 @@
 Usage:
     python3 tools/bench_scan.py --label NAME [--checkout DIR] [--out FILE]
 
-Runs the two scan cases of ROADMAP item 2 against DIR/src, each through
+Runs two scan cases against DIR/src, each through
 bench_verify_paper.cli_runs: RUNS (5) fresh interpreters of
 `python -m selfmaps.cli scan DESC --bound 1000000 --json`, one after
 another, recording the median wall time, the largest peak RSS and the
@@ -11,8 +11,8 @@ sha256 of the payload minus its timing_ms line.
 
     gauss-k5: Gauss order, k = 5, point (4, 2); every prime is achievable,
               so the JSON (about 25 MB) dominates
-    gauss-k7: Gauss order, k = 7, point (1, 0); half the primes are
-              missing and most rows go through the norm-p search
+    gauss-k7: Gauss order, k = 7, point (1, 0); 52,344 of the 78,498
+              primes are missing, each after a norm-p search
 
 The result goes under runs[NAME] in FILE (default BENCH_scan.json at the
 repository root), so a commit and its parent sit side by side.  Measure
