@@ -524,9 +524,9 @@ def _cmd_toric(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_group_check(args: argparse.Namespace) -> _Outcome:
-    group = load_group(args.group_file)
     if not is_prime(args.p):
         raise DescriptorError(f"p must be prime, got {args.p}")
+    group = load_group(args.group_file)
     return None, _group_details(group, rho_bar_surjective(group, args.p)), 0
 
 

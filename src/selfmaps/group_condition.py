@@ -51,13 +51,68 @@ class GroupFileError(ValueError):
     """Malformed group file."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CayleyGroup:
-    """Validated multiplication table; identity is element 0."""
+    """A group as a multiplication table; identity is element 0.
+
+    The constructor checks shape, range, identity 0, inverses and
+    associativity, and derives ``order`` and ``inverse``, so every
+    instance is a group and no consumer re-checks the axioms.
+
+    The Latin (row and column permutation) check runs only when a later
+    check fails, to report the same first failing stage as the ordered
+    checks.  A table that passes needs no Latin check: once 0 is a
+    two-sided identity, the middle elements g with (xg)y = x(gy) for all
+    x, y are closed under the product in any magma, so Light's test on a
+    generating set proves full associativity; identity, two-sided
+    inverses and associativity make a group, and a group table is a
+    Latin square.  On any other table of order over 64, Light's test
+    fails within log2(n) + 1 generators: the greedy generators that
+    pass it generate a group, each at least doubling it.
+
+    The table is read-only int32: a read-only int32 array owning its
+    data is used without a copy, anything else (a view too) is copied.
+    """
 
     order: int
     table: np.ndarray
     inverse: np.ndarray
+
+    def __init__(self, table_like):
+        table = np.asarray(table_like)
+        if not np.issubdtype(table.dtype, np.integer):
+            raise GroupValidationError("table entries must be integers")
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise GroupValidationError(f"table must be square, got shape {table.shape}")
+        n = table.shape[0]
+        if n < 1:
+            raise GroupValidationError("empty table")
+        if n > GROUP_ORDER_CAP:
+            raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
+        if table.min() < 0 or table.max() >= n:
+            raise GroupValidationError("table entries must be element indices")
+        if table.dtype != np.int32 or table.flags.writeable or not table.flags.owndata:
+            table = table.astype(np.int32)
+        idx = np.arange(n, dtype=np.int32)
+        inverse = np.empty(n, dtype=np.int32)
+        try:
+            if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
+                raise GroupValidationError("identity must be element 0")
+            for start in range(0, n, _BLOCK):
+                inverse[start : start + _BLOCK] = np.argmin(table[start : start + _BLOCK], axis=1)
+            if (table[inverse, idx] != 0).any() or (table[idx, inverse] != 0).any():
+                raise GroupValidationError("inverses are not two-sided")
+            _check_associativity(table, _generating_set(table))
+        except GroupValidationError:
+            latin = _latin_failure(table)
+            if latin is not None:
+                raise GroupValidationError(latin) from None
+            raise
+        table.setflags(write=False)
+        inverse.setflags(write=False)
+        object.__setattr__(self, "order", n)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "inverse", inverse)
 
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
@@ -136,52 +191,8 @@ def _latin_failure(table: np.ndarray) -> str | None:
 
 
 def validate_group(table_like) -> CayleyGroup:
-    """Check shape, range, Latin property, identity 0, inverses, associativity.
-
-    The Latin (row and column permutation) check runs only when a later
-    check fails, to report the same first failing stage as the ordered
-    checks.  A table that passes needs no Latin check: once 0 is a
-    two-sided identity, the middle elements g with (xg)y = x(gy) for all
-    x, y are closed under the product in any magma, so Light's test on a
-    generating set proves full associativity; identity, two-sided
-    inverses and associativity make a group, and a group table is a
-    Latin square.  On any other table of order over 64, Light's test
-    fails within log2(n) + 1 generators: the greedy generators that
-    pass it generate a group, each at least doubling it.  A read-only
-    int32 input is used without a copy.
-    """
-    table = np.asarray(table_like)
-    if not np.issubdtype(table.dtype, np.integer):
-        raise GroupValidationError("table entries must be integers")
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise GroupValidationError(f"table must be square, got shape {table.shape}")
-    n = table.shape[0]
-    if n < 1:
-        raise GroupValidationError("empty table")
-    if n > GROUP_ORDER_CAP:
-        raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
-    if table.min() < 0 or table.max() >= n:
-        raise GroupValidationError("table entries must be element indices")
-    if table.dtype != np.int32 or table.flags.writeable:
-        table = table.astype(np.int32)
-    idx = np.arange(n, dtype=np.int32)
-    inverse = np.empty(n, dtype=np.int32)
-    try:
-        if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
-            raise GroupValidationError("identity must be element 0")
-        for start in range(0, n, _BLOCK):
-            inverse[start : start + _BLOCK] = np.argmin(table[start : start + _BLOCK], axis=1)
-        if (table[inverse, idx] != 0).any() or (table[idx, inverse] != 0).any():
-            raise GroupValidationError("inverses are not two-sided")
-        _check_associativity(table, _generating_set(table))
-    except GroupValidationError:
-        latin = _latin_failure(table)
-        if latin is not None:
-            raise GroupValidationError(latin) from None
-        raise
-    table.setflags(write=False)
-    inverse.setflags(write=False)
-    return CayleyGroup(order=n, table=table, inverse=inverse)
+    """``CayleyGroup(table_like)``: the checked group, or GroupValidationError."""
+    return CayleyGroup(table_like)
 
 
 def element_orders(group: CayleyGroup) -> np.ndarray:
@@ -250,35 +261,22 @@ def conjugation_rho(group: CayleyGroup, sub: CyclicSubgroup) -> dict[int, int]:
     subgroup is cyclic of prime order, n * g^j * n^-1 = (n*g*n^-1)^j
     = g^(delta*j), so the exponent computed on the one generator
     already describes the action on every element; no per-element
-    check is needed.  The homomorphism law rho(ab) = rho(a)rho(b) is
-    verified on all normalizer pairs before returning.
+    check is needed.  Every CayleyGroup is a group, so rho(ab) =
+    rho(a)rho(b) holds without a check; only the subgroup record, which
+    anyone can build, is checked against the powers of its generator.
     """
-    p = sub.order
+    powers = [0]
+    while (cur := group.mul(powers[-1], sub.generator)) != 0:
+        powers.append(cur)
+    if len(powers) != sub.order or sorted(powers) != sorted(sub.elements):
+        raise ValueError(f"subgroup record disagrees with the powers of {sub.generator}")
     norm = np.array(normalizer(group, sub), dtype=np.int32)
     exponent_of = np.full(group.order, -1, dtype=np.int32)
-    cur, j = 0, 0
-    while True:
-        exponent_of[cur] = j
-        cur = group.mul(cur, sub.generator)
-        j += 1
-        if cur == 0:
-            break
+    exponent_of[powers] = np.arange(len(powers), dtype=np.int32)
     conj_gen = group.table[group.table[norm, sub.generator], group.inverse[norm]]
     delta = exponent_of[conj_gen]
     if (delta < 1).any():
         raise RuntimeError("conjugate of the generator left the subgroup")
-    rho_of = np.full(group.order, -1, dtype=np.int32)
-    rho_of[norm] = delta
-    whole_group = norm.size == group.order
-    for start in range(0, norm.size, _BLOCK):
-        stop = min(start + _BLOCK, norm.size)
-        if whole_group:
-            prods = group.table[start:stop]
-        else:
-            prods = group.table[norm[start:stop, None], norm[None, :]]
-        expected = delta[start:stop, None] * delta[None, :] % np.int32(p)
-        if not np.array_equal(rho_of[prods], expected):
-            raise RuntimeError("conjugation exponents do not form a homomorphism")
     return {int(n): int(d) for n, d in zip(norm, delta)}
 
 
@@ -358,7 +356,8 @@ def build_semidirect(p: int) -> CayleyGroup:
     # broadcast add writes the whole table as [a, u, b, v]
     prod_a = (a[:, None, None] + u[None, :, None] * a[None, None, :]) % p * (p - 1)
     prod_u = (u[:, None] * u[None, :]) % p - 1
-    table = (prod_a[:, :, :, None] + prod_u[None, :, None, :]).reshape(n, n)
+    table = np.empty((n, n), dtype=np.int32)
+    np.add(prod_a[..., None], prod_u[None, :, None, :], out=table.reshape(p, p - 1, p, p - 1))
     table.setflags(write=False)
     return validate_group(table)
 

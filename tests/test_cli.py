@@ -313,6 +313,17 @@ def test_group_check(tmp_path, capsys):
     assert code == 2
 
 
+def test_group_check_rejects_bad_p_before_reading_the_table(tmp_path, capsys):
+    grp = write(tmp_path, "bad.grp", "2\n0 1\n1 7\n")
+    code, out, err = run_cli(capsys, "group-check", grp, "6")
+    assert code == 2
+    assert out == ""
+    assert err == "error: p must be prime, got 6\n"
+    code, _, err = run_cli(capsys, "group-check", str(tmp_path / "missing.grp"), "4")
+    assert code == 2
+    assert err == "error: p must be prime, got 4\n"
+
+
 def test_group_order_cap_checked_before_rows(tmp_path, capsys):
     grp = write(tmp_path, "huge.grp", "10001\n")
     code, _, err = run_cli(capsys, "group-check", grp, "2")

@@ -21,7 +21,7 @@ import re
 
 import pytest
 
-from selfmaps.cli import main
+from selfmaps.cli import main, report_from_payload, report_to_payload
 from selfmaps.group_condition import build_cyclic, build_semidirect
 
 FANS = {
@@ -243,9 +243,12 @@ def corpus(tmp_path_factory):
 TIMING_LINE = re.compile(r'^  "timing_ms": [^\n]*\n', re.MULTILINE)
 
 
+def _resolve(corpus, argv: list[str]) -> list[str]:
+    return [str(corpus / a) if (corpus / a).is_file() else a for a in argv]
+
+
 def output_digest(corpus, capsys, argv: list[str], mode: str) -> str:
-    resolved = [str(corpus / a) if (corpus / a).is_file() else a for a in argv]
-    assert main(resolved + ([] if mode == "text" else ["--json"])) == 0
+    assert main(_resolve(corpus, argv) + ([] if mode == "text" else ["--json"])) == 0
     out = capsys.readouterr().out
     if mode == "json":
         payload = json.loads(out)
@@ -270,3 +273,11 @@ CASES = [
 def test_cli_payload_digest(name, mode, corpus, capsys):
     argv, digests = GOLDEN[name]
     assert output_digest(corpus, capsys, argv, mode) == digests[mode]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_json_payload_roundtrips(name, corpus, capsys):
+    argv, _ = GOLDEN[name]
+    assert main(_resolve(corpus, argv) + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert report_to_payload(report_from_payload(payload)) == payload

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from selfmaps.group_condition import (
     CayleyGroup,
+    CyclicSubgroup,
     GroupFileError,
     GroupValidationError,
     build_cyclic,
@@ -166,6 +167,66 @@ def test_conjugation_rho_symmetric_group():
     for n1 in rho:
         for n2 in rho:
             assert rho[group.mul(n1, n2)] == rho[n1] * rho[n2] % 3
+
+
+def _relabeled(group: CayleyGroup, sigma) -> CayleyGroup:
+    """The isomorphic group with element i renamed sigma[i]; sigma fixes 0."""
+    sigma = np.asarray(sigma)
+    table = np.empty_like(group.table)
+    table[np.ix_(sigma, sigma)] = sigma[group.table]
+    return CayleyGroup(table)
+
+
+RHO_GROUPS = [
+    *(lambda n=n: build_cyclic(n) for n in range(2, 13)),
+    *(lambda p=p: build_semidirect(p) for p in (2, 3, 5, 7, 11, 13)),
+    symmetric_3,
+    alternating_4,
+]
+
+
+@st.composite
+def relabeled_groups(draw):
+    group = draw(st.sampled_from(RHO_GROUPS))()
+    rest = draw(st.permutations(range(1, group.order)))
+    primes = [q for q in range(2, group.order + 1) if group.order % q == 0 and is_prime(q)]
+    q = draw(st.sampled_from(primes))
+    return _relabeled(group, [0, *rest]), q
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_groups())
+def test_conjugation_rho_matches_all_pairs_oracle(group_and_q):
+    group, q = group_and_q
+    subs = find_cyclic_subgroups(group, q)
+    assert subs
+    for sub in subs:
+        rho = conjugation_rho(group, sub)
+        gen = sub.generator
+        assert set(rho) == {
+            n for n in range(group.order) if group.conjugate(n, gen) in sub.elements
+        }
+        for n, delta in rho.items():
+            assert 1 <= delta < q
+            assert group.conjugate(n, gen) == _power(group, gen, delta)
+        for a in rho:
+            for b in rho:
+                assert rho[group.mul(a, b)] == rho[a] * rho[b] % q
+
+
+def test_conjugation_rho_rejects_inconsistent_subgroup():
+    group = build_cyclic(6)
+    bad = (
+        CyclicSubgroup(generator=1, order=3, elements=(0, 2, 4)),
+        CyclicSubgroup(generator=2, order=3, elements=(0, 1, 2)),
+        CyclicSubgroup(generator=2, order=2, elements=(0, 2, 4)),
+        CyclicSubgroup(generator=2, order=3, elements=(0, 2, 2)),
+    )
+    for sub in bad:
+        with pytest.raises(ValueError, match="disagrees"):
+            conjugation_rho(group, sub)
+    good = CyclicSubgroup(generator=2, order=3, elements=(4, 0, 2))
+    assert conjugation_rho(group, good) == {n: 1 for n in range(6)}
 
 
 def test_conjugation_rho_matches_direct_conjugation():
@@ -423,3 +484,35 @@ def _outcome(parse, text):
 @given(table_texts())
 def test_parse_group_text_fast_path_matches_row_loop(text):
     assert _outcome(parse_group_text, text) == _outcome(_parse_rows_reference, text)
+
+
+@pytest.mark.parametrize(
+    ("table", "message"),
+    [
+        ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], "identity must be element 0"),
+        (ONE_SIDED_LOOP, "inverses are not two-sided"),
+        (SWAPPED_Z6, "associativity fails for triples with middle element"),
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 0]], "some row is not a permutation"),
+        ([[0, 1], [0, 1]], "some column is not a permutation"),
+    ],
+)
+def test_cayley_group_constructor_rejects_non_groups(table, message):
+    with pytest.raises(GroupValidationError, match=message):
+        CayleyGroup(table)
+
+
+def test_cayley_group_takes_only_a_table():
+    group = CayleyGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    assert group.order == 3 and group.inverse.tolist() == [0, 2, 1]
+    with pytest.raises(TypeError):
+        CayleyGroup(order=group.order, table=group.table, inverse=group.inverse)
+
+
+def test_validate_group_copies_read_only_view():
+    base = (np.add.outer(np.arange(5), np.arange(5)) % 5).astype(np.int32)
+    view = base.view()
+    view.setflags(write=False)
+    group = validate_group(view)
+    assert not np.shares_memory(group.table, base)
+    base[1, 1] = 0
+    assert group.table[1].tolist() == [1, 2, 3, 4, 0]
