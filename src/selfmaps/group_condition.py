@@ -39,6 +39,13 @@ __all__ = [
 
 GROUP_ORDER_CAP = 10000
 
+# dtype of every table and inverse array: each entry is an element index
+# below GROUP_ORDER_CAP <= 2**16 - 1, so 16 bits hold it, and the
+# quadratic passes (inverse scan, Light's test, Latin scan) move half
+# the bytes of int32.  Entries are only ever used as indices: unsigned
+# arithmetic on them would wrap.
+_INDEX_DTYPE = np.uint16
+
 # row or column block size for the quadratic table scans; bounds peak memory
 _BLOCK = 1024
 
@@ -70,8 +77,13 @@ class CayleyGroup:
     fails within log2(n) + 1 generators: the greedy generators that
     pass it generate a group, each at least doubling it.
 
-    The table is read-only int32: a read-only int32 array owning its
-    data is used without a copy, anything else (a view too) is copied.
+    ``table`` and ``inverse`` are read-only uint16 arrays: the order
+    cap of 10000 keeps every element index below 2**16.  The range of
+    the caller's entries is checked before the cast, so no entry wraps
+    into range.  The constructor always copies: numpy cannot tell
+    whether writeable views of a caller's array exist, even of a
+    read-only one, so sharing it would let the table change after the
+    checks.
     """
 
     order: int
@@ -91,10 +103,13 @@ class CayleyGroup:
             raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
         if table.min() < 0 or table.max() >= n:
             raise GroupValidationError("table entries must be element indices")
-        if table.dtype != np.int32 or table.flags.writeable or not table.flags.owndata:
-            table = table.astype(np.int32)
-        idx = np.arange(n, dtype=np.int32)
-        inverse = np.empty(n, dtype=np.int32)
+        self._check_and_store(table.astype(_INDEX_DTYPE))
+
+    def _check_and_store(self, table: np.ndarray) -> None:
+        """Check the axioms on a fresh in-range index table, then freeze and keep it."""
+        n = table.shape[0]
+        idx = np.arange(n, dtype=_INDEX_DTYPE)
+        inverse = np.empty(n, dtype=_INDEX_DTYPE)
         try:
             if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
                 raise GroupValidationError("identity must be element 0")
@@ -123,6 +138,18 @@ class CayleyGroup:
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return int(self.table[self.table[g, x], self.inverse[g]])
+
+
+def _adopt(table: np.ndarray) -> CayleyGroup:
+    """CayleyGroup over ``table`` itself, without the constructor's copy.
+
+    Only for a square _INDEX_DTYPE table of element indices, within the
+    order cap, that the caller has just filled and holds no other
+    reference or view to.
+    """
+    group = object.__new__(CayleyGroup)
+    group._check_and_store(table)
+    return group
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
@@ -198,7 +225,7 @@ def validate_group(table_like) -> CayleyGroup:
 def element_orders(group: CayleyGroup) -> np.ndarray:
     """Order of every element, computed by simultaneous power iteration."""
     n = group.order
-    idx = np.arange(n, dtype=np.int32)
+    idx = np.arange(n, dtype=_INDEX_DTYPE)
     current = idx.copy()
     orders = np.zeros(n, dtype=np.int64)
     for k in range(1, n + 1):
@@ -244,7 +271,7 @@ def find_cyclic_subgroups(group: CayleyGroup, p: int) -> tuple[CyclicSubgroup, .
 
 def normalizer(group: CayleyGroup, sub: CyclicSubgroup) -> tuple[int, ...]:
     """All g with g * C * g^-1 = C, by direct conjugation of every element."""
-    elems = np.array(sub.elements, dtype=np.int32)
+    elems = np.array(sub.elements, dtype=_INDEX_DTYPE)
     in_sub = np.zeros(group.order, dtype=bool)
     in_sub[elems] = True
     left = group.table[:, elems]
@@ -270,7 +297,7 @@ def conjugation_rho(group: CayleyGroup, sub: CyclicSubgroup) -> dict[int, int]:
         powers.append(cur)
     if len(powers) != sub.order or sorted(powers) != sorted(sub.elements):
         raise ValueError(f"subgroup record disagrees with the powers of {sub.generator}")
-    norm = np.array(normalizer(group, sub), dtype=np.int32)
+    norm = np.array(normalizer(group, sub), dtype=_INDEX_DTYPE)
     exponent_of = np.full(group.order, -1, dtype=np.int32)
     exponent_of[powers] = np.arange(len(powers), dtype=np.int32)
     conj_gen = group.table[group.table[norm, sub.generator], group.inverse[norm]]
@@ -350,16 +377,16 @@ def build_semidirect(p: int) -> CayleyGroup:
     n = p * (p - 1)
     if n > GROUP_ORDER_CAP:
         raise GroupValidationError(f"order {n} = p(p-1) exceeds cap {GROUP_ORDER_CAP}")
-    a = np.arange(p, dtype=np.int32)
-    u = np.arange(1, p, dtype=np.int32)
-    # index of (a + u*b, u*v) split into its a-part and u-part; one
-    # broadcast add writes the whole table as [a, u, b, v]
-    prod_a = (a[:, None, None] + u[None, :, None] * a[None, None, :]) % p * (p - 1)
-    prod_u = (u[:, None] * u[None, :]) % p - 1
-    table = np.empty((n, n), dtype=np.int32)
+    a = np.arange(p)
+    u = np.arange(1, p)
+    # index of (a + u*b, u*v) split into its a-part and u-part, each
+    # below n; one broadcast add of the two writes the whole table as
+    # [a, u, b, v], already in the index dtype
+    prod_a = ((a[:, None, None] + u[None, :, None] * a[None, None, :]) % p * (p - 1)).astype(_INDEX_DTYPE)
+    prod_u = ((u[:, None] * u[None, :]) % p - 1).astype(_INDEX_DTYPE)
+    table = np.empty((n, n), dtype=_INDEX_DTYPE)
     np.add(prod_a[..., None], prod_u[None, :, None, :], out=table.reshape(p, p - 1, p, p - 1))
-    table.setflags(write=False)
-    return validate_group(table)
+    return _adopt(table)
 
 
 def build_cyclic(n: int) -> CayleyGroup:

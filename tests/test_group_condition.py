@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfmaps.group_condition import (
+    GROUP_ORDER_CAP,
     CayleyGroup,
     CyclicSubgroup,
     GroupFileError,
@@ -421,7 +422,7 @@ def test_validate_group_copy_semantics():
     base = (np.add.outer(np.arange(6), np.arange(6)) % 6).astype(np.int32)
     frozen = base.copy()
     frozen.setflags(write=False)
-    assert np.shares_memory(validate_group(frozen).table, frozen)
+    assert not np.shares_memory(validate_group(frozen).table, frozen)
     group = validate_group(base)
     assert not np.shares_memory(group.table, base)
     assert base.flags.writeable
@@ -516,3 +517,44 @@ def test_validate_group_copies_read_only_view():
     assert not np.shares_memory(group.table, base)
     base[1, 1] = 0
     assert group.table[1].tolist() == [1, 2, 3, 4, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16])
+def test_validate_group_copies_array_frozen_after_a_view(dtype):
+    a = (np.add.outer(np.arange(5), np.arange(5)) % 5).astype(dtype)
+    w = a[:]
+    a.setflags(write=False)
+    group = validate_group(a)
+    w[1, 1] = 0
+    assert group.table[1].tolist() == [1, 2, 3, 4, 0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CayleyGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+        lambda: CayleyGroup(np.array([[0, 1], [1, 0]], dtype=np.int8)),
+        lambda: CayleyGroup(np.array([[0, 1], [1, 0]], dtype=np.uint64)),
+        lambda: build_cyclic(12),
+        lambda: build_semidirect(7),
+    ],
+    ids=["list", "int8", "uint64", "cyclic", "semidirect"],
+)
+def test_tables_are_read_only_uint16(make):
+    group = make()
+    for arr in (group.table, group.inverse):
+        assert arr.dtype == np.uint16
+        assert not arr.flags.writeable
+
+
+def test_order_cap_fits_the_index_dtype():
+    assert GROUP_ORDER_CAP <= np.iinfo(build_cyclic(2).table.dtype).max
+
+
+# Z/3 with one entry replaced by a value that wraps to 1 (65537, 2**32 + 1)
+# or to 65535 (-1) in 16 bits; only the range check before the cast catches them
+@pytest.mark.parametrize("entry", [65537, 2**32 + 1, -1])
+def test_out_of_range_entries_do_not_wrap_into_range(entry):
+    table = [[0, entry, 2], [1, 2, 0], [2, 0, 1]]
+    with pytest.raises(GroupValidationError, match="table entries must be element indices"):
+        validate_group(table)
