@@ -49,6 +49,7 @@ CLI_P = 71
 CLI_QS = (71, 5)
 LIB_P = 97
 LIB_QS = (97, 2)
+_ROWS = 64
 
 # Runs in the child: prints the seconds of each part and the result summary.
 _LIB_SCRIPT = """
@@ -67,16 +68,25 @@ print(json.dumps({{"build_s": built - start, "rho_s": done - built, "summary": s
 """
 
 
-def semidirect_text(p: int, seed: int = 0) -> str:
-    """Table file of (a, u)(b, v) = (a + u*b, u*v), elements 1..n-1 relabeled."""
+def write_semidirect(path: Path, p: int, seed: int = 0) -> None:
+    """Table file of (a, u)(b, v) = (a + u*b, u*v), elements 1..n-1 relabeled.
+
+    Written _ROWS rows at a time: a child's ru_maxrss starts from this
+    process's own peak, so building the whole table here would hide the
+    RSS of every case behind it.
+    """
     n = p * (p - 1)
-    a = np.arange(n, dtype=np.int64) // (p - 1)
-    u = np.arange(n, dtype=np.int64) % (p - 1) + 1
-    table = ((a[:, None] + u[:, None] * a[None, :]) % p) * (p - 1) + (u[:, None] * u[None, :]) % p - 1
     label = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
-    relabeled = np.empty_like(table)
-    relabeled[label[:, None], label[None, :]] = label[table]
-    return "\n".join([str(n)] + [" ".join(map(str, row)) for row in relabeled.tolist()]) + "\n"
+    # row r, column c of the relabeled table is label[table[old[r], old[c]]]
+    old = np.argsort(label)
+    a = old // (p - 1)
+    u = old % (p - 1) + 1
+    with path.open("w") as out:
+        out.write(f"{n}\n")
+        for start in range(0, n, _ROWS):
+            ra, ru = a[start : start + _ROWS, None], u[start : start + _ROWS, None]
+            rows = label[((ra + ru * a) % p) * (p - 1) + (ru * u) % p - 1]
+            out.writelines(" ".join(map(str, row)) + "\n" for row in rows.tolist())
 
 
 def lib_runs(src: Path) -> dict:
@@ -116,7 +126,7 @@ def main() -> int:
     cases = {}
     with tempfile.TemporaryDirectory() as tmp:
         group = Path(tmp) / f"semidirect{CLI_P}.grp"
-        group.write_text(semidirect_text(CLI_P))
+        write_semidirect(group, CLI_P)
         for q in CLI_QS:
             cases[f"semidirect{CLI_P}-p{q}"] = cli_runs(src, ["group-check", str(group), str(q), "--json"])
     cases[f"semidirect{LIB_P}"] = lib_runs(src)

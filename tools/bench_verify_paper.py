@@ -58,6 +58,9 @@ def _run_child(argv: list[str], env: dict) -> tuple[int, str, str, int]:
 
     os.wait4 gives this child's own ru_maxrss; RUSAGE_CHILDREN would hold
     the largest of every child waited for so far, earlier cases included.
+    Linux carries the peak across fork and exec, so the figure is never
+    below this process's own peak RSS: keep the runner smaller than what
+    it measures.
     """
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(argv, stdout=out, stderr=err, env=env)
