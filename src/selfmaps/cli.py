@@ -469,11 +469,12 @@ def _cmd_density(args: argparse.Namespace) -> _Outcome:
         order = OrderParams(args.order[0], args.order[1])
     except ValueError as exc:
         raise DescriptorError(f"bad order parameters: {exc}") from None
-    details = split_density_report(order, args.bound).as_dict()
+    primes = primes_up_to(args.bound)
+    details = split_density_report(order, args.bound, primes=primes).as_dict()
     if args.modulus is not None:
         if args.modulus < 2:
             raise DescriptorError(f"modulus must be at least 2, got {args.modulus}")
-        hits = [p for p in primes_up_to(args.bound) if p % args.modulus == 1]
+        hits = [p for p in primes if p % args.modulus == 1]
         details["congruence"] = {
             "modulus": args.modulus,
             "count": len(hits),

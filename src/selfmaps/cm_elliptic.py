@@ -19,7 +19,6 @@ from .qorders import (
     conjugate,
     elements_of_norm,
     norm,
-    prime_norm_elements,
     units,
 )
 
@@ -36,7 +35,6 @@ __all__ = [
     "pullback_exponent",
     "aut_group",
     "endomorphisms_of_degree",
-    "endomorphisms_of_prime_degree",
 ]
 
 # Carrier for the integer endomorphisms of a curve without complex
@@ -205,14 +203,3 @@ def endomorphisms_of_degree(curve: CurveModel, m: int) -> tuple[QuadElem, ...]:
         return ()
     root = QuadElem(_INTEGER_CARRIER, s, 0)
     return (-root, root) if s else (root,)
-
-
-def endomorphisms_of_prime_degree(curve: CurveModel, p: int) -> tuple[QuadElem, ...]:
-    """endomorphisms_of_degree(curve, p) for a prime p, which is not checked.
-
-    With CM this is the Cornacchia search; without CM a prime is never a
-    square, so there are none.
-    """
-    if curve.has_cm:
-        return prime_norm_elements(curve.order, p)
-    return ()

@@ -12,14 +12,16 @@ verdict per bundle shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Union
+
+import numpy as np
 
 from .cm_elliptic import (
     CurveModel,
     TorsionPoint,
     aut_group,
-    endomorphisms_of_prime_degree,
+    endomorphisms_of_degree,
     kernel_on_torsion,
     normalize_point,
     pullback_exponent,
@@ -33,6 +35,7 @@ from .qorders import (
     is_prime,
     norm,
     primes_up_to,
+    represented_norms,
 )
 from .verdicts import (
     AllDegrees,
@@ -58,6 +61,7 @@ __all__ = [
     "EllipticBundleDescriptor",
     "ExceptionalFamily",
     "ScanReport",
+    "SCAN_BOUND_CAP",
     "prime_achievable",
     "scan_primes",
     "admits_all_degrees",
@@ -142,6 +146,18 @@ def _aut_routes(curve: CurveModel, point: TorsionPoint) -> dict[int, AutRoute]:
     return routes
 
 
+def _dual_columns(curve: CurveModel, point: TorsionPoint) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(a, b) such that the dual of x + y*w sends v to x*a + y*b mod k.
+
+    The dual x' + y'*w = (x + t*y) - y*w acts on (1, w) coordinates by
+    the matrix ((x', -n*y'), (y', x' + t*y')) of rational_rep; applied
+    to v = (v0, v1) that is x*(v0, v1) + y*(t*v0 + n*v1, -v0).
+    """
+    k, (v0, v1) = point.k, point.v
+    t, n = curve.order.t, curve.order.n
+    return (v0, v1), ((t * v0 + n * v1) % k, (-v0) % k)
+
+
 def _decide(
     curve: CurveModel, point: TorsionPoint, routes: dict[int, AutRoute], p: int
 ) -> PrimeDecision:
@@ -159,15 +175,11 @@ def _decide(
         return PrimeDecision(prime=p, k=k, achievable=True, witness=route)
     v = point.v
     minus_v = ((-v[0]) % k, (-v[1]) % k)
-    candidates = endomorphisms_of_prime_degree(curve, p)
+    candidates = endomorphisms_of_degree(curve, p)
     if candidates:
-        t, n = curve.order.t, curve.order.n
-        v0, v1 = v
+        (a0, a1), (b0, b1) = _dual_columns(curve, point)
         for alpha in candidates:
-            # the dual x' + y'*w = (x + t*y) - y*w acts on (1, w) coordinates
-            # by the matrix ((x', -n*y'), (y', x' + t*y')) of rational_rep
-            xd, yd = alpha.x + t * alpha.y, -alpha.y
-            w = ((xd * v0 - n * yd * v1) % k, (yd * v0 + (xd + t * yd) * v1) % k)
+            w = ((alpha.x * a0 + alpha.y * b0) % k, (alpha.x * a1 + alpha.y * b1) % k)
             if w == v:
                 return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
             if w == minus_v:
@@ -203,18 +215,109 @@ class ScanReport:
     missing: tuple[int, ...]
 
 
+# Largest bound scan_primes accepts, checked before anything is allocated.
+# At 10^7, `scan --json` on the Gauss order took 9.0 s and 1.15 GB peak RSS
+# with k = 5 (every prime achievable) and 5.6 s and 778 MB with k = 7,
+# point (1, 0), one fresh run each on a 2-core x86_64; the per-prime rows
+# and their JSON text take most of it, growing linearly with the bound.
+# The lattice pass of _first_isogenies computes in numpy int64: norms up
+# to bound, (y, x) keys below 22*bound, and dual images mod k below 2*k**2
+# with k at most about bound.  So it is exact only while bound**2 stays
+# far below 2**62, which this cap guarantees with a wide margin.
+SCAN_BOUND_CAP = 10**7
+
+
+def _first_isogenies(
+    curve: CurveModel, point: TorsionPoint, needed: list[int], bound: int
+) -> dict[int, IsogenyRoute]:
+    """_decide's isogeny step for every prime in needed, by one pass over the lattice.
+
+    needed holds, in increasing order, the primes up to bound that no
+    torsion or automorphism route covers.  The result maps each of them
+    that has an isogeny route to the IsogenyRoute _decide picks.
+
+    Every x + y*w of norm <= bound is visited row by row in y, with the x
+    range of represented_norms.  A point works when its dual sends v to
+    v or -v mod k.  Each needed prime keeps the working point with the
+    smallest (y, x), which is the elements_of_norm order and so _decide's
+    first candidate; the key's low bit is 0 when that point fixes v, as
+    _decide tries +1 before -1.  Only rows y <= 0 are needed: -alpha
+    works exactly when alpha does, so the smallest working point never
+    has y > 0.
+
+    No point works once k exceeds bound + isqrt(4*bound) + 1.  If the
+    dual beta of alpha sends v to +-v, the adjugate of beta -+ 1 shows
+    that k, the exact order of v, divides the norm of beta -+ 1, which is
+    p -+ tr(beta) + 1 with tr(beta)**2 < 4p, so positive and at most
+    that limit.
+    """
+    k = point.k
+    if not curve.has_cm or not needed or k > bound + isqrt(4 * bound) + 1:
+        return {}
+    t, n, d = curve.order.t, curve.order.n, -curve.order.discriminant
+    v = point.v
+    minus_v = ((-v[0]) % k, (-v[1]) % k)
+    (a0, a1), (b0, b1) = _dual_columns(curve, point)
+    primes = np.array(needed, dtype=np.int64)
+    need = np.zeros(bound + 1, dtype=bool)
+    need[primes] = True
+    # |x| <= (isqrt(4*bound) + y_max) / 2 <= span on every row, so the key
+    # (y + y_max) * stride + (x + span) orders points by (y, x) and never
+    # spills a point into the next row's range.
+    y_max = isqrt(4 * bound // d)
+    span = isqrt(4 * bound) + y_max
+    stride = 2 * span + 1
+    unset = np.iinfo(np.int64).max
+    best = np.full(len(needed), unset, dtype=np.int64)
+    for y in range(-y_max, 1):
+        s = isqrt(4 * bound - d * y * y)
+        xs = np.arange(-((s + t * y) // 2), (s - t * y) // 2 + 1, dtype=np.int64)
+        norms = xs * (xs + t * y) + n * y * y
+        keep = need[norms]
+        if not keep.any():
+            continue
+        xs, norms = xs[keep], norms[keep]
+        xr, yr = xs % k, y % k
+        w0, w1 = (xr * a0 + yr * b0) % k, (xr * a1 + yr * b1) % k
+        fixes = (w0 == v[0]) & (w1 == v[1])
+        works = fixes | ((w0 == minus_v[0]) & (w1 == minus_v[1]))
+        keys = ((y + y_max) * stride + xs[works] + span) * 2 + ~fixes[works]
+        np.minimum.at(best, np.searchsorted(primes, norms[works]), keys)
+    found = best != unset
+    cell, flips = np.divmod(best[found], 2)
+    ys, xs = np.divmod(cell, stride)
+    return {
+        p: IsogenyRoute(QuadElem(curve.order, x, y), -1 if flip else 1)
+        for p, x, y, flip in zip(
+            primes[found].tolist(), (xs - span).tolist(), (ys - y_max).tolist(), flips.tolist()
+        )
+    }
+
+
 def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
-    """prime_achievable for every prime up to bound, with one residue table."""
+    """prime_achievable for every prime up to bound, with one residue table
+    and one lattice pass for the primes that need an isogeny."""
     if bound < 2:
         raise ValueError(f"need bound >= 2, got {bound!r}")
+    if bound > SCAN_BOUND_CAP:
+        raise ValueError(f"bound {bound} is above the scan cap {SCAN_BOUND_CAP}")
     point = _require_split_torsion(desc).point
+    k = point.k
     routes = _aut_routes(desc.curve, point)
-    decisions = [_decide(desc.curve, point, routes, p) for p in primes_up_to(bound)]
-    return ScanReport(
-        bound=bound,
-        achievable=tuple(d for d in decisions if d.achievable),
-        missing=tuple(d.prime for d in decisions if not d.achievable),
-    )
+    primes = primes_up_to(bound)
+    needed = [p for p in primes if p % k != 0 and p % k not in routes]
+    isogenies = _first_isogenies(desc.curve, point, needed, bound)
+    torsion = TorsionMultiple(k)
+    achievable: list[PrimeDecision] = []
+    missing: list[int] = []
+    for p in primes:
+        r = p % k
+        witness = torsion if r == 0 else routes.get(r) or isogenies.get(p)
+        if witness is None:
+            missing.append(p)
+        else:
+            achievable.append(PrimeDecision(prime=p, k=k, achievable=True, witness=witness))
+    return ScanReport(bound=bound, achievable=tuple(achievable), missing=tuple(missing))
 
 
 @dataclass(frozen=True)
@@ -330,9 +433,13 @@ def nonsplit_verdict(desc: EllipticBundleDescriptor, bound: int = 1000) -> Verdi
     if isinstance(bundle, SplitTorsion):
         raise ValueError("split torsion bundles are classified by admits_all_degrees")
     if isinstance(bundle, (AtiyahDegreeZero, SplitNonTorsion)):
-        non_norm = tuple(
-            p for p in primes_up_to(bound) if not endomorphisms_of_prime_degree(desc.curve, p)
-        )
+        primes = primes_up_to(bound)
+        if desc.curve.has_cm and primes:
+            norms = represented_norms(desc.curve.order, primes[-1])
+            non_norm = tuple(p for p in primes if not norms[p])
+        else:
+            # without CM the endomorphism degrees are squares, never prime
+            non_norm = tuple(primes)
         shape = (
             "indecomposable degree-0 bundle"
             if isinstance(bundle, AtiyahDegreeZero)

@@ -4,14 +4,14 @@ The pair (t, n), t in {0, 1} and n >= 1, fixes the multiplication rule.
 The discriminant t**2 - 4n is then always negative, so the norm form
 x**2 + t*x*y + n*y**2 is positive definite and every search by norm is
 a finite exhaustion.  Brute-force enumeration is deliberate: it is the
-ground truth the rest of the package is checked against.
-represented_norms runs that exhaustion once for every norm up to a
-bound, so a claim about all primes below the bound costs one pass over
-the norm form, not one search per prime.  The one fast path,
-prime_norm_elements (Cornacchia's algorithm for a prime norm), serves
-the per-prime scans and is tested against elements_of_norm.  is_prime
-reads a sieve, built on first use, up to _SIEVE_CAP and trial-divides
-above it.
+ground truth the rest of the package is checked against, and there is
+no per-prime fast path beside it.  represented_norms runs that
+exhaustion once for every norm up to a bound, so a claim about all
+primes below the bound costs one pass over the norm form, not one
+search per prime; the prime scan of elliptic_pbundle walks the same
+lattice once per descriptor.  is_prime reads a sieve, built on first
+use, up to _SIEVE_CAP and trial-divides above it; split_density_report
+takes its primes from a sieve and does not prove them prime again.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "units",
     "elements_of_norm",
     "represented_norms",
-    "prime_norm_elements",
     "degree_two_table",
     "is_prime",
     "primes_up_to",
@@ -167,70 +166,6 @@ def units(order: OrderParams) -> tuple[QuadElem, ...]:
     return elements_of_norm(order, 1)
 
 
-def _sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of the quadratic residue a mod an odd prime p (Tonelli-Shanks)."""
-    a %= p
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c = i, b * b % p
-        t, root = t * c % p, root * b % p
-    return root
-
-
-def prime_norm_elements(order: OrderParams, p: int) -> tuple[QuadElem, ...]:
-    """All elements of prime norm p, equal to elements_of_norm(order, p).
-
-    p must be prime; it is not checked, since callers pass sieve output.
-    For odd p prime to the discriminant D, Euler's criterion on D decides
-    whether a solution can exist, so an inert prime costs one pow.  Else
-    Cornacchia's algorithm (Cohen, Alg. 1.5.3) solves X**2 + |D|*y**2 = 4p
-    with X = 2x + t*y, giving one element pi of norm p.  The ideal (pi)
-    is one of the two primes above p, so every element of norm p is a
-    unit times pi or its conjugate.  p = 2 and p | D, which covers the
-    conductor of a non-maximal order, go to the brute-force search.
-    """
-    d = -order.discriminant
-    if p == 2 or d % p == 0:
-        return elements_of_norm(order, p)
-    if legendre_euler(-d, p) != 1:
-        return ()
-    b = _sqrt_mod_prime(-d, p)
-    if b % 2 != d % 2:
-        b = p - b
-    a, limit = 2 * p, math.isqrt(4 * p)
-    while b > limit:
-        a, b = b, a % b
-    rest = 4 * p - b * b
-    if rest % d != 0:
-        return ()
-    y = math.isqrt(rest // d)
-    if y * y != rest // d:
-        return ()
-    t, n = order.t, order.n
-    x = (b - t * y) // 2
-    # u * alpha for each unit u and alpha in {pi, conj(pi)}, pi = x + y*w,
-    # kept as (y, x) pairs so that sorting gives the elements_of_norm order
-    found = set()
-    for u in units(order):
-        for ax, ay in ((x, y), (x + t * y, -y)):
-            found.add((u.x * ay + u.y * ax + t * u.y * ay, u.x * ax - n * u.y * ay))
-    return tuple(QuadElem(order, ex, ey) for ey, ex in sorted(found))
-
-
 def degree_two_table(n_max: int) -> dict[OrderParams, tuple[QuadElem, ...]]:
     """Norm-2 elements for every order with n <= n_max, both trace values.
 
@@ -322,24 +257,41 @@ def legendre_reciprocity(a: int, p: int) -> int:
     return sign * legendre_reciprocity(p % a, a)
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol of a mod an odd prime p.
+def _cross_checked_legendre(a: int, p: int) -> int:
+    """Legendre symbol of a mod an odd prime p, which is not checked.
 
     Computed by Euler's criterion and cross-checked against the
     reciprocity evaluation on every call; the redundancy is the point.
     """
-    if p <= 2 or not is_prime(p):
-        raise NotPrimeError(f"p must be an odd prime, got {p!r}")
     e = legendre_euler(a, p)
     if e != legendre_reciprocity(a, p):
         raise RuntimeError(f"legendre mismatch at ({a}, {p})")
     return e
 
 
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol of a mod an odd prime p, cross-checked as _cross_checked_legendre."""
+    if p <= 2 or not is_prime(p):
+        raise NotPrimeError(f"p must be an odd prime, got {p!r}")
+    return _cross_checked_legendre(a, p)
+
+
 class SplitType(Enum):
     SPLIT = "split"
     INERT = "inert"
     RAMIFIED = "ramified"
+
+
+def _split_type_of_prime(order: OrderParams, p: int) -> SplitType:
+    """split_type for a p known to be prime, such as sieve output; not checked."""
+    d = order.discriminant
+    if p == 2:
+        if d % 2 == 0:
+            return SplitType.RAMIFIED
+        return SplitType.SPLIT if d % 8 == 1 else SplitType.INERT
+    if d % p == 0:
+        return SplitType.RAMIFIED
+    return SplitType.SPLIT if _cross_checked_legendre(d, p) == 1 else SplitType.INERT
 
 
 def split_type(order: OrderParams, p: int) -> SplitType:
@@ -350,14 +302,7 @@ def split_type(order: OrderParams, p: int) -> SplitType:
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p!r}")
-    d = order.discriminant
-    if p == 2:
-        if d % 2 == 0:
-            return SplitType.RAMIFIED
-        return SplitType.SPLIT if d % 8 == 1 else SplitType.INERT
-    if d % p == 0:
-        return SplitType.RAMIFIED
-    return SplitType.SPLIT if legendre(d, p) == 1 else SplitType.INERT
+    return _split_type_of_prime(order, p)
 
 
 @dataclass(frozen=True)
@@ -387,13 +332,22 @@ class SplitDensityReport:
         }
 
 
-def split_density_report(order: OrderParams, bound: int) -> SplitDensityReport:
-    """Split/inert/ramified counts over all primes <= bound."""
+def split_density_report(
+    order: OrderParams, bound: int, *, primes: list[int] | None = None
+) -> SplitDensityReport:
+    """Split/inert/ramified counts over all primes <= bound.
+
+    primes, when given, must be primes_up_to(bound); a caller that has
+    sieved already passes it to save a second sieve.  The primes are not
+    tested again, so the cost per prime is the two Legendre evaluations.
+    """
     if bound < 100:
         raise ValueError(f"bound must be at least 100, got {bound!r}")
+    if primes is None:
+        primes = primes_up_to(bound)
     counts = {SplitType.SPLIT: 0, SplitType.INERT: 0, SplitType.RAMIFIED: 0}
-    for p in primes_up_to(bound):
-        counts[split_type(order, p)] += 1
+    for p in primes:
+        counts[_split_type_of_prime(order, p)] += 1
     return SplitDensityReport(
         order=order,
         bound=bound,

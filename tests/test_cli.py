@@ -17,6 +17,7 @@ from selfmaps.cli import (
     report_from_payload,
     report_to_payload,
 )
+from selfmaps.elliptic_pbundle import SCAN_BOUND_CAP
 from selfmaps.group_condition import build_cyclic, build_semidirect
 
 EXC_DESCRIPTOR = """\
@@ -170,6 +171,13 @@ def test_scan_rejects_nontorsion_descriptor(tmp_path, capsys):
     code, _, err = run_cli(capsys, "scan", desc)
     assert code == 2
     assert "split_torsion" in err
+
+
+def test_scan_bound_above_cap_is_an_input_error(tmp_path, capsys):
+    desc = write(tmp_path, "exc.desc", EXC_DESCRIPTOR)
+    code, out, err = run_cli(capsys, "scan", desc, "--bound", str(SCAN_BOUND_CAP + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: bound {SCAN_BOUND_CAP + 1} is above the scan cap {SCAN_BOUND_CAP}\n"
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])

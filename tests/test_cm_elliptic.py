@@ -10,7 +10,6 @@ from selfmaps.cm_elliptic import (
     aut_group,
     dual,
     endomorphisms_of_degree,
-    endomorphisms_of_prime_degree,
     exact_order,
     kernel_on_torsion,
     normalize_point,
@@ -147,15 +146,6 @@ def test_endomorphisms_of_degree():
     assert endomorphisms_of_degree(nocm, 7) == ()
     with pytest.raises(ValueError):
         endomorphisms_of_degree(nocm, 0)
-
-
-def test_endomorphisms_of_prime_degree_matches_general_search():
-    curves = [CurveModel.no_cm()] + [
-        CurveModel.cm(OrderParams(t, n)) for t in (0, 1) for n in range(1, 7)
-    ]
-    for curve in curves:
-        for p in primes_up_to(1000):
-            assert endomorphisms_of_prime_degree(curve, p) == endomorphisms_of_degree(curve, p)
 
 
 def test_nocm_elements_behave_like_integers():

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from selfmaps.cm_elliptic import (
     CurveModel,
@@ -15,6 +17,7 @@ from selfmaps.cm_elliptic import (
     torsion_action,
 )
 from selfmaps.elliptic_pbundle import (
+    SCAN_BOUND_CAP,
     AtiyahDegreeOne,
     AtiyahDegreeZero,
     EllipticBundleDescriptor,
@@ -26,6 +29,9 @@ from selfmaps.elliptic_pbundle import (
     matching_exceptional_family,
     nonsplit_verdict,
     prime_achievable,
+    _aut_routes,
+    _decide,
+    _first_isogenies,
     scan_primes,
 )
 from selfmaps.qorders import OrderParams, QuadElem, norm, primes_up_to
@@ -272,7 +278,8 @@ def _reference_decision(desc, p):
 
 def test_scan_table_matches_per_prime_rule():
     # one seeded exact-order point per (curve, k); scan_primes shares one
-    # residue table and the Cornacchia search, the reference uses neither
+    # residue table and one lattice pass for the isogeny route, the
+    # reference uses neither
     rng = random.Random(3)
     curves = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)), CurveModel.cm(OrderParams(0, 6)))
     primes = primes_up_to(3000)
@@ -290,6 +297,73 @@ def test_scan_table_matches_per_prime_rule():
                     assert scanned[p] == decision, (curve, k, p)
                 else:
                     assert p in report.missing, (curve, k, p)
+
+
+SCAN_CURVES = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)), CurveModel.cm(OrderParams(0, 6)))
+
+
+@st.composite
+def scan_cases(draw):
+    curve = draw(st.sampled_from(SCAN_CURVES))
+    k = draw(st.integers(1, 13))
+    points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
+    bound = draw(st.one_of(st.integers(2, 1000), st.integers(10_000, 20_000)))
+    return curve, k, draw(st.sampled_from(points)), bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+# a key stride shorter than a row's x range gave a wrong witness here
+@example((CurveModel.cm(DISC7), 8, (0, 1), 10_000))
+@example((CurveModel.cm(OrderParams(0, 5)), 7, (1, 0), 20_000))
+@example((CurveModel.cm(OrderParams(0, 6)), 13, (1, 3), 20_000))
+def test_scan_matches_per_prime_oracle(case):
+    curve, k, v, bound = case
+    desc = split_desc(curve, k, v)
+    point = desc.bundle.point
+    routes = _aut_routes(curve, point)
+    report = scan_primes(desc, bound)
+    achievable = {d.prime: d for d in report.achievable}
+    missing = set(report.missing)
+    for p in primes_up_to(bound):
+        decision = _decide(curve, point, routes, p)
+        if decision.achievable:
+            assert achievable.get(p) == decision, (p, decision)
+        else:
+            assert p in missing, (p, decision)
+    assert len(achievable) + len(missing) == len(primes_up_to(bound))
+
+
+@pytest.mark.parametrize(
+    "k, v, bound, found",
+    [
+        # beta = -50 - 7i of norm 2549 fixes v mod norm(beta - 1) = 2650,
+        # the largest k at which the lattice pass still runs for this bound
+        (2650, (7, 2599), 2549, True),
+        (2651, (7, 2599), 2549, False),
+        # dual images of huge residues would overflow int64 products
+        (2**40 + 15, (2**40 + 14, 2**40 + 13), 3000, False),
+    ],
+)
+def test_lattice_pass_at_large_torsion_levels(k, v, bound, found):
+    curve, point = CurveModel.cm(GAUSS), TorsionPoint(k, v)
+    needed = [p for p in primes_up_to(bound) if p % k != 0]
+    expected = {p: _decide(curve, point, {}, p).witness for p in needed}
+    expected = {p: w for p, w in expected.items() if w is not None}
+    assert bool(expected) == found
+    assert _first_isogenies(curve, point, needed, bound) == expected
+
+
+def test_scan_bound_cap_checked_before_allocating():
+    desc = split_desc(CurveModel.cm(GAUSS), 7, (1, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="scan cap"):
+            scan_primes(desc, SCAN_BOUND_CAP + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 # sha256 of the verdict payloads of every curve model x k <= 8 x unit

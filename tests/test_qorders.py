@@ -19,7 +19,6 @@ from selfmaps.qorders import (
     legendre_euler,
     legendre_reciprocity,
     norm,
-    prime_norm_elements,
     primes_up_to,
     represented_norms,
     split_density_report,
@@ -268,33 +267,9 @@ def test_norm_witness_iff_not_inert():
             assert (norms[p] == 1) == (elements_of_norm(order, p) != ()) == not_inert
 
 
-PRIMES_50K = primes_up_to(50_000)
-
-
-def _prime_divisors(m):
-    return [p for p in primes_up_to(m) if m % p == 0]
-
-
 # n = 3, 4 give the non-maximal orders of discriminant -12 and -16, and
-# n = 5, 6 class number two; p = 2 and the p dividing D take the
-# brute-force branch, every other prime the Cornacchia branch.
+# n = 5, 6 class number two.
 orders_40_st = st.builds(OrderParams, t=st.integers(0, 1), n=st.integers(1, 40))
-order_and_prime_st = orders_40_st.flatmap(
-    lambda o: st.tuples(
-        st.just(o),
-        st.one_of(
-            st.sampled_from(PRIMES_50K),
-            st.sampled_from([2] + _prime_divisors(-o.discriminant)),
-        ),
-    )
-)
-
-
-@settings(max_examples=500, deadline=None)
-@given(order_and_prime_st)
-def test_prime_norm_elements_matches_brute_force(pair):
-    order, p = pair
-    assert prime_norm_elements(order, p) == elements_of_norm(order, p)
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,13 +291,6 @@ def test_represented_norms_rejects_negative_bound():
         represented_norms(GAUSS, -1)
 
 
-def test_prime_norm_elements_bench_orders_sweep():
-    orders = (GAUSS, EISENSTEIN, DISC8, DISC7, OrderParams(0, 5), OrderParams(0, 6))
-    for order in orders:
-        for p in PRIMES_50K[:3000]:
-            assert prime_norm_elements(order, p) == elements_of_norm(order, p), (order, p)
-
-
 def test_split_density_report():
     report = split_density_report(GAUSS, 10**4)
     assert report.total == 1229
@@ -330,6 +298,18 @@ def test_split_density_report():
     assert abs(report.split_fraction - 0.5) < 0.02
     d = report.as_dict()
     assert d["split_count"] + d["inert_count"] + d["ramified_count"] == 1229
+
+
+def test_split_density_report_matches_split_type():
+    # the report skips the primality checks of split_type, nothing else
+    for order in CLASS_NUMBER_ONE + (OrderParams(0, 5), OrderParams(1, 3)):
+        primes = primes_up_to(5000)
+        report = split_density_report(order, 5000)
+        kinds = [split_type(order, p) for p in primes]
+        assert (report.split_count, report.inert_count, report.ramified_count) == tuple(
+            kinds.count(kind) for kind in (SplitType.SPLIT, SplitType.INERT, SplitType.RAMIFIED)
+        )
+        assert split_density_report(order, 5000, primes=primes) == report
 
 
 def test_split_density_bound_check():

@@ -10,7 +10,7 @@ peak RSS of the largest of them (ru_maxrss of each child, from
 os.wait4).  Every run must exit 0 and print the same payload once its
 timing_ms line is removed; the sha256 of that payload is stored, so two
 checkouts can be shown to print the same report.  tools/bench_scan.py
-reuses cli_runs for `scan`.
+and tools/bench_density.py reuse cli_runs for `scan` and `density`.
 
 Claim by claim: imports selfmaps from DIR/src into this process, wraps
 each `_check_*` function of the claims module with a timer and calls
@@ -71,11 +71,11 @@ def _run_child(argv: list[str], env: dict) -> tuple[int, str, str, int]:
         return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss
 
 
-def cli_runs(src: Path, argv: list[str]) -> dict:
-    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in fresh interpreters."""
+def cli_runs(src: Path, argv: list[str], runs: int = RUNS) -> dict:
+    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in `runs` fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(src))
     walls, digests, peak_kb = [], set(), 0
-    for _ in range(RUNS):
+    for _ in range(runs):
         start = time.perf_counter()
         code, stdout, stderr, rss_kb = _run_child([sys.executable, "-m", "selfmaps.cli", *argv], env)
         walls.append(time.perf_counter() - start)
