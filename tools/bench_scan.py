@@ -12,7 +12,7 @@ sha256 of the payload minus its timing_ms line.
     gauss-k5: Gauss order, k = 5, point (4, 2); every prime is achievable,
               so the JSON (about 25 MB) dominates
     gauss-k7: Gauss order, k = 7, point (1, 0); 52,344 of the 78,498
-              primes are missing, each after a norm-p search
+              primes are missing, ruled out by the lattice pass
 
 The result goes under runs[NAME] in FILE (default BENCH_scan.json at the
 repository root), so a commit and its parent sit side by side.  Measure
