@@ -36,6 +36,7 @@ from typing import Sequence
 from . import __version__
 from .claims import run_claims
 from .elliptic_pbundle import (
+    SCAN_BOUND_CAP,
     AtiyahDegreeOne,
     AtiyahDegreeZero,
     BundleModel,
@@ -594,7 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("scan", _cmd_scan, _render_scan, "per-prime achievability table for a split torsion bundle")
     p.add_argument("descriptor", help="elliptic_bundle descriptor with bundle=split_torsion")
-    p.add_argument("--bound", type=int, default=10_000, help="scan primes up to this bound")
+    p.add_argument(
+        "--bound", type=int, default=10_000, help=f"scan primes up to this bound, at most {SCAN_BOUND_CAP}"
+    )
 
     p = add("density", _cmd_density, _render_density, "split/inert/ramified prime counts for an order")
     p.add_argument("--order", type=int, nargs=2, metavar=("T", "N"), required=True)

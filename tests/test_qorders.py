@@ -302,8 +302,8 @@ def test_split_density_report():
 
 def test_split_density_report_matches_split_type():
     # the report skips the primality checks of split_type, nothing else
+    primes = primes_up_to(5000)
     for order in CLASS_NUMBER_ONE + (OrderParams(0, 5), OrderParams(1, 3)):
-        primes = primes_up_to(5000)
         report = split_density_report(order, 5000)
         kinds = [split_type(order, p) for p in primes]
         assert (report.split_count, report.inert_count, report.ramified_count) == tuple(
