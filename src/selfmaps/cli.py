@@ -313,13 +313,9 @@ def _high_genus_verdict(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
         return verdict, detail
     del detail["witnesses"]
     p = report.p
-    uncovered_everywhere = set(range(1, p))
-    for sub in report.subgroup_reports:
-        reachable = {m % p for m in sub.image} | {-m % p for m in sub.image}
-        uncovered_everywhere &= set(range(1, p)) - reachable
-    examples = tuple(
-        q for q in primes_up_to(bound) if q % p in uncovered_everywhere
-    )
+    # a subgroup's witnesses are keyed by the residues it reaches up to sign
+    uncovered = set(range(1, p)).difference(*(sub.witnesses for sub in report.subgroup_reports))
+    examples = tuple(q for q in primes_up_to(bound) if q % p in uncovered)
     verdict = InfinitelyManyMissing(
         reason=f"no cyclic subgroup of order {p} is conjugated onto every "
         "residue class up to sign; primes in the uncovered classes never occur",
@@ -398,7 +394,22 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
 _Outcome = tuple[Verdict | None, dict, int]
 
 
+# Largest --bound density and classify accept, checked before any sieve.
+# At 10^7, one fresh run each on a 2-core x86_64: density on the Gauss
+# order 3.8 s and 66 MB peak RSS, classify 5.2 s and 88 MB on a Gauss
+# atiyah_deg0 descriptor and 0.8 s and 116 MB on a no-CM split_nontorsion
+# one.  Density took 33 s and 384 MB at 10^8; at 10^10 its sieve raised
+# MemoryError under a 1.5 GB address-space limit.
+SIEVE_BOUND_CAP = 10**7
+
+
+def _check_sieve_bound(bound: int) -> None:
+    if bound > SIEVE_BOUND_CAP:
+        raise DescriptorError(f"bound {bound} is above the sieve cap {SIEVE_BOUND_CAP}")
+
+
 def _cmd_classify(args: argparse.Namespace) -> _Outcome:
+    _check_sieve_bound(args.bound)
     desc = load_descriptor(args.descriptor)
     verdict, details = classify_descriptor(desc, args.bound)
     details["surface"] = desc.surface
@@ -419,27 +430,19 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     missing: list[int] = []
     if args.bound >= 2:
         scan = scan_primes(e, args.bound)
-        missing = list(scan.missing)
-        # one route text and one payload per distinct witness: an aut
-        # route serves a whole residue class, and the JSON writer encodes
-        # a shared payload once
-        shared: dict[Witness, tuple[str, dict]] = {}
-        later = iter(missing)
-        gap = next(later, None)
-        for decision in scan.achievable:
-            while gap is not None and gap < decision.prime:
-                rows.append({"prime": gap, "achievable": False, "reason": "no route"})
-                gap = next(later, None)
-            witness = decision.witness
-            if witness not in shared:
-                shared[witness] = (_witness_text(witness), witness_to_payload(witness))
-            route, payload = shared[witness]
-            rows.append(
-                {"prime": decision.prime, "achievable": True, "route": route, "witness": payload}
-            )
-        while gap is not None:
-            rows.append({"prime": gap, "achievable": False, "reason": "no route"})
-            gap = next(later, None)
+        # one route text and one payload per witness object, which a residue
+        # class shares; the JSON writer encodes a shared payload once
+        shared: dict[int, tuple[str, dict]] = {}
+        for p, witness in scan.witnesses.items():
+            if witness is None:
+                missing.append(p)
+                rows.append({"prime": p, "achievable": False, "reason": "no route"})
+                continue
+            cached = shared.get(id(witness))
+            if cached is None:
+                cached = shared[id(witness)] = (_witness_text(witness), witness_to_payload(witness))
+            route, payload = cached
+            rows.append({"prime": p, "achievable": True, "route": route, "witness": payload})
     details = {
         "bound": args.bound,
         "k": e.bundle.k,
@@ -470,6 +473,7 @@ def _cmd_density(args: argparse.Namespace) -> _Outcome:
         order = OrderParams(args.order[0], args.order[1])
     except ValueError as exc:
         raise DescriptorError(f"bad order parameters: {exc}") from None
+    _check_sieve_bound(args.bound)
     primes = primes_up_to(args.bound)
     details = split_density_report(order, args.bound, primes=primes).as_dict()
     if args.modulus is not None:
@@ -591,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("classify", _cmd_classify, _render_verdict_only, "classify a surface descriptor file")
     p.add_argument("descriptor", help="key=value descriptor file")
-    p.add_argument("--bound", type=int, default=1000, help="bound for missing-prime example lists")
+    p.add_argument("--bound", type=int, default=1000, help=f"bound for missing-prime examples, at most {SIEVE_BOUND_CAP}")
 
     p = add("scan", _cmd_scan, _render_scan, "per-prime achievability table for a split torsion bundle")
     p.add_argument("descriptor", help="elliptic_bundle descriptor with bundle=split_torsion")
@@ -601,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("density", _cmd_density, _render_density, "split/inert/ramified prime counts for an order")
     p.add_argument("--order", type=int, nargs=2, metavar=("T", "N"), required=True)
-    p.add_argument("--bound", type=int, default=10_000, help="count primes up to this bound")
+    p.add_argument("--bound", type=int, default=10_000, help=f"count primes up to this bound, at most {SIEVE_BOUND_CAP}")
     p.add_argument("--modulus", type=int, default=None, help="also count primes = 1 mod M")
 
     p = add("cm-table", _cmd_cm_table, _render_cm_table, "norm-2 elements for all orders with n up to a limit")

@@ -135,14 +135,16 @@ def _aut_routes(curve: CurveModel, point: TorsionPoint) -> dict[int, AutRoute]:
 
     An automorphism with pullback exponent m covers the degrees congruent
     to m or -m mod k.  Automorphisms are tried in aut_group order and each
-    residue keeps the first one that reaches it, m before -m.
+    residue keeps the first one that reaches it, m before -m; the two
+    residues of one automorphism share its AutRoute object.
     """
     routes: dict[int, AutRoute] = {}
     for phi in aut_group(curve):
         m = pullback_exponent(phi, point)
         if m is not None:
+            route = AutRoute(phi, m)
             for r in (m, (-m) % point.k):
-                routes.setdefault(r, AutRoute(phi, m))
+                routes.setdefault(r, route)
     return routes
 
 
@@ -210,9 +212,14 @@ def prime_achievable(desc: EllipticBundleDescriptor, p: int) -> PrimeDecision:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """Each prime up to bound, in increasing order, mapped to its witness or None."""
+
     bound: int
-    achievable: tuple[PrimeDecision, ...]
-    missing: tuple[int, ...]
+    witnesses: dict[int, Witness | None]
+
+    @property
+    def missing(self) -> tuple[int, ...]:
+        return tuple(p for p, witness in self.witnesses.items() if witness is None)
 
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
@@ -303,21 +310,13 @@ def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
         raise ValueError(f"bound {bound} is above the scan cap {SCAN_BOUND_CAP}")
     point = _require_split_torsion(desc).point
     k = point.k
-    routes = _aut_routes(desc.curve, point)
+    # residue 0 goes to the torsion route, which _decide tries first
+    residues: dict[int, Witness] = {**_aut_routes(desc.curve, point), 0: TorsionMultiple(k)}
     primes = primes_up_to(bound)
-    needed = [p for p in primes if p % k != 0 and p % k not in routes]
+    needed = [p for p in primes if p % k not in residues]
     isogenies = _first_isogenies(desc.curve, point, needed, bound)
-    torsion = TorsionMultiple(k)
-    achievable: list[PrimeDecision] = []
-    missing: list[int] = []
-    for p in primes:
-        r = p % k
-        witness = torsion if r == 0 else routes.get(r) or isogenies.get(p)
-        if witness is None:
-            missing.append(p)
-        else:
-            achievable.append(PrimeDecision(prime=p, k=k, achievable=True, witness=witness))
-    return ScanReport(bound=bound, achievable=tuple(achievable), missing=tuple(missing))
+    witnesses = {p: residues.get(p % k) or isogenies.get(p) for p in primes}
+    return ScanReport(bound=bound, witnesses=witnesses)
 
 
 @dataclass(frozen=True)

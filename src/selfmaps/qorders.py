@@ -332,19 +332,15 @@ class SplitDensityReport:
         }
 
 
-def split_density_report(
-    order: OrderParams, bound: int, *, primes: list[int] | None = None
-) -> SplitDensityReport:
+def split_density_report(order: OrderParams, bound: int, *, primes: list[int]) -> SplitDensityReport:
     """Split/inert/ramified counts over all primes <= bound.
 
-    primes, when given, must be primes_up_to(bound); a caller that has
-    sieved already passes it to save a second sieve.  The primes are not
-    tested again, so the cost per prime is the two Legendre evaluations.
+    primes must be primes_up_to(bound), which the caller has sieved
+    already.  The primes are not tested again, so the cost per prime is
+    the two Legendre evaluations.
     """
     if bound < 100:
         raise ValueError(f"bound must be at least 100, got {bound!r}")
-    if primes is None:
-        primes = primes_up_to(bound)
     counts = {SplitType.SPLIT: 0, SplitType.INERT: 0, SplitType.RAMIFIED: 0}
     for p in primes:
         counts[_split_type_of_prime(order, p)] += 1

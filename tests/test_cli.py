@@ -8,8 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import selfmaps
+from selfmaps import cli, elliptic_pbundle, qorders
 from selfmaps.cli import (
     EXIT_CLOSED_PIPE,
+    SIEVE_BOUND_CAP,
     DescriptorError,
     _json_text,
     main,
@@ -284,6 +286,20 @@ def test_density_input_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "density", "--order", "2", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["density", "classify"])
+def test_sieve_bound_above_cap_is_an_input_error(tmp_path, capsys, monkeypatch, command):
+    def no_sieve(bound):
+        pytest.fail(f"sieved primes up to {bound}")
+
+    for module in (qorders, elliptic_pbundle, cli):
+        monkeypatch.setattr(module, "primes_up_to", no_sieve)
+    desc = write(tmp_path, "deg0.desc", "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=atiyah_deg0\n")
+    target = ["--order", "0", "1"] if command == "density" else [desc]
+    code, out, err = run_cli(capsys, command, *target, "--bound", str(SIEVE_BOUND_CAP + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: bound {SIEVE_BOUND_CAP + 1} is above the sieve cap {SIEVE_BOUND_CAP}\n"
 
 
 def test_cm_table_rows(capsys):

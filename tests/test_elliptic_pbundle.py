@@ -112,8 +112,9 @@ def test_prime_not_achievable_reasons():
 def test_scan_trivial_bundle_has_no_missing():
     for curve in ALL_CURVES:
         report = scan_primes(split_desc(curve, 1, (0, 0)), 100)
+        assert list(report.witnesses) == primes_up_to(100)
         assert report.missing == ()
-        assert all(d.witness == TorsionMultiple(1) for d in report.achievable)
+        assert all(w == TorsionMultiple(1) for w in report.witnesses.values())
 
 
 def test_scan_rejects_tiny_bound():
@@ -240,16 +241,19 @@ def test_witness_soundness_on_scans():
     ]
     for desc in descs:
         k = desc.bundle.k
-        for decision in scan_primes(desc, 200).achievable:
-            w = decision.witness
+        report = scan_primes(desc, 200)
+        assert list(report.witnesses) == primes_up_to(200)
+        for p, w in report.witnesses.items():
+            if w is None:
+                continue
             if isinstance(w, TorsionMultiple):
-                assert decision.prime % w.k == 0
+                assert p % w.k == 0
             elif isinstance(w, AutRoute):
                 assert pullback_exponent(w.phi, desc.bundle.point) == w.m
-                assert decision.prime % k in (w.m % k, -w.m % k)
+                assert p % k in (w.m % k, -w.m % k)
             else:
                 assert isinstance(w, IsogenyRoute)
-                assert norm(w.alpha) == decision.prime
+                assert norm(w.alpha) == p
                 expected = 1 % k if w.sign == 1 else (k - 1) % k
                 assert pullback_exponent(w.alpha, desc.bundle.point) == expected
 
@@ -288,15 +292,13 @@ def test_scan_table_matches_per_prime_rule():
             points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
             desc = split_desc(curve, k, rng.choice(points))
             report = scan_primes(desc, 3000)
-            scanned = {d.prime: d for d in report.achievable}
-            assert set(report.missing) | set(scanned) == set(primes)
+            assert list(report.witnesses) == primes
+            missing = set(report.missing)
             for p in primes:
                 decision = prime_achievable(desc, p)
                 assert decision == _reference_decision(desc, p), (curve, k, p)
-                if decision.achievable:
-                    assert scanned[p] == decision, (curve, k, p)
-                else:
-                    assert p in report.missing, (curve, k, p)
+                assert report.witnesses[p] == decision.witness, (curve, k, p)
+                assert (p in missing) == (not decision.achievable), (curve, k, p)
 
 
 SCAN_CURVES = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)), CurveModel.cm(OrderParams(0, 6)))
@@ -323,16 +325,13 @@ def test_scan_matches_per_prime_oracle(case):
     point = desc.bundle.point
     routes = _aut_routes(curve, point)
     report = scan_primes(desc, bound)
-    achievable = {d.prime: d for d in report.achievable}
     missing = set(report.missing)
     primes = primes_up_to(bound)
+    assert list(report.witnesses) == primes
     for p in primes:
         decision = _decide(curve, point, routes, p)
-        if decision.achievable:
-            assert achievable.get(p) == decision, (p, decision)
-        else:
-            assert p in missing, (p, decision)
-    assert len(achievable) + len(missing) == len(primes)
+        assert report.witnesses[p] == decision.witness, (p, decision)
+        assert (p in missing) == (not decision.achievable), (p, decision)
 
 
 @pytest.mark.parametrize(

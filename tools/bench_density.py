@@ -1,17 +1,15 @@
 """Time `selfmaps density --json` at bounds 10^6 and 10^7 end to end.
 
 Usage:
-    python3 tools/bench_density.py --label NAME [--checkout DIR] [--out FILE] [--runs N]
+    python3 tools/bench_density.py --label NAME [--checkout DIR] [--out FILE]
 
 Runs four density cases against DIR/src, each through
-bench_verify_paper.cli_runs: N (default 5) fresh interpreters of
+bench_verify_paper.cli_runs: RUNS (5) fresh interpreters of
 `python -m selfmaps.cli density --order T N --bound B --json`, one after
 another, recording the median wall time, the largest peak RSS and the
 sha256 of the payload minus its timing_ms line.  The cases are the
 Gauss order (0 1) and the order t = 1, n = 2 (discriminant -7), each at
-B = 10^6 and B = 10^7.  Code that re-proves every sieve prime prime by
-trial division takes minutes per run at 10^7; --runs 1 keeps such a
-measurement short.
+B = 10^6 and B = 10^7.
 
 The result goes under runs[NAME] in FILE (default BENCH_density.json at
 the repository root), so a commit and its parent sit side by side.
@@ -41,18 +39,17 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="key of this measurement under runs")
     parser.add_argument("--checkout", type=Path, default=REPO, help="checkout whose src/ is timed")
     parser.add_argument("--out", type=Path, default=REPO / "BENCH_density.json")
-    parser.add_argument("--runs", type=int, default=RUNS, help="fresh interpreters per case")
     args = parser.parse_args()
     src = args.checkout.resolve() / "src"
     cases = {}
     for name, (t, n) in ORDERS.items():
         for bound in BOUNDS:
             argv = ["density", "--order", t, n, "--bound", str(bound), "--json"]
-            cases[f"{name}-1e{len(str(bound)) - 1}"] = cli_runs(src, argv, args.runs)
+            cases[f"{name}-1e{len(str(bound)) - 1}"] = cli_runs(src, argv)
     record = {
         "checkout": _describe(args.checkout),
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
-        "runs": args.runs,
+        "runs": RUNS,
         "cases": cases,
     }
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -71,11 +71,11 @@ def _run_child(argv: list[str], env: dict) -> tuple[int, str, str, int]:
         return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss
 
 
-def cli_runs(src: Path, argv: list[str], runs: int = RUNS) -> dict:
-    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in `runs` fresh interpreters."""
+def cli_runs(src: Path, argv: list[str]) -> dict:
+    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in RUNS fresh interpreters."""
     env = dict(os.environ, PYTHONPATH=str(src))
     walls, digests, peak_kb = [], set(), 0
-    for _ in range(runs):
+    for _ in range(RUNS):
         start = time.perf_counter()
         code, stdout, stderr, rss_kb = _run_child([sys.executable, "-m", "selfmaps.cli", *argv], env)
         walls.append(time.perf_counter() - start)
