@@ -218,19 +218,11 @@ def _build_curve(fields: _Fields) -> CurveModel:
 def _build_bundle(fields: _Fields) -> BundleModel:
     kind = fields.take("bundle")
     if kind == "split_torsion":
-        k = fields.take_int("k")
-        point = fields.take_pair("point")
-        try:
-            return SplitTorsion(TorsionPoint(k, point))
-        except ValueError as exc:
-            raise DescriptorError(str(exc)) from None
+        return SplitTorsion(TorsionPoint(fields.take_int("k"), fields.take_pair("point")))
     if kind == "split_nontorsion":
         return SplitNonTorsion()
     if kind == "split_degree":
-        try:
-            return SplitNonzeroDegree(fields.take_int("degree"))
-        except ValueError as exc:
-            raise DescriptorError(str(exc)) from None
+        return SplitNonzeroDegree(fields.take_int("degree"))
     if kind == "atiyah_deg0":
         return AtiyahDegreeZero()
     if kind == "atiyah_deg1":

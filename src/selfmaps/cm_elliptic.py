@@ -178,10 +178,22 @@ def pullback_exponent(phi: QuadElem, point: TorsionPoint) -> int | None:
             "normalize it first"
         )
     w = torsion_action(dual(phi), k).apply_mod(point.v, k)
-    for m in range(k):
-        if (m * point.v[0] - w[0]) % k == 0 and (m * point.v[1] - w[1]) % k == 0:
-            return m
+    # gcd(v0, v1) = g is prime to k, so c = (s, t) / g with s*v0 + t*v1 = g
+    # has c.v = 1 mod k; m*v = w then forces m = c.w, the only candidate
+    g, s, t = _bezout(*point.v)
+    m = (s * w[0] + t * w[1]) * pow(g, -1, k) % k
+    if (m * point.v[0] - w[0]) % k == 0 and (m * point.v[1] - w[1]) % k == 0:
+        return m
     return None
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return a, s0, t0
 
 
 def aut_group(curve: CurveModel) -> tuple[QuadElem, ...]:

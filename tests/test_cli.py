@@ -182,6 +182,19 @@ def test_scan_bound_above_cap_is_an_input_error(tmp_path, capsys):
     assert err == f"error: bound {SCAN_BOUND_CAP + 1} is above the scan cap {SCAN_BOUND_CAP}\n"
 
 
+@pytest.mark.parametrize("curve", ["curve=nocm", "curve=cm\norder=0 1"], ids=["nocm", "gauss"])
+def test_split_torsion_at_a_huge_level_exits_within_2s(tmp_path, curve):
+    # the unit -1 pulls back by m = k - 1, which a search over m in
+    # range(k) reaches only after k steps
+    k = 10**12 + 39
+    desc = write(tmp_path, "big.desc", f"surface=elliptic_bundle\n{curve}\nbundle=split_torsion\nk={k}\npoint=1 0\n")
+    src = str(Path(selfmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["scan", desc, "--bound", "100"], ["classify", desc]):
+        proc = subprocess.run([sys.executable, "-m", "selfmaps.cli", *argv], capture_output=True, env=env, timeout=2)
+        assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
 def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
     # `selfmaps scan ... | head -1`: at bound 10^5 the report (about 340 kB

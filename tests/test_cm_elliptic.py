@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from selfmaps.cm_elliptic import (
     CurveModel,
@@ -126,6 +128,35 @@ def test_pullback_exponent_requires_exact_order():
 def test_pullback_exponent_trivial_level():
     # k = 1: the zero class, every endomorphism fixes it
     assert pullback_exponent(q(GAUSS, 3, 2), TorsionPoint(1, (0, 0))) == 0
+
+
+def _pullback_by_search(phi, point):
+    """The first m in range(k) with m*v = w: the oracle for pullback_exponent."""
+    k, v = point.k, point.v
+    w = torsion_action(dual(phi), k).apply_mod(v, k)
+    return next((m for m in range(k) if (m * v[0] - w[0]) % k == 0 and (m * v[1] - w[1]) % k == 0), None)
+
+
+nocm_elems_st = st.integers(1, 20).flatmap(lambda s: st.sampled_from(endomorphisms_of_degree(CurveModel.no_cm(), s * s)))
+
+
+@given(
+    st.one_of(orders_st.flatmap(elems_st), nocm_elems_st),
+    st.integers(1, 60).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, k - 1), st.integers(0, k - 1))),
+)
+def test_pullback_exponent_matches_search(phi, kab):
+    k, a, b = kab
+    assume(math.gcd(math.gcd(a, b), k) == 1)
+    point = TorsionPoint(k, (a, b))
+    assert pullback_exponent(phi, point) == _pullback_by_search(phi, point)
+
+
+def test_pullback_exponent_at_a_huge_level():
+    # the unit -1 pulls back by m = k - 1, the last candidate of a search over range(k)
+    k = 10**12 + 39
+    minus_one = aut_group(CurveModel.no_cm())[0]
+    assert pullback_exponent(minus_one, TorsionPoint(k, (1, 0))) == k - 1
+    assert pullback_exponent(q(GAUSS, 0, 1), TorsionPoint(k, (1, 0))) is None
 
 
 def test_aut_groups():

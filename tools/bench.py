@@ -1,0 +1,305 @@
+"""Time the selfmaps CLI paths and record the runs in a BENCH_*.json file.
+
+Usage:
+    python3 tools/bench.py SUITE --label NAME [--checkout DIR] [--out FILE]
+
+Every CLI case runs `python -m selfmaps.cli ...` against DIR/src in RUNS
+(5) fresh interpreters, one after another, and records the median wall
+time (time.perf_counter around each subprocess), the peak RSS of the
+largest run (ru_maxrss of each child, from os.wait4) and the sha256 of
+the payload minus its timing_ms line.  Every run must exit 0 and print
+the same payload, so two checkouts can be shown to print the same report.
+
+SUITE is one of:
+
+    verify-paper  `verify-paper --json`; then, in this process, each
+                  `_check_*` function of the claims module is wrapped with
+                  a timer and run_claims is called RUNS times, so each
+                  claim's seconds are a median (the first call also pays
+                  the one-time caches and sieves)
+    scan          `scan DESC --bound 10^6 --json` on two descriptors:
+                  gauss-k5 (k = 5, point (4, 2): every prime achievable,
+                  so the JSON of about 25 MB dominates) and gauss-k7
+                  (k = 7, point (1, 0): 52,344 of the 78,498 primes are
+                  missing, ruled out by the lattice pass)
+    density       `density --order T N --bound B --json` for the Gauss
+                  order (0 1) and t = 1, n = 2 (discriminant -7), each at
+                  B = 10^6 and 10^7
+    group         `group-check GROUP P --json` on Z/71 x| (Z/71)* (order
+                  4970) with its non-identity elements relabeled by a fixed
+                  permutation, at P = 71 (the normal subgroup of order 71,
+                  covered) and P = 5 (71 subgroups of order 5, none
+                  covered); then semidirect97: RUNS fresh interpreters each
+                  time build_semidirect(97) (order 9312: build and
+                  validation) and rho_bar_surjective at q = 97 and q = 2,
+                  recording the median of each part and of their sum, the
+                  largest peak RSS and the sha256 of the reports' holds,
+                  images and witnesses
+
+The record goes under runs[NAME] in FILE (default: the suite's
+BENCH_*.json at the repository root), so measurements of several
+checkouts, such as a commit and its parent, sit side by side.  One suite
+runs per invocation, and its CLI children run before anything imports
+selfmaps or numpy into this process (see _run_child).  Measure only with
+nothing else heavy running: the numbers are wall times on a shared host.
+"""
+
+import argparse
+import hashlib
+import importlib.machinery
+import importlib.util
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+RUNS = 5
+_TIMING_LINE = re.compile(r'^  "timing_ms": [^\n]*\n', re.MULTILINE)
+
+SCAN_BOUND = 1_000_000
+SCAN_DESCRIPTORS = {
+    "gauss-k5": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=4 2\n",
+    "gauss-k7": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=7\npoint=1 0\n",
+}
+DENSITY_ORDERS = {"gauss": "0 1", "disc7": "1 2"}
+DENSITY_BOUNDS = (10**6, 10**7)
+GROUP_P, GROUP_QS = 71, (71, 5)
+SEMIDIRECT_P, SEMIDIRECT_QS = 97, (97, 2)
+
+# Runs in the child: prints the seconds of each part and the result summary.
+_SEMIDIRECT_SCRIPT = """
+import json, time
+from selfmaps.group_condition import build_semidirect, rho_bar_surjective
+start = time.perf_counter()
+group = build_semidirect({p})
+built = time.perf_counter()
+reports = [rho_bar_surjective(group, q) for q in {qs}]
+done = time.perf_counter()
+summary = [[r.p, r.holds, sorted(r.witnesses.items()), [list(s.image) for s in r.subgroup_reports]] for r in reports]
+print(json.dumps({{"build_s": built - start, "rho_s": done - built, "summary": summary}}))
+"""
+
+
+def _describe(checkout: Path) -> str | None:
+    describe = ["git", "-C", str(checkout), "describe", "--always", "--dirty"]
+    return subprocess.run(describe, capture_output=True, text=True).stdout.strip() or None
+
+
+def _run_child(src: Path, name: str, argv: list[str]) -> tuple[float, str, int]:
+    """Wall seconds, stdout and peak RSS in kB of `python ARGV` against SRC, which must exit 0.
+
+    os.wait4 gives this child's own ru_maxrss; RUSAGE_CHILDREN would hold
+    the largest of every child waited for so far, earlier cases included.
+    Linux carries the peak across fork and exec, so the figure is never
+    below this process's own peak RSS: keep the runner smaller than what
+    it measures, and digest each stdout before the next run.
+    """
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *argv], stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        out.seek(0)
+        stdout = out.read().decode()
+        wall = time.perf_counter() - start
+        if status != 0:
+            err.seek(0)
+            raise SystemExit(f"{name} exited {os.waitstatus_to_exitcode(status)}: {err.read().decode()}")
+        return wall, stdout, usage.ru_maxrss
+
+
+def _runs(src: Path, name: str, argv: list[str], parse) -> dict:
+    """Medians, peak RSS and payload sha256 of `python ARGV` against SRC in RUNS fresh interpreters.
+
+    parse(wall, stdout) gives a run's timed parts, in seconds, and its
+    payload text; every run must give the same payload.  The per-run
+    seconds of the last part are kept as well as its median.
+    """
+    seconds, digests, peak_kb = {}, set(), 0
+    for _ in range(RUNS):
+        wall, stdout, rss_kb = _run_child(src, name, argv)
+        parts, payload = parse(wall, stdout)
+        digests.add(hashlib.sha256(payload.encode()).hexdigest())
+        del payload  # hold no more than one stdout while the next child runs (see _run_child)
+        for part, s in parts.items():
+            seconds.setdefault(part, []).append(s)
+        peak_kb = max(peak_kb, rss_kb)
+    if len(digests) != 1:
+        raise SystemExit(f"{name} printed {len(digests)} different payloads")
+    last = list(seconds)[-1]
+    return {
+        **{f"{part}_median": round(statistics.median(s), 4) for part, s in seconds.items()},
+        f"{last}_runs": [round(s, 4) for s in seconds[last]],
+        # Linux reports ru_maxrss in kB.
+        "peak_rss_mb": round(peak_kb / 1024, 1),
+        "payload_sha256": digests.pop(),
+    }
+
+
+def cli_runs(src: Path, argv: list[str]) -> dict:
+    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in RUNS fresh interpreters."""
+
+    def parts(wall: float, stdout: str) -> tuple[dict, str]:  # the payload is stdout minus its timing_ms line
+        return {"wall_s": wall}, _TIMING_LINE.sub("", stdout, count=1)
+
+    return _runs(src, argv[0], ["-m", "selfmaps.cli", *argv], parts)
+
+
+def claim_seconds(src: Path) -> dict:
+    """Median in-process seconds of each claim over RUNS calls of run_claims."""
+    # the package is looked up in SRC alone, so this process's sys.path stays as it is
+    spec = importlib.machinery.PathFinder.find_spec("selfmaps", [str(src)])
+    sys.modules["selfmaps"] = package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    claims = importlib.import_module("selfmaps.claims")
+    spent: dict[str, list[float]] = {}
+
+    def timed(name, check):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return check(*args, **kwargs)
+            finally:
+                spent.setdefault(name, []).append(time.perf_counter() - start)
+
+        return wrapper
+
+    # run_claims looks the checks up as module globals on each call, so
+    # replacing them here times every claim, exceptional-families included.
+    for attr in [a for a in vars(claims) if a.startswith("_check_")]:
+        claim = attr.removeprefix("_check_").replace("_", "-")
+        setattr(claims, attr, timed(claim, getattr(claims, attr)))
+    totals = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        results = claims.run_claims()
+        totals.append(time.perf_counter() - start)
+        if not all(r.passed for r in results):
+            raise SystemExit("a claim failed: " + "; ".join(r.line for r in results if not r.passed))
+    if set(spent) != {r.name for r in results}:
+        raise SystemExit(f"timed {sorted(spent)}, but the battery ran {[r.name for r in results]}")
+    return {
+        "run_claims_s_median": round(statistics.median(totals), 4),
+        "claims_s_median": {name: round(statistics.median(s), 4) for name, s in spent.items()},
+    }
+
+
+def write_semidirect(path: Path, p: int, seed: int = 0) -> None:
+    """Table file of (a, u)(b, v) = (a + u*b, u*v), elements 1..n-1 relabeled.
+
+    Written 64 rows at a time: a child's ru_maxrss starts from this
+    process's own peak, so building the whole table here would hide the
+    RSS of every case behind it.
+    """
+    import numpy as np
+
+    n = p * (p - 1)
+    label = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    # row r, column c of the relabeled table is label[table[old[r], old[c]]]
+    old = np.argsort(label)
+    a = old // (p - 1)
+    u = old % (p - 1) + 1
+    with path.open("w") as out:
+        out.write(f"{n}\n")
+        for start in range(0, n, 64):
+            ra, ru = a[start : start + 64, None], u[start : start + 64, None]
+            rows = label[((ra + ru * a) % p) * (p - 1) + (ru * u) % p - 1]
+            out.writelines(" ".join(map(str, row)) + "\n" for row in rows.tolist())
+
+
+def _semidirect_parts(wall: float, stdout: str) -> tuple[dict, str]:
+    parts = json.loads(stdout)
+    summary = json.dumps(parts.pop("summary"))
+    return {**parts, "total_s": parts["build_s"] + parts["rho_s"]}, summary
+
+
+# Each suite measures one CLI path; its CLI children run before anything it imports into this process.
+def _verify_paper(src: Path, work: Path) -> dict:
+    return {"cli": cli_runs(src, ["verify-paper", "--json"]), "in_process": claim_seconds(src)}
+
+
+def _scan(src: Path, work: Path) -> dict:
+    for name, text in SCAN_DESCRIPTORS.items():
+        (work / f"{name}.desc").write_text(text)
+    argv = ["--bound", str(SCAN_BOUND), "--json"]
+    return {"cases": {name: cli_runs(src, ["scan", str(work / f"{name}.desc"), *argv]) for name in SCAN_DESCRIPTORS}}
+
+
+def _density(src: Path, work: Path) -> dict:
+    cases = {}
+    for name, order in DENSITY_ORDERS.items():
+        for bound in DENSITY_BOUNDS:
+            argv = ["density", "--order", *order.split(), "--bound", str(bound), "--json"]
+            cases[f"{name}-1e{len(str(bound)) - 1}"] = cli_runs(src, argv)
+    return {"cases": cases}
+
+
+def _group(src: Path, work: Path) -> dict:
+    import numpy
+
+    group = work / f"semidirect{GROUP_P}.grp"
+    write_semidirect(group, GROUP_P)
+    cases = {f"semidirect{GROUP_P}-p{q}": cli_runs(src, ["group-check", str(group), str(q), "--json"]) for q in GROUP_QS}
+    script = _SEMIDIRECT_SCRIPT.format(p=SEMIDIRECT_P, qs=SEMIDIRECT_QS)
+    cases[f"semidirect{SEMIDIRECT_P}"] = _runs(src, f"semidirect{SEMIDIRECT_P}", ["-c", script], _semidirect_parts)
+    return {"numpy": numpy.__version__, "cases": cases}
+
+
+# suite: (default --out at the repository root, header keys of the BENCH file, (src, work dir) -> record keys)
+SUITES = {
+    "verify-paper": ("BENCH_verify_paper.json", {"command": "python -m selfmaps.cli verify-paper --json"}, _verify_paper),
+    "scan": (
+        "BENCH_scan.json",
+        {"command": f"python -m selfmaps.cli scan DESC --bound {SCAN_BOUND} --json", "descriptors": SCAN_DESCRIPTORS},
+        _scan,
+    ),
+    "density": (
+        "BENCH_density.json",
+        {"command": "python -m selfmaps.cli density --order T N --bound B --json", "orders": DENSITY_ORDERS},
+        _density,
+    ),
+    "group": (
+        "BENCH_group.json",
+        {
+            "command": f"python -m selfmaps.cli group-check GROUP P --json (order {GROUP_P * (GROUP_P - 1)})",
+            "in_process": f"build_semidirect({SEMIDIRECT_P}), then rho_bar_surjective at q in {list(SEMIDIRECT_QS)}",
+        },
+        _group,
+    ),
+}
+
+
+def write_record(out: Path, label: str, header: dict, record: dict) -> None:
+    """Set the header keys and runs[label] = record in the BENCH file OUT, keeping its other runs."""
+    bench = json.loads(out.read_text()) if out.exists() else {}
+    bench.update(header)
+    bench.setdefault("runs", {})[label] = record
+    out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("suite", choices=SUITES)
+    parser.add_argument("--label", required=True, help="key of this measurement under runs")
+    parser.add_argument("--checkout", type=Path, default=REPO, help="checkout whose src/ is timed")
+    parser.add_argument("--out", type=Path, help="BENCH file to add to (default: the suite's, at the repository root)")
+    args = parser.parse_args()
+    out, header, measure = SUITES[args.suite]
+    with tempfile.TemporaryDirectory() as work:
+        measured = measure(args.checkout.resolve() / "src", Path(work))
+    host = {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()}
+    record = {"checkout": _describe(args.checkout), "host": host, "runs": RUNS, **measured}
+    write_record(args.out or REPO / out, args.label, header, record)
+    print(json.dumps({args.label: record}, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

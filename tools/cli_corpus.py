@@ -3,15 +3,18 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 2927 invocations of selfmaps.cli.main in this process: scan
+Runs 2999 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
-without --modulus, error cases, cm-table and verify-paper.  Each line
-holds the invocation, its exit code, and sha256 prefixes of stdout
-(minus its timing_ms line) and of stderr.  Points are drawn from a
-fixed seed, so two checkouts that behave alike print the same file:
-`diff` the outputs of a commit and its parent.
+without --modulus, error cases, cm-table and verify-paper; then toric on
+valid, rejected and malformed fans, group-check on a passing, a failing
+and malformed group files, and classify on the other surface kinds and
+on descriptor errors.  Each line holds the invocation, its exit code,
+and sha256 prefixes of stdout (minus its timing_ms line) and of stderr.
+Points are drawn from a fixed seed, so two checkouts that behave alike
+print the same file: `diff` the outputs of a commit and its parent, both
+made with one copy of this script (PYTHONPATH picks the checkout).
 """
 
 from __future__ import annotations
@@ -33,6 +36,35 @@ CURVES = ["curve=nocm"] + [
     for t, n in ((0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (0, 5), (0, 6), (1, 3), (0, 7), (1, 5), (0, 10))
 ]
 SHAPES = ("split_nontorsion", "atiyah_deg0", "atiyah_deg1", "split_degree\ndegree=-3")
+# valid fans (plane, product of lines, F_3, hexagon), a clockwise plane, one fan
+# for each FanValidationError subclass in validate_fan's order, malformed files
+FANS = {
+    "p2": "# plane\n\n1 0\n0 1\n-1 -1\n", "f0": "1 0\n0 1\n-1 0\n0 -1\n", "f3": "1 0\n0 1\n-1 3\n0 -1\n",
+    "hex": "1 0\n1 1\n0 1\n-1 0\n-1 -1\n0 -1\n", "clockwise": "1 0\n-1 -1\n0 1\n", "two": "1 0\n0 1\n",
+    "nonprimitive": "2 0\n0 1\n-1 -1\n", "repeat": "1 0\n1 0\n0 1\n-1 -1\n", "det2": "1 0\n0 1\n-1 -2\n",
+    "winds2": "1 0\n-1 1\n0 -1\n1 1\n-1 0\n1 -1\n", "three": "1 0\n0 1 2\n", "word": "1 0\nx y\n", "none": "#\n",
+}
+# Z/5 x| (Z/5)* with (a, u) numbered 4a + u - 1: (a, u)(b, v) = (a + ub, uv), which passes at p = 5
+AFF5 = [
+    [(x // 4 + (x % 4 + 1) * (y // 4)) % 5 * 4 + (x % 4 + 1) * (y % 4 + 1) % 5 - 1 for y in range(20)] for x in range(20)
+]
+# name: (group file, primes to check); z7 fails at p = 7, the others are malformed or no group
+GROUPS = {
+    "aff5": ("20\n" + "".join(" ".join(map(str, row)) + "\n" for row in AFF5), "5 2 3 4"),
+    "z7": ("7\n" + "".join(" ".join(str((a + b) % 7) for b in range(7)) + "\n" for a in range(7)), "7"),
+    "order": ("x\n0\n", "2"), "rows": ("3\n0 1 2\n1 2 0\n", "2"), "word": ("2\n0 1\n1 a\n", "2"),
+    "range": ("2\n0 1\n1 5\n", "2"), "cap": ("10001\n", "2"), "latin": ("2\n0 1\n1 1\n", "2"),
+}
+DESCRIPTORS = {
+    "abelian": "surface=abelian", "hyperelliptic": "surface=hyperelliptic", "kodaira": "surface=kodaira_one",
+    "toric": "surface=toric\nfan_file=hex.fan", "hg1": "surface=high_genus_bundle\np=1",
+    # p = 5 holds, 7 fails, 4 is not a prime, and aff5 has no subgroup of order 3
+    **{f"hg{p}": f"surface=high_genus_bundle\np={p}\ngroup_file={g}.grp" for p, g in ((5, "aff5"), (7, "z7"))},
+    **{f"hg{p}": f"surface=high_genus_bundle\np={p}\ngroup_file=aff5.grp" for p in (4, 3)},
+    "k0": "surface=elliptic_bundle\ncurve=nocm\nbundle=split_torsion\nk=0\npoint=1 0",
+    "degree0": "surface=elliptic_bundle\ncurve=nocm\nbundle=split_degree\ndegree=0",
+    "order": "surface=elliptic_bundle\ncurve=cm\norder=2 1\nbundle=atiyah_deg0",
+}
 
 
 def invocations(work: Path) -> list[list[str]]:
@@ -40,10 +72,13 @@ def invocations(work: Path) -> list[list[str]]:
     rng = random.Random(7)
     cases = []
 
-    def descriptor(name: str, curve: str, bundle: str) -> str:
+    def write(name: str, text: str) -> str:
         path = work / name
-        path.write_text(f"surface=elliptic_bundle\n{curve}\nbundle={bundle}\n")
+        path.write_text(text)
         return str(path)
+
+    def descriptor(name: str, curve: str, bundle: str) -> str:
+        return write(name, f"surface=elliptic_bundle\n{curve}\nbundle={bundle}\n")
 
     for ci, curve in enumerate(CURVES):
         for k in range(1, 14):
@@ -76,6 +111,13 @@ def invocations(work: Path) -> list[list[str]]:
         ["verify-paper", "--json"],
         ["verify-paper"],
     ]
+    # appended after the cases above, so their lines still diff one for one
+    for name, text in FANS.items():
+        cases += [["toric", write(f"{name}.fan", text), *j] for j in ([], ["--json"])]
+    for name, (text, primes) in GROUPS.items():
+        cases += [["group-check", write(f"{name}.grp", text), p, *j] for p in primes.split() for j in ([], ["--json"])]
+    for name, text in DESCRIPTORS.items():
+        cases += [["classify", write(f"{name}.desc", text + "\n"), *j] for j in (["--bound", "50"], ["--json"])]
     return cases
 
 
