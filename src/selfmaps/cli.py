@@ -387,11 +387,12 @@ _Outcome = tuple[Verdict | None, dict, int]
 
 
 # Largest --bound density and classify accept, checked before any sieve.
-# At 10^7, one fresh run each on a 2-core x86_64: density on the Gauss
-# order 3.8 s and 66 MB peak RSS, classify 5.2 s and 88 MB on a Gauss
-# atiyah_deg0 descriptor and 0.8 s and 116 MB on a no-CM split_nontorsion
-# one.  Density took 33 s and 384 MB at 10^8; at 10^10 its sieve raised
-# MemoryError under a 1.5 GB address-space limit.
+# At 10^7 on a 2-core x86_64: density on the Gauss order 3.8 s and 66 MB
+# peak RSS (one fresh run); classify 1.3 s and 88 MB on a Gauss
+# atiyah_deg0 descriptor and 1.1 s and 116 MB on a no-CM split_nontorsion
+# one (medians of 3 fresh runs).  Density took 33 s and 384 MB at 10^8;
+# at 10^10 its sieve raised MemoryError under a 1.5 GB address-space
+# limit.
 SIEVE_BOUND_CAP = 10**7
 
 
@@ -492,7 +493,17 @@ def _render_density(d: dict) -> list[str]:
     return lines
 
 
+# Largest --max-n cm-table accepts, checked before degree_two_table runs.
+# Rows with n >= 3 are always empty, and the cost grows linearly with
+# max_n: fresh runs on a 2-core x86_64 took 0.36 s and 33 MB peak RSS at
+# 10^4, 1.3 s and 66 MB at 10^5 (median of 3), and 9.7 s and 355 MB at
+# 10^6.
+CM_TABLE_MAX_N_CAP = 10**5
+
+
 def _cmd_cm_table(args: argparse.Namespace) -> _Outcome:
+    if args.max_n > CM_TABLE_MAX_N_CAP:
+        raise DescriptorError(f"--max-n {args.max_n} is above the cm-table cap {CM_TABLE_MAX_N_CAP}")
     table = degree_two_table(args.max_n)
     rows = [
         {
@@ -601,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, default=None, help="also count primes = 1 mod M")
 
     p = add("cm-table", _cmd_cm_table, _render_cm_table, "norm-2 elements for all orders with n up to a limit")
-    p.add_argument("--max-n", type=int, default=10, help="largest n to include")
+    p.add_argument("--max-n", type=int, default=10, help=f"largest n to include, at most {CM_TABLE_MAX_N_CAP}")
 
     p = add("toric", _cmd_toric, _render_verdict_only, "classify a complete smooth fan given as a ray file")
     p.add_argument("fan_file", help="one 'x y' ray per line, counterclockwise")

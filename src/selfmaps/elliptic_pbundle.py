@@ -21,10 +21,12 @@ from .cm_elliptic import (
     CurveModel,
     TorsionPoint,
     aut_group,
+    dual,
     endomorphisms_of_degree,
     kernel_on_torsion,
     normalize_point,
     pullback_exponent,
+    torsion_action,
 )
 from .ns_lattice import atiyah_deg2_search, square_degree_certificate
 from .qorders import (
@@ -34,6 +36,7 @@ from .qorders import (
     conjugate,
     is_prime,
     norm,
+    norm_rows,
     primes_up_to,
     represented_norms,
 )
@@ -148,18 +151,6 @@ def _aut_routes(curve: CurveModel, point: TorsionPoint) -> dict[int, AutRoute]:
     return routes
 
 
-def _dual_columns(curve: CurveModel, point: TorsionPoint) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(a, b) such that the dual of x + y*w sends v to x*a + y*b mod k.
-
-    The dual x' + y'*w = (x + t*y) - y*w acts on (1, w) coordinates by
-    the matrix ((x', -n*y'), (y', x' + t*y')) of rational_rep; applied
-    to v = (v0, v1) that is x*(v0, v1) + y*(t*v0 + n*v1, -v0).
-    """
-    k, (v0, v1) = point.k, point.v
-    t, n = curve.order.t, curve.order.n
-    return (v0, v1), ((t * v0 + n * v1) % k, (-v0) % k)
-
-
 def _decide(
     curve: CurveModel, point: TorsionPoint, routes: dict[int, AutRoute], p: int
 ) -> PrimeDecision:
@@ -175,17 +166,12 @@ def _decide(
     route = routes.get(r)
     if route is not None:
         return PrimeDecision(prime=p, k=k, achievable=True, witness=route)
-    v = point.v
-    minus_v = ((-v[0]) % k, (-v[1]) % k)
     candidates = endomorphisms_of_degree(curve, p)
-    if candidates:
-        (a0, a1), (b0, b1) = _dual_columns(curve, point)
-        for alpha in candidates:
-            w = ((alpha.x * a0 + alpha.y * b0) % k, (alpha.x * a1 + alpha.y * b1) % k)
-            if w == v:
-                return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, 1))
-            if w == minus_v:
-                return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, -1))
+    for alpha in candidates:
+        m = pullback_exponent(alpha, point)
+        for sign in (1, -1):
+            if m == sign % k:
+                return PrimeDecision(prime=p, k=k, achievable=True, witness=IsogenyRoute(alpha, sign))
     reason = "no_isogeny" if candidates else "no_residue"
     return PrimeDecision(prime=p, k=k, achievable=False, reason=reason)
 
@@ -227,10 +213,11 @@ class ScanReport:
 # with k = 5 (every prime achievable) and 5.6 s and 778 MB with k = 7,
 # point (1, 0), one fresh run each on a 2-core x86_64; the per-prime rows
 # and their JSON text take most of it, growing linearly with the bound.
-# The lattice pass of _first_isogenies computes in numpy int64: norms up
-# to bound, (y, x) keys below 22*bound, and dual images mod k below 2*k**2
-# with k at most about bound.  So it is exact only while bound**2 stays
-# far below 2**62, which this cap guarantees with a wide margin.
+# The lattice pass of _first_isogenies reads exact int64 norms from
+# norm_rows and forms its own int64 values: (y, x) keys below 22*bound,
+# and dual images mod k below 2*k**2 with k at most about bound.  So it
+# is exact only while bound**2 stays far below 2**62, which this cap
+# guarantees with a wide margin.
 SCAN_BOUND_CAP = 10**7
 
 
@@ -243,14 +230,13 @@ def _first_isogenies(
     torsion or automorphism route covers.  The result maps each of them
     that has an isogeny route to the IsogenyRoute _decide picks.
 
-    Every x + y*w of norm <= bound is visited row by row in y, with the x
-    range of represented_norms.  A point works when its dual sends v to
-    v or -v mod k.  Each needed prime keeps the working point with the
-    smallest (y, x), which is the elements_of_norm order and so _decide's
-    first candidate; the key's low bit is 0 when that point fixes v, as
-    _decide tries +1 before -1.  Only rows y <= 0 are needed: -alpha
-    works exactly when alpha does, so the smallest working point never
-    has y > 0.
+    Every x + y*w of norm <= bound is visited through norm_rows.  A point
+    works when its dual sends v to v or -v mod k.  Each needed prime
+    keeps the working point with the smallest (y, x), which is the
+    elements_of_norm order and so _decide's first candidate; the key's
+    low bit is 0 when that point fixes v, as _decide tries +1 before -1.
+    Only rows y <= 0 are needed: -alpha works exactly when alpha does, so
+    the smallest working point never has y > 0.
 
     No point works once k exceeds bound + isqrt(4*bound) + 1.  If the
     dual beta of alpha sends v to +-v, the adjugate of beta -+ 1 shows
@@ -261,31 +247,29 @@ def _first_isogenies(
     k = point.k
     if not curve.has_cm or not needed or k > bound + isqrt(4 * bound) + 1:
         return {}
-    t, n, d = curve.order.t, curve.order.n, -curve.order.discriminant
     v = point.v
     minus_v = ((-v[0]) % k, (-v[1]) % k)
-    (a0, a1), (b0, b1) = _dual_columns(curve, point)
+    # the dual is additive and fixes 1, so the dual of x + y*w sends v to
+    # x*v + y*b with b the image of v under the dual of w
+    b = torsion_action(dual(QuadElem(curve.order, 0, 1)), k).apply_mod(v, k)
     primes = np.array(needed, dtype=np.int64)
     need = np.zeros(bound + 1, dtype=bool)
     need[primes] = True
     # |x| <= (isqrt(4*bound) + y_max) / 2 <= span on every row, so the key
     # (y + y_max) * stride + (x + span) orders points by (y, x) and never
     # spills a point into the next row's range.
-    y_max = isqrt(4 * bound // d)
+    y_max = isqrt(4 * bound // -curve.order.discriminant)
     span = isqrt(4 * bound) + y_max
     stride = 2 * span + 1
     unset = np.iinfo(np.int64).max
     best = np.full(len(needed), unset, dtype=np.int64)
-    for y in range(-y_max, 1):
-        s = isqrt(4 * bound - d * y * y)
-        xs = np.arange(-((s + t * y) // 2), (s - t * y) // 2 + 1, dtype=np.int64)
-        norms = xs * (xs + t * y) + n * y * y
+    for y, xs, norms in norm_rows(curve.order, bound):
         keep = need[norms]
         if not keep.any():
             continue
         xs, norms = xs[keep], norms[keep]
         xr, yr = xs % k, y % k
-        w0, w1 = (xr * a0 + yr * b0) % k, (xr * a1 + yr * b1) % k
+        w0, w1 = (xr * v[0] + yr * b[0]) % k, (xr * v[1] + yr * b[1]) % k
         fixes = (w0 == v[0]) & (w1 == v[1])
         works = fixes | ((w0 == minus_v[0]) & (w1 == minus_v[1]))
         keys = ((y + y_max) * stride + xs[works] + span) * 2 + ~fixes[works]

@@ -5,13 +5,15 @@ The discriminant t**2 - 4n is then always negative, so the norm form
 x**2 + t*x*y + n*y**2 is positive definite and every search by norm is
 a finite exhaustion.  Brute-force enumeration is deliberate: it is the
 ground truth the rest of the package is checked against, and there is
-no per-prime fast path beside it.  represented_norms runs that
-exhaustion once for every norm up to a bound, so a claim about all
+no per-prime fast path beside it.  norm_rows walks that exhaustion for
+every norm up to a bound at once, one numpy row of lattice points per
+y; represented_norms marks the norms it yields, so a claim about all
 primes below the bound costs one pass over the norm form, not one
-search per prime; the prime scan of elliptic_pbundle walks the same
-lattice once per descriptor.  is_prime reads a sieve, built on first
-use, up to _SIEVE_CAP and trial-divides above it; split_density_report
-takes its primes from a sieve and does not prove them prime again.
+search per prime, and the prime scan of elliptic_pbundle reads the same
+rows.  elements_of_norm stays their brute-force oracle.  is_prime reads
+a sieve, built on first use, up to _SIEVE_CAP and trial-divides above
+it; split_density_report takes its primes from a sieve and does not
+prove them prime again.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import compress
+from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "NotPrimeError",
@@ -32,6 +37,7 @@ __all__ = [
     "conjugate",
     "units",
     "elements_of_norm",
+    "norm_rows",
     "represented_norms",
     "degree_two_table",
     "is_prime",
@@ -142,21 +148,39 @@ def elements_of_norm(order: OrderParams, m: int) -> tuple[QuadElem, ...]:
     return tuple(sorted(found, key=lambda a: (a.y, a.x)))
 
 
-def represented_norms(order: OrderParams, bound: int) -> bytearray:
-    """flags[m] == 1 exactly when some element has norm m, for 0 <= m <= bound.
+def norm_rows(order: OrderParams, bound: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(y, xs, norms) for every row y <= 0 of the points x + y*w of norm <= bound.
 
-    Visits every (x, y) with y >= 0 and norm <= bound, using the bound
-    |2x + t*y| <= isqrt(4*bound - |D|*y**2) of elements_of_norm; y < 0
-    adds nothing since norm(-a) = norm(a).
+    Rows come in increasing y, each with its x in increasing order, as
+    int64 arrays xs and norms = x**2 + t*x*y + n*y**2.  The bounds are
+    those of elements_of_norm: |y| <= sqrt(4*bound/|D|) and
+    |2x + t*y| <= isqrt(4*bound - |D|*y**2).  Rows y > 0 are left out,
+    since norm(-a) = norm(a).  The int64 arithmetic is exact: every
+    norm is at most bound, every intermediate value is below 4*bound in
+    absolute value, and any bound small enough for a table of that many
+    entries to be allocated is far below 2**62.
     """
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound!r}")
     t, n, d = order.t, order.n, -order.discriminant
-    flags = bytearray(bound + 1)
-    for y in range(math.isqrt(4 * bound // d) + 1):
+    for y in range(-math.isqrt(4 * bound // d), 1):
         s = math.isqrt(4 * bound - d * y * y)
-        for x in range(-((s + t * y) // 2), (s - t * y) // 2 + 1):
-            flags[x * x + t * x * y + n * y * y] = 1
+        xs = np.arange(-((s + t * y) // 2), (s - t * y) // 2 + 1, dtype=np.int64)
+        yield y, xs, xs * (xs + t * y) + n * y * y
+
+
+def represented_norms(order: OrderParams, bound: int) -> bytearray:
+    """flags[m] == 1 exactly when some element has norm m, for 0 <= m <= bound.
+
+    Marks the norms of every row of norm_rows, through a numpy view of
+    the flags.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be non-negative, got {bound!r}")
+    flags = bytearray(bound + 1)
+    marks = np.frombuffer(flags, dtype=np.uint8)
+    for _, _, norms in norm_rows(order, bound):
+        marks[norms] = 1
     return flags
 
 

@@ -1,10 +1,15 @@
 """tools/bench.py: a light runner, and BENCH records that keep every run."""
 
+import hashlib
 import importlib.util
+import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 BENCH = REPO / "tools" / "bench.py"
@@ -53,3 +58,28 @@ def test_write_record_keeps_every_label(tmp_path):
     }
     assert {key: data[key] for key in header} == header
     assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# what the runner hashed before it streamed: the whole stdout minus its first timing_ms line
+_TIMING_LINE = re.compile(r'^  "timing_ms": [^\n]*\n', re.MULTILINE)
+_HEAD = '{\n  "command": "scan",\n  "details": {\n    "bound": 30\n  },\n'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _HEAD + '  "timing_ms": 12.5,\n  "verdict": null\n}\n',
+        _HEAD + '  "timing_ms": 3.25\n}\n',
+        # only the first timing line goes, as with count=1
+        _HEAD + '  "timing_ms": 1,\n  "timing_ms": 2,\n  "z": 0\n}\n',
+        # a nested key is not the report's timing line
+        _HEAD.replace('"bound"', '"timing_ms"') + '  "timing_ms": 7.0\n}\n',
+        _HEAD + "}\n",
+        # a last line without its newline is kept, as the pattern needs the newline
+        _HEAD + '  "timing_ms": 4',
+    ],
+    ids=["middle", "last", "twice", "nested", "absent", "unterminated"],
+)
+def test_streamed_digest_matches_the_whole_text_digest(text):
+    expected = hashlib.sha256(_TIMING_LINE.sub("", text, count=1).encode()).hexdigest()
+    assert _load_bench().payload_sha256(io.BytesIO(text.encode())) == expected

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import selfmaps
 from selfmaps import cli, elliptic_pbundle, qorders
 from selfmaps.cli import (
+    CM_TABLE_MAX_N_CAP,
     EXIT_CLOSED_PIPE,
     SIEVE_BOUND_CAP,
     DescriptorError,
@@ -325,6 +326,16 @@ def test_cm_table_rows(capsys):
     assert rows[0]["elements"] == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
 
 
+def test_cm_table_max_n_above_cap_is_an_input_error(capsys, monkeypatch):
+    def no_table(n_max):
+        pytest.fail(f"built the table up to n = {n_max}")
+
+    monkeypatch.setattr(cli, "degree_two_table", no_table)
+    code, out, err = run_cli(capsys, "cm-table", "--max-n", str(CM_TABLE_MAX_N_CAP + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: --max-n {CM_TABLE_MAX_N_CAP + 1} is above the cm-table cap {CM_TABLE_MAX_N_CAP}\n"
+
+
 def test_toric_subcommand(tmp_path, capsys):
     fan = write(tmp_path, "plane.fan", PLANE_FAN)
     code, out, _ = run_cli(capsys, "toric", fan, "--json")
@@ -348,6 +359,21 @@ def test_group_check(tmp_path, capsys):
 
     code, _, err = run_cli(capsys, "group-check", grp, "6")
     assert code == 2
+
+
+def test_group_without_order_p_elements_group_check_says_no_and_classify_rejects(tmp_path, capsys):
+    # Z/5 x| (Z/5)* has order 20, so no element of order 3: group-check
+    # answers "is some order-3 subgroup conjugated onto every residue?" with
+    # no, while classify refuses a descriptor whose p the group cannot carry
+    grp = group_file(tmp_path, "sd5.grp", build_semidirect(5))
+    code, out, err = run_cli(capsys, "group-check", grp, "3", "--json")
+    assert code == 0 and err == ""
+    details = json.loads(out)["details"]
+    assert (details["group_order"], details["holds"], details["subgroups"]) == (20, False, [])
+    desc = write(tmp_path, "hg.desc", "surface=high_genus_bundle\np=3\ngroup_file=sd5.grp\n")
+    code, out, err = run_cli(capsys, "classify", desc)
+    assert code == 2 and out == ""
+    assert err == "error: group of order 20 has no cyclic subgroup of order 3\n"
 
 
 def test_group_check_rejects_bad_p_before_reading_the_table(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,6 +20,7 @@ from selfmaps.qorders import (
     legendre_euler,
     legendre_reciprocity,
     norm,
+    norm_rows,
     primes_up_to,
     represented_norms,
     split_density_report,
@@ -284,6 +286,24 @@ def test_represented_norms_matches_brute_force(order, bound):
         assert norms[m] == (elements_of_norm(order, m) != ()), m
     # a smaller bound gives a prefix of the same table
     assert represented_norms(order, bound) == norms[: bound + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders_40_st, st.integers(0, 2000))
+@example(OrderParams(0, 1), 2000)
+@example(OrderParams(1, 1), 0)
+@example(OrderParams(1, 1), 1)
+def test_norm_rows_matches_a_box_search(order, bound):
+    # norm >= 3*y**2/4 and norm >= (x + t*y/2)**2, so every point of norm
+    # <= 2000 has |y| <= 51 and |x| <= 71
+    t, n = order.t, order.n
+    box = ((y, x, x * x + t * x * y + n * y * y) for y in range(-60, 1) for x in range(-80, 81))
+    expected = [point for point in box if point[2] <= bound]
+    rows = list(norm_rows(order, bound))
+    assert all(xs.dtype == norms.dtype == np.int64 for _, xs, norms in rows)
+    assert [
+        (y, x, m) for y, xs, norms in rows for x, m in zip(xs.tolist(), norms.tolist())
+    ] == expected
 
 
 def test_represented_norms_rejects_negative_bound():

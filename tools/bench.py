@@ -51,7 +51,6 @@ import importlib.util
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
@@ -61,7 +60,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 RUNS = 5
-_TIMING_LINE = re.compile(r'^  "timing_ms": [^\n]*\n', re.MULTILINE)
+_TIMING_PREFIX = b'  "timing_ms": '
 
 SCAN_BOUND = 1_000_000
 SCAN_DESCRIPTORS = {
@@ -92,42 +91,40 @@ def _describe(checkout: Path) -> str | None:
     return subprocess.run(describe, capture_output=True, text=True).stdout.strip() or None
 
 
-def _run_child(src: Path, name: str, argv: list[str]) -> tuple[float, str, int]:
-    """Wall seconds, stdout and peak RSS in kB of `python ARGV` against SRC, which must exit 0.
+def _run_child(src: Path, name: str, argv: list[str], parse) -> tuple[tuple[dict, str], int]:
+    """parse(wall seconds, stdout) and peak RSS in kB of `python ARGV` against SRC, which must exit 0.
 
-    os.wait4 gives this child's own ru_maxrss; RUSAGE_CHILDREN would hold
-    the largest of every child waited for so far, earlier cases included.
-    Linux carries the peak across fork and exec, so the figure is never
-    below this process's own peak RSS: keep the runner smaller than what
-    it measures, and digest each stdout before the next run.
+    stdout is the child's output as a binary file, read back from disk,
+    so the runner holds only what parse keeps of it.  os.wait4 gives this
+    child's own ru_maxrss; RUSAGE_CHILDREN would hold the largest of every
+    child waited for so far, earlier cases included.  Linux carries the
+    peak across fork and exec, so the figure is never below this
+    process's own peak RSS: keep the runner smaller than what it measures.
     """
     env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *argv], stdout=out, stderr=err, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
-        out.seek(0)
-        stdout = out.read().decode()
         wall = time.perf_counter() - start
         if status != 0:
             err.seek(0)
             raise SystemExit(f"{name} exited {os.waitstatus_to_exitcode(status)}: {err.read().decode()}")
-        return wall, stdout, usage.ru_maxrss
+        out.seek(0)
+        return parse(wall, out), usage.ru_maxrss
 
 
 def _runs(src: Path, name: str, argv: list[str], parse) -> dict:
     """Medians, peak RSS and payload sha256 of `python ARGV` against SRC in RUNS fresh interpreters.
 
-    parse(wall, stdout) gives a run's timed parts, in seconds, and its
-    payload text; every run must give the same payload.  The per-run
-    seconds of the last part are kept as well as its median.
+    parse(wall, stdout) gives a run's timed parts, in seconds, and the
+    sha256 of its payload; every run must give the same payload.  The
+    per-run seconds of the last part are kept as well as its median.
     """
     seconds, digests, peak_kb = {}, set(), 0
     for _ in range(RUNS):
-        wall, stdout, rss_kb = _run_child(src, name, argv)
-        parts, payload = parse(wall, stdout)
-        digests.add(hashlib.sha256(payload.encode()).hexdigest())
-        del payload  # hold no more than one stdout while the next child runs (see _run_child)
+        (parts, digest), rss_kb = _run_child(src, name, argv, parse)
+        digests.add(digest)
         for part, s in parts.items():
             seconds.setdefault(part, []).append(s)
         peak_kb = max(peak_kb, rss_kb)
@@ -143,11 +140,24 @@ def _runs(src: Path, name: str, argv: list[str], parse) -> dict:
     }
 
 
+def payload_sha256(stdout) -> str:
+    """sha256 of a CLI report, a binary file, minus its first timing_ms line; read line by line."""
+    digest = hashlib.sha256()
+    lines = iter(stdout)
+    for line in lines:
+        if line.startswith(_TIMING_PREFIX) and line.endswith(b"\n"):
+            break
+        digest.update(line)
+    for line in lines:
+        digest.update(line)
+    return digest.hexdigest()
+
+
 def cli_runs(src: Path, argv: list[str]) -> dict:
     """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in RUNS fresh interpreters."""
 
-    def parts(wall: float, stdout: str) -> tuple[dict, str]:  # the payload is stdout minus its timing_ms line
-        return {"wall_s": wall}, _TIMING_LINE.sub("", stdout, count=1)
+    def parts(wall: float, stdout) -> tuple[dict, str]:
+        return {"wall_s": wall}, payload_sha256(stdout)
 
     return _runs(src, argv[0], ["-m", "selfmaps.cli", *argv], parts)
 
@@ -214,10 +224,10 @@ def write_semidirect(path: Path, p: int, seed: int = 0) -> None:
             out.writelines(" ".join(map(str, row)) + "\n" for row in rows.tolist())
 
 
-def _semidirect_parts(wall: float, stdout: str) -> tuple[dict, str]:
-    parts = json.loads(stdout)
+def _semidirect_parts(wall: float, stdout) -> tuple[dict, str]:
+    parts = json.loads(stdout.read())
     summary = json.dumps(parts.pop("summary"))
-    return {**parts, "total_s": parts["build_s"] + parts["rho_s"]}, summary
+    return {**parts, "total_s": parts["build_s"] + parts["rho_s"]}, hashlib.sha256(summary.encode()).hexdigest()
 
 
 # Each suite measures one CLI path; its CLI children run before anything it imports into this process.
