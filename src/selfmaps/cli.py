@@ -17,8 +17,9 @@ File paths inside a descriptor are resolved relative to the
 descriptor's own directory.  Output is a human-readable summary or,
 with --json, a report payload documented in docs/report_schema.md.
 Exit status: 0 on success, 1 when verify-paper finds a failing claim,
-2 on any input error, 141 when stdout was closed before the report was
-written (the reader of a pipe exited early, as in `| head -1`).
+2 on any input error, 3 on an internal error (any other exception), 141
+when stdout was closed before the report was written (the reader of a
+pipe exited early, as in `| head -1`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -113,7 +115,7 @@ class SurfaceDescriptor:
 
 @dataclass(frozen=True)
 class Report:
-    """One CLI invocation's result; serializes losslessly to JSON."""
+    """One CLI invocation's result; _json_text of its payload is the --json report."""
 
     command: str
     verdict: Verdict | None
@@ -414,36 +416,41 @@ def _render_verdict_only(details: dict) -> list[str]:
     return []
 
 
+@dataclass(frozen=True)
+class _ScanRows:
+    """details["rows"] of scan: each prime up to the bound, in increasing
+    order, mapped to its witness or None (ScanReport.witnesses).
+
+    A witness object is shared by every prime of its residue class, so
+    the JSON writer and _render_scan build one row text per witness and
+    fill in the prime; the rows themselves are never built as dicts.
+    """
+
+    witnesses: dict[int, Witness | None]
+
+
+def _scan_row(witness: Witness | None) -> dict:
+    """The JSON row of a prime with this witness, minus its "prime" key."""
+    if witness is None:
+        return {"achievable": False, "reason": "no route"}
+    return {"achievable": True, "route": _witness_text(witness), "witness": witness_to_payload(witness)}
+
+
 def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     desc = load_descriptor(args.descriptor)
     if desc.surface != "elliptic_bundle" or not isinstance(desc.elliptic.bundle, SplitTorsion):
         raise DescriptorError("scan needs an elliptic_bundle descriptor with bundle=split_torsion")
     e = desc.elliptic
-    rows: list[dict] = []
-    missing: list[int] = []
-    if args.bound >= 2:
-        scan = scan_primes(e, args.bound)
-        # one route text and one payload per witness object, which a residue
-        # class shares; the JSON writer encodes a shared payload once
-        shared: dict[int, tuple[str, dict]] = {}
-        for p, witness in scan.witnesses.items():
-            if witness is None:
-                missing.append(p)
-                rows.append({"prime": p, "achievable": False, "reason": "no route"})
-                continue
-            cached = shared.get(id(witness))
-            if cached is None:
-                cached = shared[id(witness)] = (_witness_text(witness), witness_to_payload(witness))
-            route, payload = cached
-            rows.append({"prime": p, "achievable": True, "route": route, "witness": payload})
+    witnesses = scan_primes(e, args.bound).witnesses if args.bound >= 2 else {}
+    missing = [p for p, witness in witnesses.items() if witness is None]
     details = {
         "bound": args.bound,
         "k": e.bundle.k,
         "point": list(e.bundle.point.v),
         "curve": repr(e.curve),
-        "rows": rows,
+        "rows": _ScanRows(witnesses),
         "missing": missing,
-        "achievable_count": len(rows) - len(missing),
+        "achievable_count": len(witnesses) - len(missing),
         "missing_count": len(missing),
     }
     return None, details, 0
@@ -451,10 +458,13 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
 
 def _render_scan(d: dict) -> list[str]:
     lines = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
-    for row in d["rows"]:
-        mark = "yes" if row["achievable"] else "no "
-        route = row.get("route", row.get("reason", ""))
-        lines.append(f"  {row['prime']:>6}  {mark}  {route}")
+    # "yes  <route>" or "no   no route", once per witness object
+    tails: dict[int, str] = {}
+    for p, witness in d["rows"].witnesses.items():
+        tail = tails.get(id(witness))
+        if tail is None:
+            tail = tails[id(witness)] = "no   no route" if witness is None else "yes  " + _witness_text(witness)
+        lines.append(f"  {p:>6}  {tail}")
     lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
     if d["missing"]:
         lines.append("missing primes: " + ", ".join(str(p) for p in d["missing"]))
@@ -660,23 +670,24 @@ class _IndentWriter:
 
     With an indent, json falls back to its pure-Python encoder.  This
     writer builds the same text from the stdlib's C string escaper,
-    int.__repr__ and per-depth indent strings.  A container reached twice
-    at the same depth, such as a witness payload shared by a whole
-    residue class of scan rows, is encoded once: the memo is keyed on its
-    identity and depth and lives as long as the writer, one call, while
-    the payload keeps every key alive.  Dicts with the same keys in the
-    same insertion order share one layout: the keys sorted, in a
+    int.__repr__ and per-depth indent strings.  Dicts with the same keys
+    in the same insertion order share one layout: the keys sorted, in a
     %-template with their separators.
 
+    Scan rows (_ScanRows) are written as the list of row dicts that
+    _scan_row spells out, plus each row's "prime", without building them:
+    the row of each distinct witness object is encoded once, through the
+    same layout, and split at its prime into a head and a tail.  The list
+    is then one join over head, prime and tail of each row.
+
     Only what CLI payloads hold is accepted: str keys, and values whose
-    exact type is str, int, float, bool, None, list, tuple or dict.
-    Anything else raises TypeError, also where json.dumps would accept
-    it (int keys, subclasses).  Circular payloads are not detected; the
-    CLI builds none.
+    exact type is str, int, float, bool, None, list, tuple, dict or
+    _ScanRows.  Anything else raises TypeError, also where json.dumps
+    would accept it (int keys, subclasses).  Circular payloads are not
+    detected; the CLI builds none.
     """
 
     def __init__(self) -> None:
-        self.memo: dict[tuple[int, int], str] = {}
         self.layouts: dict[tuple[tuple, int], tuple[list, str]] = {}
         self.indents: list[str] = []
 
@@ -686,24 +697,24 @@ class _IndentWriter:
         return self.indents[depth]
 
     def layout(self, keys: tuple, depth: int) -> tuple[list, str]:
-        """Keys in sorted order and a %-template with one %s per value."""
+        """Keys in sorted order and a %-template with one %s per value, kept per key order and depth."""
+        found = self.layouts.get((keys, depth))
+        if found is not None:
+            return found
         if not all(type(key) is str for key in keys):
             raise TypeError(f"keys must be str: {keys!r}")
         inner = self.indent(depth + 1)
         ordered = sorted(keys)
         heads = (("{" if i == 0 else ",") + inner + _encode_str(key) + ": " for i, key in enumerate(ordered))
         template = "".join(head.replace("%", "%%") + "%s" for head in heads)
-        return ordered, template + self.indent(depth) + "}"
+        found = self.layouts[keys, depth] = ordered, template + self.indent(depth) + "}"
+        return found
 
     def container(self, o, depth: int) -> str:
         if type(o) is dict:
             if not o:
                 return "{}"
-            shape = (tuple(o), depth)
-            found = self.layouts.get(shape)
-            if found is None:
-                found = self.layouts[shape] = self.layout(shape[0], depth)
-            ordered, template = found
+            ordered, template = self.layout(tuple(o), depth)
             value = self.value
             return template % tuple([value(o[key], depth + 1) for key in ordered])
         if not o:
@@ -716,17 +727,46 @@ class _IndentWriter:
             body = ("," + inner).join([value(item, depth + 1) for item in o])
         return "[" + inner + body + self.indent(depth) + "]"
 
+    def scan_rows(self, rows: _ScanRows, depth: int) -> str:
+        if not rows.witnesses:
+            return "[]"
+        sep = "," + self.indent(depth + 1)
+        witnesses = rows.witnesses.values()
+        # keyed on identity: rows.witnesses keeps every witness alive
+        distinct = dict(zip(map(id, witnesses), witnesses))
+        heads, tails = {}, {}
+        for key, witness in distinct.items():
+            head, tail = self.row_parts(witness, depth + 1)
+            heads[key], tails[key] = sep + head, tail
+        rows_parts = zip(
+            map(heads.__getitem__, map(id, witnesses)),
+            map(int.__repr__, rows.witnesses),
+            map(tails.__getitem__, map(id, witnesses)),
+        )
+        pieces = list(chain.from_iterable(rows_parts))
+        # every head starts with the separator, but the first row's opens the list
+        pieces[0] = "[" + pieces[0][1:]
+        pieces.append(self.indent(depth) + "]")
+        return "".join(pieces)
+
+    def row_parts(self, witness: Witness | None, depth: int) -> list[str]:
+        """The text of a scan row at depth, before and after its prime."""
+        row = _scan_row(witness)
+        ordered, template = self.layout((*row, "prime"), depth)
+        value = self.value
+        # the writer never emits a NUL (_encode_str escapes it), so one marks the prime
+        texts = ["\0" if key == "prime" else value(row[key], depth + 1) for key in ordered]
+        return (template % tuple(texts)).split("\0")
+
     def value(self, o, depth: int) -> str:
         scalar = _SCALAR_TEXT.get(type(o))
         if scalar is not None:
             return scalar(o)
+        if type(o) is _ScanRows:
+            return self.scan_rows(o, depth)
         if type(o) not in (list, tuple, dict):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        key = (id(o), depth)
-        text = self.memo.get(key)
-        if text is None:
-            text = self.memo[key] = self.container(o, depth)
-        return text
+        return self.container(o, depth)
 
 
 def _json_text(payload) -> str:
@@ -736,16 +776,12 @@ def _json_text(payload) -> str:
 
 # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe.
 EXIT_CLOSED_PIPE = 141
+# Any other exception out of a subcommand or its report: a fault of the
+# program, not of its input.
+EXIT_INTERNAL_ERROR = 3
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    start = time.perf_counter()
-    try:
-        verdict, details, code = args.handler(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _report_text(args: argparse.Namespace, verdict: Verdict | None, details: dict, start: float) -> str:
     report = Report(
         command=args.command,
         verdict=verdict,
@@ -753,12 +789,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         timing_ms=round((time.perf_counter() - start) * 1000, 3),
     )
     if args.json:
-        text = _json_text(report_to_payload(report))
-    else:
-        lines = args.render(details)
-        if verdict is not None:
-            lines.extend(_verdict_lines(verdict))
-        text = "\n".join(lines)
+        return _json_text(report_to_payload(report))
+    lines = args.render(details)
+    if verdict is not None:
+        lines.extend(_verdict_lines(verdict))
+    return "\n".join(lines)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
+    try:
+        try:
+            verdict, details, code = args.handler(args)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        text = _report_text(args, verdict, details, start)
+    except Exception as exc:
+        # one stderr line and no traceback; KeyboardInterrupt and SystemExit pass
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
     try:
         print(text)
         sys.stdout.flush()

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -211,19 +210,19 @@ def degree_two_table(n_max: int) -> dict[OrderParams, tuple[QuadElem, ...]]:
 _SIEVE_CAP = 2**17
 
 
-def _prime_flags(bound: int) -> bytearray:
-    """Sieve of Eratosthenes: flags[m] == 1 exactly when m is prime, 0 <= m <= bound (>= 1)."""
-    flags = bytearray([1]) * (bound + 1)
-    flags[0] = flags[1] = 0
+def _prime_flags(bound: int) -> np.ndarray:
+    """Sieve of Eratosthenes: flags[m] is True exactly when m is prime, 0 <= m <= bound (>= 1)."""
+    flags = np.ones(bound + 1, dtype=bool)
+    flags[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+            flags[p * p :: p] = False
     return flags
 
 
 @lru_cache(maxsize=1)
 def _small_prime_flags() -> bytes:
-    return bytes(_prime_flags(_SIEVE_CAP))
+    return _prime_flags(_SIEVE_CAP).tobytes()
 
 
 def is_prime(m: int) -> bool:
@@ -246,7 +245,7 @@ def primes_up_to(bound: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive bound."""
     if bound < 2:
         return []
-    return list(compress(range(bound + 1), _prime_flags(bound)))
+    return np.flatnonzero(_prime_flags(bound)).tolist()
 
 
 def legendre_euler(a: int, p: int) -> int:

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from selfmaps.cli import (
 )
 from selfmaps.elliptic_pbundle import SCAN_BOUND_CAP
 from selfmaps.group_condition import build_cyclic, build_semidirect
+from selfmaps.verdicts import witness_to_payload
 
 EXC_DESCRIPTOR = """\
 # order-5 kernel point on the square-lattice curve
@@ -221,6 +225,138 @@ def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
     assert first.strip() in (b"{", b"scan of k=7 descriptor up to 100000")
     assert code == EXIT_CLOSED_PIPE == 141
     assert (tmp_path / "stderr").read_bytes() == b""
+
+
+def _row_dicts(witnesses):
+    """Scan rows as the list of dicts scan once built per prime: the reference."""
+    rows = []
+    for p, witness in witnesses.items():
+        if witness is None:
+            rows.append({"prime": p, "achievable": False, "reason": "no route"})
+        else:
+            route = cli._witness_text(witness)
+            rows.append({"prime": p, "achievable": True, "route": route, "witness": witness_to_payload(witness)})
+    return rows
+
+
+def _rendered_rows(d, rows):
+    """The text lines scan once rendered from the row dicts."""
+    lines = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
+    for row in rows:
+        mark = "yes" if row["achievable"] else "no "
+        route = row.get("route", row.get("reason", ""))
+        lines.append(f"  {row['prime']:>6}  {mark}  {route}")
+    lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
+    if d["missing"]:
+        lines.append("missing primes: " + ", ".join(str(p) for p in d["missing"]))
+    return lines
+
+
+def assert_scan_matches_row_dicts(path, bound):
+    """`scan --json` prints json.dumps of the row dicts, and text mode their old lines."""
+    e = cli.load_descriptor(path).elliptic
+    witnesses = elliptic_pbundle.scan_primes(e, bound).witnesses if bound >= 2 else {}
+    rows = _row_dicts(witnesses)
+    missing = [row["prime"] for row in rows if not row["achievable"]]
+    details = {
+        "bound": bound,
+        "k": e.bundle.k,
+        "point": list(e.bundle.point.v),
+        "curve": repr(e.curve),
+        "rows": rows,
+        "missing": missing,
+        "achievable_count": len(rows) - len(missing),
+        "missing_count": len(missing),
+    }
+    for mode in (["--json"], []):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["scan", str(path), "--bound", str(bound), *mode]) == 0
+        if mode:
+            # the report's other keys, timing_ms included, are taken as printed
+            payload = json.loads(out.getvalue())
+            payload["details"] = details
+            assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            assert out.getvalue() == "\n".join(_rendered_rows(details, rows)) + "\n"
+
+
+SCAN_CURVES = ["curve=nocm"] + [f"curve=cm\norder={t} {n}" for t, n in ((0, 1), (1, 1), (0, 2), (1, 2), (0, 5), (0, 6))]
+
+
+@st.composite
+def scan_cli_cases(draw):
+    curve = draw(st.sampled_from(SCAN_CURVES))
+    k = draw(st.integers(1, 13))
+    points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
+    bound = draw(st.sampled_from((0, 1, 2, 3)) | st.integers(2, 20_000))
+    return curve, k, draw(st.sampled_from(points)), bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cli_cases())
+# torsion, automorphism and isogeny routes and missing primes in one scan
+@example(("curve=cm\norder=0 1", 13, (1, 8), 20_000))
+@example(("curve=nocm", 1, (0, 0), 3))
+def test_scan_output_matches_row_dicts(tmp_path_factory, case):
+    curve, k, v, bound = case
+    path = tmp_path_factory.mktemp("scan") / "st.desc"
+    path.write_text(f"surface=elliptic_bundle\n{curve}\nbundle=split_torsion\nk={k}\npoint={v[0]} {v[1]}\n")
+    assert_scan_matches_row_dicts(path, bound)
+
+
+def test_scan_route_text_with_percent_and_nul(tmp_path, monkeypatch):
+    # route texts hold only digits, signs and fixed words, so none has a %
+    # or a NUL; the row templates must not depend on that
+    witness_text = cli._witness_text
+    monkeypatch.setattr(cli, "_witness_text", lambda w: "%s %d %% \x00 " + witness_text(w))
+    path = tmp_path / "k13.desc"
+    path.write_text("surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=13\npoint=1 8\n")
+    assert_scan_matches_row_dicts(path, 3000)
+
+
+@pytest.mark.parametrize(
+    "target, exc, message",
+    [("_cmd_cm_table", RuntimeError, "RuntimeError('boom')"), ("_render_cm_table", ValueError, "ValueError('boom')")],
+    ids=["handler", "renderer"],
+)
+def test_internal_error_exits_3_with_one_stderr_line(capsys, monkeypatch, target, exc, message):
+    # a ValueError out of the renderer is a fault of the program, not bad input
+    def boom(*args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, target, boom)
+    code, out, err = run_cli(capsys, "cm-table")
+    assert code == cli.EXIT_INTERNAL_ERROR == 3 and out == ""
+    assert err == f"error: internal: {message}\n"
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_are_not_internal_errors(monkeypatch, exc):
+    def stop(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "_cmd_cm_table", stop)
+    with pytest.raises(exc):
+        main(["cm-table", "--json"])
+
+
+def test_internal_error_in_a_subprocess_prints_no_traceback():
+    script = (
+        "import sys\n"
+        "from selfmaps import cli\n"
+        "def boom(args):\n"
+        "    raise RuntimeError('boom')\n"
+        "cli._cmd_cm_table = boom\n"
+        "sys.exit(cli.main(['cm-table', '--json']))\n"
+    )
+    src = str(Path(selfmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: internal: RuntimeError('boom')\n"
+    assert b"Traceback" not in proc.stderr
 
 
 # quotes, backslashes, control characters, non-ASCII and astral code points

@@ -173,17 +173,18 @@ def test_degree_two_table_bound_check():
         degree_two_table(1)
 
 
-def test_is_prime_matches_trial_division_across_sieve_cap():
-    def trial_division(m):
-        if m < 2:
+def trial_division(m):
+    if m < 2:
+        return False
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
             return False
-        f = 2
-        while f * f <= m:
-            if m % f == 0:
-                return False
-            f += 1
-        return True
+        f += 1
+    return True
 
+
+def test_is_prime_matches_trial_division_across_sieve_cap():
     for m in range(-10, 2 * _SIEVE_CAP + 1):
         assert is_prime(m) == trial_division(m), m
     # 359 and 367 are the primes on either side of sqrt(_SIEVE_CAP)
@@ -203,6 +204,14 @@ def test_primes_up_to_matches_trial_division():
     sieved = primes_up_to(2000)
     assert sieved == [m for m in range(2001) if is_prime(m)]
     assert len(primes_up_to(10**4)) == 1229
+    # squares of primes are the first multiples each sieve step clears;
+    # 359 and 367 are the primes on either side of sqrt(_SIEVE_CAP)
+    bounds = [-1, 0, 1, 2, 3, *(q * q for q in (2, 3, 5, 7, 11, 359, 367)), _SIEVE_CAP - 1, _SIEVE_CAP, _SIEVE_CAP + 1]
+    reference = [m for m in range(max(bounds) + 1) if trial_division(m)]
+    for bound in bounds:
+        sieved = primes_up_to(bound)
+        assert sieved == [q for q in reference if q <= bound], bound
+        assert all(type(q) is int for q in sieved)
 
 
 def test_legendre_frozen_values():

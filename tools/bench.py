@@ -21,7 +21,9 @@ SUITE is one of:
                   gauss-k5 (k = 5, point (4, 2): every prime achievable,
                   so the JSON of about 25 MB dominates) and gauss-k7
                   (k = 7, point (1, 0): 52,344 of the 78,498 primes are
-                  missing, ruled out by the lattice pass)
+                  missing, ruled out by the lattice pass); then
+                  gauss-k7-text, the same scan without --json, which
+                  times the text renderer
     density       `density --order T N --bound B --json` for the Gauss
                   order (0 1) and t = 1, n = 2 (discriminant -7), each at
                   B = 10^6 and 10^7
@@ -67,6 +69,8 @@ SCAN_DESCRIPTORS = {
     "gauss-k5": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=4 2\n",
     "gauss-k7": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=7\npoint=1 0\n",
 }
+# case: [descriptor, *output flags]
+SCAN_CASES = {"gauss-k5": ["gauss-k5", "--json"], "gauss-k7": ["gauss-k7", "--json"], "gauss-k7-text": ["gauss-k7"]}
 DENSITY_ORDERS = {"gauss": "0 1", "disc7": "1 2"}
 DENSITY_BOUNDS = (10**6, 10**7)
 GROUP_P, GROUP_QS = 71, (71, 5)
@@ -238,8 +242,10 @@ def _verify_paper(src: Path, work: Path) -> dict:
 def _scan(src: Path, work: Path) -> dict:
     for name, text in SCAN_DESCRIPTORS.items():
         (work / f"{name}.desc").write_text(text)
-    argv = ["--bound", str(SCAN_BOUND), "--json"]
-    return {"cases": {name: cli_runs(src, ["scan", str(work / f"{name}.desc"), *argv]) for name in SCAN_DESCRIPTORS}}
+    cases = {}
+    for case, (name, *flags) in SCAN_CASES.items():
+        cases[case] = cli_runs(src, ["scan", str(work / f"{name}.desc"), "--bound", str(SCAN_BOUND), *flags])
+    return {"cases": cases}
 
 
 def _density(src: Path, work: Path) -> dict:
@@ -267,7 +273,11 @@ SUITES = {
     "verify-paper": ("BENCH_verify_paper.json", {"command": "python -m selfmaps.cli verify-paper --json"}, _verify_paper),
     "scan": (
         "BENCH_scan.json",
-        {"command": f"python -m selfmaps.cli scan DESC --bound {SCAN_BOUND} --json", "descriptors": SCAN_DESCRIPTORS},
+        {
+            "command": f"python -m selfmaps.cli scan DESC --bound {SCAN_BOUND} [--json]",
+            "descriptors": SCAN_DESCRIPTORS,
+            "cases": SCAN_CASES,
+        },
         _scan,
     ),
     "density": (
