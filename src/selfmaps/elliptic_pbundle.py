@@ -209,10 +209,11 @@ class ScanReport:
 
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
-# At 10^7, `scan --json` on the Gauss order took 9.0 s and 1.15 GB peak RSS
-# with k = 5 (every prime achievable) and 5.6 s and 778 MB with k = 7,
-# point (1, 0), one fresh run each on a 2-core x86_64; the per-prime rows
-# and their JSON text take most of it, growing linearly with the bound.
+# At 10^7, `scan --json` on the Gauss order took 2.1-2.5 s and 485 MB peak
+# RSS with k = 5 (every prime achievable, 209 MB of JSON) and 2.2-3.0 s and
+# 328 MB with k = 7, point (1, 0), three fresh runs each on a 2-core x86_64;
+# the text report of the latter took 2.2-2.4 s and 170 MB (two runs).
+# Writing the report takes most of it, growing linearly with the bound.
 # The lattice pass of _first_isogenies reads exact int64 norms from
 # norm_rows and forms its own int64 values: (y, x) keys below 22*bound,
 # and dual images mod k below 2*k**2 with k at most about bound.  So it
