@@ -14,7 +14,8 @@ high_genus_bundle; the remaining keys depend on the variant:
     surface=high_genus_bundle   p=P  group_file=PATH (P > 1)
 
 File paths inside a descriptor are resolved relative to the
-descriptor's own directory.  Output is a human-readable summary or,
+descriptor's own directory.  Descriptor and fan files larger than
+toric.INPUT_BYTE_CAP bytes are refused.  Output is a human-readable summary or,
 with --json, a report payload documented in docs/report_schema.md.
 Exit status: 0 on success, 1 when verify-paper finds a failing claim,
 2 on any input error, 3 on an internal error (any other exception), 141
@@ -43,6 +44,7 @@ from .elliptic_pbundle import (
     AtiyahDegreeZero,
     BundleModel,
     EllipticBundleDescriptor,
+    ScanReport,
     SplitNonTorsion,
     SplitNonzeroDegree,
     SplitTorsion,
@@ -67,6 +69,7 @@ from .qorders import (
 from .toric import (
     Fan,
     load_fan,
+    read_capped_text,
     self_intersections,
     toric_verdict,
 )
@@ -81,7 +84,6 @@ from .verdicts import (
     TorsionMultiple,
     Verdict,
     Witness,
-    verdict_from_payload,
     verdict_to_payload,
     witness_to_payload,
 )
@@ -111,42 +113,6 @@ class SurfaceDescriptor:
     fan: Fan | None = None
     group: CayleyGroup | None = None
     prime: int | None = None
-
-
-@dataclass(frozen=True)
-class Report:
-    """One CLI invocation's result; _json_text of its payload is the --json report."""
-
-    command: str
-    verdict: Verdict | None
-    details: dict
-    timing_ms: float
-    tool_version: str = __version__
-
-
-def report_to_payload(report: Report) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "selfmaps",
-        "tool_version": report.tool_version,
-        "command": report.command,
-        "verdict": None if report.verdict is None else verdict_to_payload(report.verdict),
-        "details": report.details,
-        "timing_ms": report.timing_ms,
-    }
-
-
-def report_from_payload(payload: dict) -> Report:
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {payload.get('schema_version')!r}")
-    verdict = payload["verdict"]
-    return Report(
-        command=payload["command"],
-        verdict=None if verdict is None else verdict_from_payload(verdict),
-        details=payload["details"],
-        timing_ms=payload["timing_ms"],
-        tool_version=payload["tool_version"],
-    )
 
 
 def parse_descriptor_text(text: str) -> dict[str, str]:
@@ -234,7 +200,7 @@ def _build_bundle(fields: _Fields) -> BundleModel:
 
 def load_descriptor(path: str | Path) -> SurfaceDescriptor:
     path = Path(path)
-    fields = _Fields(parse_descriptor_text(path.read_text()))
+    fields = _Fields(parse_descriptor_text(read_capped_text(path)))
     surface = fields.fields["surface"]
     if surface in _SIMPLE_SURFACES:
         fields.finish()
@@ -383,8 +349,8 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
 
 
 # a subcommand handler returns its verdict (None for table-style commands),
-# its details dict and its exit code; main times it, builds the Report and,
-# in text mode, prints the renderer's lines above the verdict's
+# its details dict and its exit code; main times it, builds the report
+# payload and, in text mode, prints the renderer's lines above the verdict's
 _Outcome = tuple[Verdict | None, dict, int]
 
 
@@ -416,19 +382,6 @@ def _render_verdict_only(details: dict) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
-class _ScanRows:
-    """details["rows"] of scan: each prime up to the bound, in increasing
-    order, mapped to its witness or None (ScanReport.witnesses).
-
-    A witness object is shared by every prime of its residue class, so
-    the JSON writer and _render_scan build one row text per witness and
-    fill in the prime; the rows themselves are never built as dicts.
-    """
-
-    witnesses: dict[int, Witness | None]
-
-
 def _scan_row(witness: Witness | None) -> dict:
     """The JSON row of a prime with this witness, minus its "prime" key."""
     if witness is None:
@@ -441,16 +394,16 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     if desc.surface != "elliptic_bundle" or not isinstance(desc.elliptic.bundle, SplitTorsion):
         raise DescriptorError("scan needs an elliptic_bundle descriptor with bundle=split_torsion")
     e = desc.elliptic
-    witnesses = scan_primes(e, args.bound).witnesses if args.bound >= 2 else {}
-    missing = [p for p, witness in witnesses.items() if witness is None]
+    report = scan_primes(e, args.bound) if args.bound >= 2 else ScanReport(args.bound, {})
+    missing = report.missing
     details = {
         "bound": args.bound,
         "k": e.bundle.k,
         "point": list(e.bundle.point.v),
         "curve": repr(e.curve),
-        "rows": _ScanRows(witnesses),
+        "rows": report,
         "missing": missing,
-        "achievable_count": len(witnesses) - len(missing),
+        "achievable_count": len(report.witnesses) - len(missing),
         "missing_count": len(missing),
     }
     return None, details, 0
@@ -674,7 +627,7 @@ class _IndentWriter:
     in the same insertion order share one layout: the keys sorted, in a
     %-template with their separators.
 
-    Scan rows (_ScanRows) are written as the list of row dicts that
+    Scan rows (a ScanReport) are written as the list of row dicts that
     _scan_row spells out, plus each row's "prime", without building them:
     the row of each distinct witness object is encoded once, through the
     same layout, and split at its prime into a head and a tail.  The list
@@ -682,7 +635,7 @@ class _IndentWriter:
 
     Only what CLI payloads hold is accepted: str keys, and values whose
     exact type is str, int, float, bool, None, list, tuple, dict or
-    _ScanRows.  Anything else raises TypeError, also where json.dumps
+    ScanReport.  Anything else raises TypeError, also where json.dumps
     would accept it (int keys, subclasses).  Circular payloads are not
     detected; the CLI builds none.
     """
@@ -727,7 +680,7 @@ class _IndentWriter:
             body = ("," + inner).join([value(item, depth + 1) for item in o])
         return "[" + inner + body + self.indent(depth) + "]"
 
-    def scan_rows(self, rows: _ScanRows, depth: int) -> str:
+    def scan_rows(self, rows: ScanReport, depth: int) -> str:
         if not rows.witnesses:
             return "[]"
         sep = "," + self.indent(depth + 1)
@@ -762,7 +715,7 @@ class _IndentWriter:
         scalar = _SCALAR_TEXT.get(type(o))
         if scalar is not None:
             return scalar(o)
-        if type(o) is _ScanRows:
+        if type(o) is ScanReport:
             return self.scan_rows(o, depth)
         if type(o) not in (list, tuple, dict):
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -782,14 +735,21 @@ EXIT_INTERNAL_ERROR = 3
 
 
 def _report_text(args: argparse.Namespace, verdict: Verdict | None, details: dict, start: float) -> str:
-    report = Report(
-        command=args.command,
-        verdict=verdict,
-        details=details,
-        timing_ms=round((time.perf_counter() - start) * 1000, 3),
-    )
+    """The --json report payload (docs/report_schema.md) as text, or the rendered lines."""
     if args.json:
-        return _json_text(report_to_payload(report))
+        # the command's time, taken before its payload is built or written
+        timing_ms = round((time.perf_counter() - start) * 1000, 3)
+        return _json_text(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "tool": "selfmaps",
+                "tool_version": __version__,
+                "command": args.command,
+                "verdict": None if verdict is None else verdict_to_payload(verdict),
+                "details": details,
+                "timing_ms": timing_ms,
+            }
+        )
     lines = args.render(details)
     if verdict is not None:
         lines.extend(_verdict_lines(verdict))

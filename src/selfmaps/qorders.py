@@ -11,9 +11,11 @@ y; represented_norms marks the norms it yields, so a claim about all
 primes below the bound costs one pass over the norm form, not one
 search per prime, and the prime scan of elliptic_pbundle reads the same
 rows.  elements_of_norm stays their brute-force oracle.  is_prime reads
-a sieve, built on first use, up to _SIEVE_CAP and trial-divides above
-it; split_density_report takes its primes from a sieve and does not
-prove them prime again.
+a sieve, built on first use, up to _SIEVE_CAP; above it, strong
+probable-prime tests to the twelve prime bases 2 to 37 decide it
+exactly below PRIMALITY_CAP, and an integer at or above the cap that
+passes all twelve raises PrimalityCapError.  split_density_report takes
+its primes from a sieve and does not prove them prime again.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import numpy as np
 
 __all__ = [
     "NotPrimeError",
+    "PrimalityCapError",
+    "PRIMALITY_CAP",
     "OrderParams",
     "QuadElem",
     "SplitType",
@@ -51,6 +55,11 @@ __all__ = [
 
 class NotPrimeError(ValueError):
     """A routine defined only for primes (or only odd primes) got another integer."""
+
+
+class PrimalityCapError(ValueError):
+    """is_prime cannot decide an integer at or above PRIMALITY_CAP that
+    passes every strong probable-prime test it runs."""
 
 
 @dataclass(frozen=True, order=True)
@@ -225,19 +234,42 @@ def _small_prime_flags() -> bytes:
     return _prime_flags(_SIEVE_CAP).tobytes()
 
 
+# psi_12 of Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases" (Math. Comp. 2017): the least composite that is a strong
+# probable prime to every one of _SPRP_BASES.
+PRIMALITY_CAP = 318665857834031151167461
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(m: int) -> bool:
-    """Sieve lookup up to _SIEVE_CAP, trial division above it."""
+    """Sieve lookup up to _SIEVE_CAP; above it, strong probable-prime
+    tests to _SPRP_BASES, exact below PRIMALITY_CAP.
+
+    A base that witnesses compositeness is a proof at any size.  An m at
+    or above PRIMALITY_CAP that passes every base raises PrimalityCapError.
+    """
     if m < 2:
         return False
     if m <= _SIEVE_CAP:
         return _small_prime_flags()[m] == 1
     if m % 2 == 0:
         return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
+    s = ((m - 1) & -(m - 1)).bit_length() - 1
+    d = (m - 1) >> s
+    for a in _SPRP_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        f += 2
+    if m >= PRIMALITY_CAP:
+        raise PrimalityCapError(
+            f"cannot decide whether {m} is prime: at or above the primality cap {PRIMALITY_CAP}"
+        )
     return True
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .ns_lattice import toric_prime_candidates
 from .verdicts import AllDegrees, FiniteCandidatePrimes, SquaresOnly, Verdict
@@ -27,6 +26,8 @@ __all__ = [
     "NotUnimodularError",
     "WindingError",
     "FanFileError",
+    "INPUT_BYTE_CAP",
+    "read_capped_text",
     "validate_fan",
     "self_intersections",
     "toric_verdict",
@@ -228,7 +229,25 @@ def parse_fan_text(text: str) -> list[Ray]:
     return rays
 
 
+# Largest fan or descriptor file read (load_fan here, load_descriptor in
+# the cli): real ones hold a few hundred bytes, and the cap keeps a path
+# such as /dev/zero from being read until memory runs out.
+INPUT_BYTE_CAP = 2**20
+
+
+def read_capped_text(path) -> str:
+    """The UTF-8 text of a file of at most INPUT_BYTE_CAP bytes.
+
+    Reads at most one byte past the cap, and raises ValueError when the
+    file holds more than the cap.
+    """
+    with open(path, "rb") as f:
+        data = f.read(INPUT_BYTE_CAP + 1)
+    if len(data) > INPUT_BYTE_CAP:
+        raise ValueError(f"{path} is larger than the input cap of {INPUT_BYTE_CAP} bytes")
+    return data.decode("utf-8")
+
+
 def load_fan(path) -> Fan:
     """Read and validate a fan file."""
-    text = Path(path).read_text(encoding="utf-8")
-    return validate_fan(parse_fan_text(text))
+    return validate_fan(parse_fan_text(read_capped_text(path)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .qorders import OrderParams, QuadElem
+from .qorders import QuadElem
 
 __all__ = [
     "TorsionMultiple",
@@ -27,9 +27,7 @@ __all__ = [
     "FiniteCandidatePrimes",
     "Verdict",
     "witness_to_payload",
-    "witness_from_payload",
     "verdict_to_payload",
-    "verdict_from_payload",
 ]
 
 
@@ -137,10 +135,6 @@ def _elem_to_payload(elem: QuadElem) -> dict:
     return {"t": elem.order.t, "n": elem.order.n, "x": elem.x, "y": elem.y}
 
 
-def _elem_from_payload(payload: dict) -> QuadElem:
-    return QuadElem(OrderParams(payload["t"], payload["n"]), payload["x"], payload["y"])
-
-
 def witness_to_payload(witness: Witness) -> dict:
     if isinstance(witness, TorsionMultiple):
         return {"route": "torsion_multiple", "k": witness.k}
@@ -149,17 +143,6 @@ def witness_to_payload(witness: Witness) -> dict:
     if isinstance(witness, IsogenyRoute):
         return {"route": "isogeny", "alpha": _elem_to_payload(witness.alpha), "sign": witness.sign}
     raise TypeError(f"not a witness: {witness!r}")
-
-
-def witness_from_payload(payload: dict) -> Witness:
-    route = payload["route"]
-    if route == "torsion_multiple":
-        return TorsionMultiple(k=payload["k"])
-    if route == "aut":
-        return AutRoute(phi=_elem_from_payload(payload["phi"]), m=payload["exponent"])
-    if route == "isogeny":
-        return IsogenyRoute(alpha=_elem_from_payload(payload["alpha"]), sign=payload["sign"])
-    raise ValueError(f"unknown witness route: {route!r}")
 
 
 def _certificate_to_payload(cert: DegreeCertificate) -> dict:
@@ -172,18 +155,6 @@ def _certificate_to_payload(cert: DegreeCertificate) -> dict:
             str(p): witness_to_payload(w) for p, w in sorted(cert.special_witnesses.items())
         },
     }
-
-
-def _certificate_from_payload(payload: dict) -> DegreeCertificate:
-    return DegreeCertificate(
-        k=payload["k"],
-        residue_witnesses={
-            int(r): witness_from_payload(w) for r, w in payload["residues"].items()
-        },
-        special_witnesses={
-            int(p): witness_from_payload(w) for p, w in payload["special_primes"].items()
-        },
-    )
 
 
 def verdict_to_payload(verdict: Verdict) -> dict:
@@ -218,31 +189,3 @@ def verdict_to_payload(verdict: Verdict) -> dict:
         }
     raise TypeError(f"not a verdict: {verdict!r}")
 
-
-def verdict_from_payload(payload: dict) -> Verdict:
-    kind = payload["kind"]
-    if kind == "all_degrees":
-        cert = payload.get("certificate")
-        return AllDegrees(
-            certificate=None if cert is None else _certificate_from_payload(cert),
-            note=payload.get("note", ""),
-        )
-    if kind == "missing_primes":
-        return MissingPrimes(
-            missing=tuple(payload["missing"]),
-            scan_bound=payload.get("scan_bound"),
-            note=payload.get("note", ""),
-        )
-    if kind == "infinitely_many_missing":
-        return InfinitelyManyMissing(
-            reason=payload["reason"],
-            missing_examples=tuple(payload.get("missing_examples", ())),
-        )
-    if kind == "squares_only":
-        return SquaresOnly(reason=payload.get("reason", ""))
-    if kind == "finite_candidate_primes":
-        return FiniteCandidatePrimes(
-            candidates=frozenset(payload["candidates"]),
-            note=payload.get("note", ""),
-        )
-    raise ValueError(f"unknown verdict kind: {kind!r}")

@@ -20,11 +20,10 @@ from selfmaps.cli import (
     _json_text,
     main,
     parse_descriptor_text,
-    report_from_payload,
-    report_to_payload,
 )
 from selfmaps.elliptic_pbundle import SCAN_BOUND_CAP
 from selfmaps.group_condition import build_cyclic, build_semidirect
+from selfmaps.toric import INPUT_BYTE_CAP
 from selfmaps.verdicts import witness_to_payload
 
 EXC_DESCRIPTOR = """\
@@ -58,6 +57,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child process that imports this selfmaps."""
+    src = str(Path(selfmaps.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_child(*argv, timeout):
+    """The CLI in a child process, which the timeout stops if it hangs."""
+    return subprocess.run(
+        [sys.executable, "-m", "selfmaps.cli", *argv], capture_output=True, env=child_env(), timeout=timeout
+    )
 
 
 def test_parse_descriptor_text():
@@ -102,8 +114,8 @@ def test_classify_json_payload_roundtrips(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["schema_version"] == 1
     assert payload["verdict"]["kind"] == "all_degrees"
-    report = report_from_payload(payload)
-    assert report_to_payload(report) == payload
+    # the parsed payload, written again, is the same text
+    assert _json_text(payload) + "\n" == out
 
 
 def test_classify_input_errors(tmp_path, capsys):
@@ -193,11 +205,59 @@ def test_split_torsion_at_a_huge_level_exits_within_2s(tmp_path, curve):
     # range(k) reaches only after k steps
     k = 10**12 + 39
     desc = write(tmp_path, "big.desc", f"surface=elliptic_bundle\n{curve}\nbundle=split_torsion\nk={k}\npoint=1 0\n")
-    src = str(Path(selfmaps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv in (["scan", desc, "--bound", "100"], ["classify", desc]):
-        proc = subprocess.run([sys.executable, "-m", "selfmaps.cli", *argv], capture_output=True, env=env, timeout=2)
+        proc = run_child(*argv, timeout=2)
         assert proc.returncode == 0, proc.stderr
+
+
+# 2**61 - 1 is prime; trial division up to its square root never finished
+MERSENNE_61 = 2**61 - 1
+
+
+def test_huge_prime_inputs_finish_within_5s(tmp_path):
+    grp = write(tmp_path, "z2.grp", "2\n0 1\n1 0\n")
+    proc = run_child("group-check", grp, str(MERSENNE_61), "--json", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    details = json.loads(proc.stdout)["details"]
+    assert (details["holds"], details["subgroups"]) == (False, [])
+
+    desc = write(tmp_path, "hg.desc", f"surface=high_genus_bundle\np={MERSENNE_61}\ngroup_file=z2.grp\n")
+    proc = run_child("classify", desc, timeout=5)
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr == f"error: group of order 2 has no cyclic subgroup of order {MERSENNE_61}\n".encode()
+
+    # the wall relation gives the fourth ray self-intersection -n
+    n = MERSENNE_61
+    fan = write(tmp_path, "five.fan", f"1 0\n0 1\n-1 {n}\n-1 {n - 1}\n0 -1\n")
+    proc = run_child("toric", fan, "--json", timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["candidates"] == [n]
+
+
+def _padded(text, size):
+    """text and then one comment line, size bytes in all."""
+    return text + "#" + "x" * (size - len(text) - 2) + "\n"
+
+
+@pytest.mark.parametrize("target", ["descriptor", "fan", "fan-of-descriptor"])
+def test_input_files_above_the_byte_cap_are_refused(tmp_path, capsys, target):
+    # real files, one exactly at the cap and one a byte above it
+    for size in (INPUT_BYTE_CAP, INPUT_BYTE_CAP + 1):
+        if target == "descriptor":
+            path = write(tmp_path, "big.desc", _padded("surface=abelian\n", size))
+            argv = ["classify", path]
+        else:
+            path = write(tmp_path, "big.fan", _padded(PLANE_FAN, size))
+            argv = ["toric", path]
+            if target == "fan-of-descriptor":
+                argv = ["classify", write(tmp_path, "t.desc", "surface=toric\nfan_file=big.fan\n")]
+        assert os.path.getsize(path) == size
+        code, out, err = run_cli(capsys, *argv)
+        if size == INPUT_BYTE_CAP:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err == f"error: {path} is larger than the input cap of {INPUT_BYTE_CAP} bytes\n"
 
 
 @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
@@ -210,14 +270,12 @@ def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
         "k7.desc",
         "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=7\npoint=1 0\n",
     )
-    src = str(Path(selfmaps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with open(tmp_path / "stderr", "wb") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "selfmaps.cli", "scan", desc, "--bound", "100000", *mode],
             stdout=subprocess.PIPE,
             stderr=err,
-            env=env,
+            env=child_env(),
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -350,9 +408,7 @@ def test_internal_error_in_a_subprocess_prints_no_traceback():
         "cli._cmd_cm_table = boom\n"
         "sys.exit(cli.main(['cm-table', '--json']))\n"
     )
-    src = str(Path(selfmaps.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=child_env(), timeout=60)
     assert proc.returncode == 3
     assert proc.stdout == b""
     assert proc.stderr == b"error: internal: RuntimeError('boom')\n"

@@ -8,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from selfmaps.qorders import (
     _SIEVE_CAP,
+    PRIMALITY_CAP,
     NotPrimeError,
     OrderParams,
+    PrimalityCapError,
     QuadElem,
     SplitType,
     conjugate,
@@ -192,6 +194,22 @@ def test_is_prime_matches_trial_division_across_sieve_cap():
     assert squares[0] < _SIEVE_CAP < squares[1]
     for m in (_SIEVE_CAP - 1, _SIEVE_CAP, _SIEVE_CAP + 1, 359 * 367, 65521 * 65537, *squares):
         assert is_prime(m) == trial_division(m), m
+    # strong pseudoprimes to the bases 2-3, 2-5, 2-7, 2-11 and 2-13, each
+    # caught by a later base
+    for m in (1373653, 25326001, 3215031751, 2152302898747, 3474749660383):
+        assert not trial_division(m)
+        assert not is_prime(m), m
+    # too large for trial division: strong pseudoprimes to the bases 2-17
+    # and 2-23 by their factors, and the Mersenne prime 2**61 - 1
+    assert 10670053 * 32010157 == 341550071728321 and not is_prime(341550071728321)
+    assert 149491 * 747451 * 34233211 == 3825123056546413051 and not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # psi_12 is composite yet passes every base, so it must not be decided
+    assert 399165290221 * 798330580441 == PRIMALITY_CAP
+    with pytest.raises(PrimalityCapError):
+        is_prime(PRIMALITY_CAP)
+    # a witnessed composite above the cap is still decided
+    assert not is_prime(PRIMALITY_CAP + 2)
 
 
 def test_is_prime_small():

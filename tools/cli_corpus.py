@@ -3,15 +3,16 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 2999 invocations of selfmaps.cli.main in this process: scan
+Runs 3001 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
 without --modulus, error cases, cm-table and verify-paper; then toric on
 valid, rejected and malformed fans, group-check on a passing, a failing
-and malformed group files, and classify on the other surface kinds and
-on descriptor errors.  Each line holds the invocation, its exit code,
-and sha256 prefixes of stdout (minus its timing_ms line) and of stderr.
+and malformed group files, classify on the other surface kinds and on
+descriptor errors, and verify-paper --negative-test.  Each line holds
+the invocation, its exit code, and sha256 prefixes of stdout (minus its
+timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
 print the same file: `diff` the outputs of a commit and its parent, both
 made with one copy of this script (PYTHONPATH picks the checkout).
@@ -118,6 +119,7 @@ def invocations(work: Path) -> list[list[str]]:
         cases += [["group-check", write(f"{name}.grp", text), p, *j] for p in primes.split() for j in ([], ["--json"])]
     for name, text in DESCRIPTORS.items():
         cases += [["classify", write(f"{name}.desc", text + "\n"), *j] for j in (["--bound", "50"], ["--json"])]
+    cases += [["verify-paper", "--negative-test"], ["verify-paper", "--negative-test", "--json"]]
     return cases
 
 
