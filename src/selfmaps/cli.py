@@ -26,6 +26,7 @@ pipe exited early, as in `| head -1`).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -545,6 +546,10 @@ def _render_verify_paper(d: dict) -> list[str]:
     return lines
 
 
+# Built once per process.  Subcommands store the names of their handler
+# and renderer, looked up in the module globals at call time, so a
+# replaced module attribute takes effect on the next call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfmaps",
@@ -553,38 +558,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, render, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, handler: str, render: str, help_text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit the JSON report payload")
         p.set_defaults(handler=handler, render=render)
         return p
 
-    p = add("classify", _cmd_classify, _render_verdict_only, "classify a surface descriptor file")
+    p = add("classify", "_cmd_classify", "_render_verdict_only", "classify a surface descriptor file")
     p.add_argument("descriptor", help="key=value descriptor file")
     p.add_argument("--bound", type=int, default=1000, help=f"bound for missing-prime examples, at most {SIEVE_BOUND_CAP}")
 
-    p = add("scan", _cmd_scan, _render_scan, "per-prime achievability table for a split torsion bundle")
+    p = add("scan", "_cmd_scan", "_render_scan", "per-prime achievability table for a split torsion bundle")
     p.add_argument("descriptor", help="elliptic_bundle descriptor with bundle=split_torsion")
     p.add_argument(
         "--bound", type=int, default=10_000, help=f"scan primes up to this bound, at most {SCAN_BOUND_CAP}"
     )
 
-    p = add("density", _cmd_density, _render_density, "split/inert/ramified prime counts for an order")
+    p = add("density", "_cmd_density", "_render_density", "split/inert/ramified prime counts for an order")
     p.add_argument("--order", type=int, nargs=2, metavar=("T", "N"), required=True)
     p.add_argument("--bound", type=int, default=10_000, help=f"count primes up to this bound, at most {SIEVE_BOUND_CAP}")
     p.add_argument("--modulus", type=int, default=None, help="also count primes = 1 mod M")
 
-    p = add("cm-table", _cmd_cm_table, _render_cm_table, "norm-2 elements for all orders with n up to a limit")
+    p = add("cm-table", "_cmd_cm_table", "_render_cm_table", "norm-2 elements for all orders with n up to a limit")
     p.add_argument("--max-n", type=int, default=10, help=f"largest n to include, at most {CM_TABLE_MAX_N_CAP}")
 
-    p = add("toric", _cmd_toric, _render_verdict_only, "classify a complete smooth fan given as a ray file")
+    p = add("toric", "_cmd_toric", "_render_verdict_only", "classify a complete smooth fan given as a ray file")
     p.add_argument("fan_file", help="one 'x y' ray per line, counterclockwise")
 
-    p = add("group-check", _cmd_group_check, _render_group_check, "residue coverage of a finite group at a prime")
+    p = add("group-check", "_cmd_group_check", "_render_group_check", "residue coverage of a finite group at a prime")
     p.add_argument("group_file", help="Cayley table file: order, then one row per line")
     p.add_argument("p", type=int, help="prime subgroup order to test")
 
-    p = add("verify-paper", _cmd_verify_paper, _render_verify_paper, "run the built-in claim battery")
+    p = add("verify-paper", "_cmd_verify_paper", "_render_verify_paper", "run the built-in claim battery")
     p.add_argument(
         "--negative-test",
         action="store_true",
@@ -750,7 +755,7 @@ def _report_text(args: argparse.Namespace, verdict: Verdict | None, details: dic
                 "timing_ms": timing_ms,
             }
         )
-    lines = args.render(details)
+    lines = globals()[args.render](details)
     if verdict is not None:
         lines.extend(_verdict_lines(verdict))
     return "\n".join(lines)
@@ -761,7 +766,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         try:
-            verdict, details, code = args.handler(args)
+            verdict, details, code = globals()[args.handler](args)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

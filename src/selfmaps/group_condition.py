@@ -10,6 +10,7 @@ table lookup and puts an order cap in place of generator plumbing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,8 +47,10 @@ GROUP_ORDER_CAP = 10000
 # arithmetic on them would wrap.
 _INDEX_DTYPE = np.uint16
 
-# row or column block size for the quadratic table scans; bounds peak memory
-_BLOCK = 1024
+# rows, columns or subgroups per block of the quadratic table scans:
+# bounds peak memory, and 64 rows of the largest table (1.2 MB) stay in
+# cache while Light's test gathers within them
+_BLOCK = 64
 
 
 class GroupValidationError(ValueError):
@@ -74,8 +77,11 @@ class CayleyGroup:
     generating set proves full associativity; identity, two-sided
     inverses and associativity make a group, and a group table is a
     Latin square.  On any other table of order over 64, Light's test
-    fails within log2(n) + 1 generators: the greedy generators that
-    pass it generate a group, each at least doubling it.
+    fails within log2(n) + 1 generators.  The generating set keeps the
+    greedy order and only drops generators, so each kept generator lies
+    outside the closure of the greedy ones before it, which holds the
+    kept ones before it; the kept generators that pass the test thus
+    generate a group, each at least doubling it.
 
     ``table`` and ``inverse`` are read-only uint16 arrays: the order
     cap of 10000 keeps every element index below 2**16.  The range of
@@ -153,11 +159,16 @@ def _adopt(table: np.ndarray) -> CayleyGroup:
 
 
 def _generating_set(table: np.ndarray) -> list[int]:
-    """Small set whose closure under the table operation is everything.
+    """Small set whose closure, with 0, under the table operation is everything.
 
-    Greedy: repeatedly adjoin the smallest element outside the closure.
-    Correct for any table (closure is closure of the magma, so the
-    result is valid input for the associativity test below).
+    Greedy: repeatedly adjoin the smallest element outside the closure,
+    then drop every earlier generator on the new one's left-power orbit
+    g, g*g, g*(g*g), ...  The walk stops at its first repeated element,
+    so within n steps also where left multiplication by g is no
+    permutation.  A dropped generator lies in the closure of the new
+    one, so the closure is unchanged.  Correct for any table (closure
+    is closure of the magma, so the result is valid input for the
+    associativity test below).
     """
     n = table.shape[0]
     if n <= 64:
@@ -167,6 +178,13 @@ def _generating_set(table: np.ndarray) -> list[int]:
     gens: list[int] = []
     while not known.all():
         g = int(np.nonzero(~known)[0][0])
+        row = table[g].tolist()
+        orbit = {g}
+        cur = row[g]
+        while cur not in orbit:
+            orbit.add(cur)
+            cur = row[cur]
+        gens = [h for h in gens if h not in orbit]
         gens.append(g)
         known[g] = True
         frontier = np.array([g])
@@ -223,7 +241,11 @@ def validate_group(table_like) -> CayleyGroup:
 
 
 def element_orders(group: CayleyGroup) -> np.ndarray:
-    """Order of every element, computed by simultaneous power iteration."""
+    """Order of every element, computed by simultaneous power iteration.
+
+    No CLI path calls this: it stays as the test oracle for
+    ``find_cyclic_subgroups`` and as a trace point of perfbench.
+    """
     n = group.order
     idx = np.arange(n, dtype=_INDEX_DTYPE)
     current = idx.copy()
@@ -246,14 +268,28 @@ class CyclicSubgroup:
     elements: tuple[int, ...]
 
 
+def _order_q_elements(group: CayleyGroup, q: int) -> np.ndarray:
+    """The elements of prime order q, ascending.
+
+    x^q for every x at once, by square-and-multiply over table gathers;
+    as q is prime, x has order q exactly when x != 0 and x^q = 0.
+    """
+    idx = np.arange(group.order, dtype=_INDEX_DTYPE)
+    power = np.zeros_like(idx)
+    for bit in bin(q)[2:]:
+        power = group.table[power, power]
+        if bit == "1":
+            power = group.table[power, idx]
+    return np.nonzero(power == 0)[0][1:]
+
+
 def find_cyclic_subgroups(group: CayleyGroup, p: int) -> tuple[CyclicSubgroup, ...]:
     """One representative record per subgroup of order p, smallest generator first."""
     if not is_prime(p):
         raise ValueError(f"need a prime order, got {p!r}")
-    orders = element_orders(group)
     seen: set[int] = set()
     out = []
-    for g in np.nonzero(orders == p)[0]:
+    for g in _order_q_elements(group, p):
         g = int(g)
         if g in seen:
             continue
@@ -269,15 +305,53 @@ def find_cyclic_subgroups(group: CayleyGroup, p: int) -> tuple[CyclicSubgroup, .
     return tuple(out)
 
 
+def _conjugation_exponents(
+    group: CayleyGroup, subs: Sequence[CyclicSubgroup]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Normalizer and exponent map of each subgroup of one prime order, in turn.
+
+    For every x, x * g * x^-1 with g the stored generator decides both:
+    conjugation maps the cyclic group of prime order <g> onto <x g x^-1>,
+    so x normalizes it exactly when x g x^-1 is a power g^delta of g,
+    and then rho(x) = delta.  One gather per block of _BLOCK subgroups
+    conjugates their generators by every element; a lookup of the
+    generators' powers gives the exponents.  Distinct subgroups of prime
+    order meet only in 0, so one array records which subgroup each
+    power lies in.  Each subgroup record, which anyone can build, is
+    checked against the powers of its generator first.
+    """
+    owner = np.full(group.order, -1, dtype=np.int64)
+    exponent_of = np.zeros(group.order, dtype=np.int64)
+    for s, sub in enumerate(subs):
+        powers = [0]
+        while (cur := group.mul(powers[-1], sub.generator)) != 0:
+            powers.append(cur)
+        if len(powers) != sub.order or sorted(powers) != sorted(sub.elements):
+            raise ValueError(f"subgroup record disagrees with the powers of {sub.generator}")
+        owner[powers[1:]] = s
+        exponent_of[powers] = np.arange(len(powers))
+    gens = np.array([sub.generator for sub in subs], dtype=_INDEX_DTYPE)
+    idx = np.arange(group.order)
+    for start in range(0, len(subs), _BLOCK):
+        block = gens[start : start + _BLOCK]
+        # x * (g * x^-1): a gather within the block's rows, then one
+        # entry of row x per (g, x)
+        conj = group.table[idx, group.table[block][:, group.inverse]]
+        inside = owner[conj] == np.arange(start, start + len(block))[:, None]
+        for row, row_inside in zip(conj, inside):
+            norm = np.nonzero(row_inside)[0]
+            yield norm, exponent_of[row[norm]]
+
+
 def normalizer(group: CayleyGroup, sub: CyclicSubgroup) -> tuple[int, ...]:
-    """All g with g * C * g^-1 = C, by direct conjugation of every element."""
-    elems = np.array(sub.elements, dtype=_INDEX_DTYPE)
-    in_sub = np.zeros(group.order, dtype=bool)
-    in_sub[elems] = True
-    left = group.table[:, elems]
-    conj = group.table[left, group.inverse[:, None]]
-    ok = in_sub[conj].all(axis=1)
-    return tuple(int(g) for g in np.nonzero(ok)[0])
+    """All g with g * C * g^-1 = C, decided on the stored generator of C alone.
+
+    No CLI path calls this: ``rho_bar_surjective`` reads the shared
+    conjugation pass directly.  It stays as the test oracle's target
+    and as a trace point of perfbench.
+    """
+    ((norm, _),) = _conjugation_exponents(group, (sub,))
+    return tuple(norm.tolist())
 
 
 def conjugation_rho(group: CayleyGroup, sub: CyclicSubgroup) -> dict[int, int]:
@@ -291,20 +365,11 @@ def conjugation_rho(group: CayleyGroup, sub: CyclicSubgroup) -> dict[int, int]:
     check is needed.  Every CayleyGroup is a group, so rho(ab) =
     rho(a)rho(b) holds without a check; only the subgroup record, which
     anyone can build, is checked against the powers of its generator.
+    No CLI path calls this; it stays as a test target and as a trace
+    point of perfbench.
     """
-    powers = [0]
-    while (cur := group.mul(powers[-1], sub.generator)) != 0:
-        powers.append(cur)
-    if len(powers) != sub.order or sorted(powers) != sorted(sub.elements):
-        raise ValueError(f"subgroup record disagrees with the powers of {sub.generator}")
-    norm = np.array(normalizer(group, sub), dtype=_INDEX_DTYPE)
-    exponent_of = np.full(group.order, -1, dtype=np.int32)
-    exponent_of[powers] = np.arange(len(powers), dtype=np.int32)
-    conj_gen = group.table[group.table[norm, sub.generator], group.inverse[norm]]
-    delta = exponent_of[conj_gen]
-    if (delta < 1).any():
-        raise RuntimeError("conjugate of the generator left the subgroup")
-    return {int(n): int(d) for n, d in zip(norm, delta)}
+    ((norm, delta),) = _conjugation_exponents(group, (sub,))
+    return dict(zip(norm.tolist(), delta.tolist()))
 
 
 @dataclass(frozen=True)
@@ -338,24 +403,25 @@ def rho_bar_surjective(group: CayleyGroup, p: int) -> RhoBarReport:
     """
     if not is_prime(p):
         raise ValueError(f"need a prime order, got {p!r}")
+    subs = find_cyclic_subgroups(group, p)
     reports = []
     winner: dict[int, tuple[int, int]] = {}
-    for sub in find_cyclic_subgroups(group, p):
-        rho = conjugation_rho(group, sub)
-        by_delta: dict[int, int] = {}
-        for n in sorted(rho):
-            by_delta.setdefault(rho[n], n)
+    for sub, (norm, delta) in zip(subs, _conjugation_exponents(group, subs)):
+        # the normalizer is ascending, so the first index of each
+        # exponent is its smallest element
+        image, first = np.unique(delta, return_index=True)
+        by_delta = dict(zip(image.tolist(), norm[first].tolist()))
         witnesses: dict[int, tuple[int, int]] = {}
         for r in range(1, p):
             if r in by_delta:
                 witnesses[r] = (by_delta[r], 1)
-            elif (p - r) % p in by_delta:
-                witnesses[r] = (by_delta[(p - r) % p], -1)
+            elif p - r in by_delta:
+                witnesses[r] = (by_delta[p - r], -1)
         covered = len(witnesses) == p - 1
         reports.append(
             SubgroupRhoReport(
                 subgroup=sub,
-                image=tuple(sorted(set(rho.values()))),
+                image=tuple(image.tolist()),
                 covered=covered,
                 witnesses=witnesses,
             )
@@ -407,6 +473,8 @@ def parse_group_text(text: str) -> np.ndarray:
         n = int(lines[0])
     except ValueError as exc:
         raise GroupFileError(f"first line must be the order, got {lines[0]!r}") from exc
+    if n < 1:
+        raise GroupFileError(f"group order must be at least 1, got {n}")
     if n > GROUP_ORDER_CAP:
         raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
     if len(lines) != n + 1:
@@ -416,7 +484,7 @@ def parse_group_text(text: str) -> np.ndarray:
     # in about a third of fresh runs on a row holding U+AAE60.  Anything
     # else, and every error, goes through the per-row loop and its
     # row-numbered messages.
-    if n > 0 and all(map(str.isascii, lines[1:])):
+    if all(map(str.isascii, lines[1:])):
         try:
             table = np.loadtxt(lines[1:], dtype=np.int64, comments=None, ndmin=2)
         except ValueError:

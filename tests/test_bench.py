@@ -1,6 +1,7 @@
-"""tools/bench.py: a light runner, and BENCH records that keep every run."""
+"""tools/bench.py: a light runner, and BENCH records that keep every run; perfbench's traced names."""
 
 import hashlib
+import importlib
 import importlib.util
 import io
 import json
@@ -83,3 +84,13 @@ _HEAD = '{\n  "command": "scan",\n  "details": {\n    "bound": 30\n  },\n'
 def test_streamed_digest_matches_the_whole_text_digest(text):
     expected = hashlib.sha256(_TIMING_LINE.sub("", text, count=1).encode()).hexdigest()
     assert _load_bench().payload_sha256(io.BytesIO(text.encode())) == expected
+
+
+def test_every_traced_name_exists_in_its_module():
+    # perfbench/run.py --trace 1 wraps these names; a deleted one would break it
+    spec = importlib.util.spec_from_file_location("tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.LAYERS.items():
+        home = importlib.import_module(f"selfmaps.{module}")
+        assert [name for name in names if not callable(getattr(home, name, None))] == [], module

@@ -586,6 +586,16 @@ def test_group_order_cap_checked_before_rows(tmp_path, capsys):
     assert err == "error: order 10001 exceeds cap 10000\n"
 
 
+@pytest.mark.parametrize(
+    "text, order", [("0\n", 0), ("-2\n", -2), ("0\n0 1\n", 0)], ids=["zero", "negative", "zero-with-row"]
+)
+def test_group_order_below_one_is_an_input_error(tmp_path, capsys, text, order):
+    grp = write(tmp_path, "empty.grp", text)
+    code, out, err = run_cli(capsys, "group-check", grp, "2")
+    assert code == 2 and out == ""
+    assert err == f"error: group order must be at least 1, got {order}\n"
+
+
 def test_group_check_oversized_entry_is_an_input_error(tmp_path, capsys):
     for entry in ("99999999999999999999999", "-99999999999999999999999"):
         grp = write(tmp_path, "big.grp", f"2\n0 1\n1 {entry}\n")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from selfmaps.group_condition import (
     GROUP_ORDER_CAP,
+    _generating_set,
     CayleyGroup,
     CyclicSubgroup,
     GroupFileError,
@@ -558,3 +559,165 @@ def test_out_of_range_entries_do_not_wrap_into_range(entry):
     table = [[0, entry, 2], [1, 2, 0], [2, 0, 1]]
     with pytest.raises(GroupValidationError, match="table entries must be element indices"):
         validate_group(table)
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("x\n", GroupFileError, "first line must be the order, got 'x'"),
+        ("0\n", GroupFileError, "group order must be at least 1, got 0"),
+        ("-2\n", GroupFileError, "group order must be at least 1, got -2"),
+        ("0\n0 1\n", GroupFileError, "group order must be at least 1, got 0"),
+        # n >= 1 comes before the cap, and the cap before the row count
+        ("-20000\n", GroupFileError, "group order must be at least 1, got -20000"),
+        ("10001\n0\n", GroupValidationError, "order 10001 exceeds cap 10000"),
+        ("1\n", GroupFileError, "expected 1 rows after the order line, got 0"),
+    ],
+    ids=["word", "zero", "negative", "zero-with-row", "negative-over-cap", "over-cap", "no-rows"],
+)
+def test_parse_group_text_order_line_checks_in_order(text, error, message):
+    with pytest.raises(error) as info:
+        parse_group_text(text)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _subgroups_oracle(group: CayleyGroup, q: int):
+    """find_cyclic_subgroups from element_orders: each order-q element not yet seen, in turn."""
+    orders = element_orders(group)
+    seen: set[int] = set()
+    out = []
+    for g in np.nonzero(orders == q)[0].tolist():
+        if g not in seen:
+            elems = {_power(group, g, k) for k in range(q)}
+            seen |= elems
+            out.append(CyclicSubgroup(generator=g, order=q, elements=tuple(sorted(elems))))
+    return tuple(out)
+
+
+def _rho_bar_oracle(group: CayleyGroup, q: int):
+    """Per subgroup: its normalizer by conjugating every subgroup element by every
+    group element, the image of rho, and the smallest witness per residue."""
+    out = []
+    for sub in _subgroups_oracle(group, q):
+        members = set(sub.elements)
+        exponent = {_power(group, sub.generator, k): k for k in range(q)}
+        norm = [
+            x for x in range(group.order) if all(group.conjugate(x, e) in members for e in sub.elements)
+        ]
+        rho = {x: exponent[group.conjugate(x, sub.generator)] for x in norm}
+        witnesses = {}
+        for r in range(1, q):
+            for sign in (1, -1):
+                hits = [x for x in norm if rho[x] == sign * r % q]
+                if hits:
+                    witnesses[r] = (min(hits), sign)
+                    break
+        out.append((sub, tuple(norm), tuple(sorted(set(rho.values()))), witnesses))
+    return out
+
+
+@st.composite
+def oracle_groups(draw):
+    """Relabeled groups, some above the order 64 where the generating set turns greedy."""
+    if draw(st.booleans()):
+        group = draw(st.sampled_from(RHO_GROUPS))()
+    else:
+        group = build_cyclic(draw(st.integers(65, 100)))
+    rest = draw(st.permutations(range(1, group.order)))
+    divisors = [q for q in range(2, group.order + 1) if group.order % q == 0 and is_prime(q)]
+    q = draw(st.sampled_from(sorted({*divisors, 2, 3, 5})))
+    return _relabeled(group, [0, *rest]), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_groups())
+def test_subgroups_normalizers_and_rho_bar_match_oracles(group_and_q):
+    group, q = group_and_q
+    assert find_cyclic_subgroups(group, q) == _subgroups_oracle(group, q)
+    expected = _rho_bar_oracle(group, q)
+    report = rho_bar_surjective(group, q)
+    assert [(r.subgroup, r.image, r.witnesses, r.covered) for r in report.subgroup_reports] == [
+        (sub, image, witnesses, len(witnesses) == q - 1) for sub, _, image, witnesses in expected
+    ]
+    covering = [witnesses for *_, witnesses in expected if len(witnesses) == q - 1]
+    assert report.holds == bool(covering)
+    assert report.witnesses == (covering[0] if covering else {})
+    for sub, norm, _, _ in expected:
+        assert normalizer(group, sub) == norm
+
+
+def test_generating_set_drops_generators_on_a_later_power_orbit():
+    # greedy adjoins 1, 2, 42; the element 1 = (0, 2) is a power of 2 = (0, 3)
+    assert _generating_set(build_semidirect(43).table) == [2, 42]
+
+
+def _brute_closure(table: np.ndarray, gens) -> np.ndarray:
+    """Elements reached from 0 and gens by all products of reached pairs, until none is new."""
+    known = np.zeros(table.shape[0], dtype=bool)
+    known[[0, *gens]] = True
+    while True:
+        members = np.nonzero(known)[0]
+        prods = table[np.ix_(members, members)]
+        if known[prods].all():
+            return known
+        known[prods] = True
+
+
+def _row_intercalates(t: np.ndarray, i: int) -> np.ndarray:
+    """(k, j, l) with t[i,j] = t[k,l], t[i,l] = t[k,j], k != i and j != l."""
+    n = t.shape[0]
+    # for a row k that is a permutation, argsort(t)[k, v] is the column holding v
+    cols = np.argsort(t, axis=1)[:, t[i]]
+    rows = np.arange(n)[:, None]
+    ok = (t[rows, cols] == t[i]) & (t[i][cols] == t) & (cols != np.arange(n)) & (rows != i)
+    return [(k, j, int(cols[k, j])) for k, j in np.argwhere(ok).tolist()]
+
+
+@st.composite
+def large_corrupted_tables(draw):
+    """Tables of order 65-160: a group table with intercalate and cell swaps."""
+    if draw(st.booleans()):
+        t = build_cyclic(draw(st.integers(65, 160))).table.astype(np.int64)
+    else:
+        t = build_semidirect(draw(st.sampled_from([11, 13]))).table.astype(np.int64)
+    n = t.shape[0]
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for kind in draw(st.lists(st.sampled_from(["swap", "intercalate", "intercalate"]), max_size=3)):
+        if kind == "swap":
+            (i1, j1), (i2, j2) = draw(cell), draw(cell)
+            t[i1, j1], t[i2, j2] = t[i2, j2], t[i1, j1]
+        else:
+            i = draw(st.integers(0, n - 1))
+            squares = _row_intercalates(t, i)
+            if squares:
+                k, j, l = draw(st.sampled_from(squares))
+                t[[i, k], j], t[[i, k], l] = t[[i, k], l], t[[i, k], j]
+    return t
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_corrupted_tables())
+def test_large_tables_generating_set_and_associativity(t):
+    n = t.shape[0]
+    assert _brute_closure(t, _generating_set(t)).all()
+    # (x*y)*z and x*(y*z) for every triple, indexed [x, y, z]
+    left = t[t]
+    right = t[np.arange(n)[:, None, None], t[None, :, :]]
+    idx = np.arange(n)
+    is_group = (
+        np.array_equal(t[0], idx)
+        and np.array_equal(t[:, 0], idx)
+        and (np.sort(t, axis=1) == idx).all()
+        and (np.sort(t, axis=0) == idx[:, None]).all()
+        and np.array_equal(left, right)
+    )
+    try:
+        validate_group(t)
+    except GroupValidationError as exc:
+        assert not is_group
+        prefix = "associativity fails for triples with middle element "
+        if str(exc).startswith(prefix):
+            g = int(str(exc)[len(prefix) :])
+            assert not np.array_equal(left[:, g, :], right[:, g, :])
+    else:
+        assert is_group and np.array_equal(left, right)
