@@ -347,8 +347,8 @@ def normalizer(group: CayleyGroup, sub: CyclicSubgroup) -> tuple[int, ...]:
     """All g with g * C * g^-1 = C, decided on the stored generator of C alone.
 
     No CLI path calls this: ``rho_bar_surjective`` reads the shared
-    conjugation pass directly.  It stays as the test oracle's target
-    and as a trace point of perfbench.
+    conjugation pass directly.  It stays as a test target and as a
+    trace point of perfbench.
     """
     ((norm, _),) = _conjugation_exponents(group, (sub,))
     return tuple(norm.tolist())
