@@ -15,8 +15,10 @@ high_genus_bundle; the remaining keys depend on the variant:
 
 File paths inside a descriptor are resolved relative to the
 descriptor's own directory.  Descriptor and fan files larger than
-toric.INPUT_BYTE_CAP bytes are refused.  Output is a human-readable summary or,
-with --json, a report payload documented in docs/report_schema.md.
+toric.INPUT_BYTE_CAP bytes, and group files larger than
+group_condition.GROUP_FILE_BYTE_CAP bytes, are refused.  Output is a
+human-readable summary or, with --json, a report payload documented in
+docs/report_schema.md.
 Exit status: 0 on success, 1 when verify-paper finds a failing claim,
 2 on any input error, 3 on an internal error (any other exception), 141
 when stdout was closed before the report was written (the reader of a
@@ -33,7 +35,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -613,30 +614,48 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-_constant_text = {None: "null", True: "true", False: "false"}.__getitem__
-_SCALAR_TEXT = {
-    str: _encode_str,
-    int: int.__repr__,
-    float: _float_text,
-    bool: _constant_text,
-    type(None): _constant_text,
-}
+def _joined(pieces: list[str], brackets: str, depth: int) -> str:
+    """A container as one join of its pieces, of which the first is a separator."""
+    # every separator starts with ",", but the first one opens the container
+    pieces[0] = brackets[0] + pieces[0][1:]
+    pieces.append("\n" + "  " * depth + brackets[1])
+    return "".join(pieces)
 
 
-class _IndentWriter:
-    """The text of json.dumps with sort_keys and an indent of 2, built fast.
+# a scan row's prime in its template: written as the only NUL of the text (_encode_str escapes NULs)
+_PRIME_SLOT = object()
+
+
+def _scan_rows(rows: ScanReport, depth: int) -> str:
+    """The rows as the list of _scan_row dicts, each with its "prime", without building them.
+
+    The row of each distinct witness object is written once, with a NUL
+    for its prime, and split there into a head and a tail.  The list is
+    then one join over head, prime and tail of each row.
+    """
+    if not rows.witnesses:
+        return "[]"
+    sep = ",\n" + "  " * (depth + 1)
+    witnesses = rows.witnesses.values()
+    heads, tails = {}, {}
+    # keyed on identity: rows.witnesses keeps every witness alive
+    for key, witness in dict(zip(map(id, witnesses), witnesses)).items():
+        head, tail = _json_value({**_scan_row(witness), "prime": _PRIME_SLOT}, depth + 1).split("\0")
+        heads[key], tails[key] = sep + head, tail
+    pieces = [sep] * (3 * len(witnesses))
+    pieces[::3] = map(heads.__getitem__, map(id, witnesses))
+    pieces[1::3] = map(int.__repr__, rows.witnesses)
+    pieces[2::3] = map(tails.__getitem__, map(id, witnesses))
+    return _joined(pieces, "[]", depth)
+
+
+def _json_value(o, depth: int) -> str:
+    """The text of json.dumps(o, sort_keys=True) with an indent of 2, at this depth.
 
     With an indent, json falls back to its pure-Python encoder.  This
-    writer builds the same text from the stdlib's C string escaper,
-    int.__repr__ and per-depth indent strings.  Dicts with the same keys
-    in the same insertion order share one layout: the keys sorted, in a
-    %-template with their separators.
-
-    Scan rows (a ScanReport) are written as the list of row dicts that
-    _scan_row spells out, plus each row's "prime", without building them:
-    the row of each distinct witness object is encoded once, through the
-    same layout, and split at its prime into a head and a tail.  The list
-    is then one join over head, prime and tail of each row.
+    builds the same text from the stdlib's C string escaper and
+    int.__repr__, with one join per container, so that a large child
+    (the scan rows) is copied once per level and no more.
 
     Only what CLI payloads hold is accepted: str keys, and values whose
     exact type is str, int, float, bool, None, list, tuple, dict or
@@ -644,92 +663,44 @@ class _IndentWriter:
     would accept it (int keys, subclasses).  Circular payloads are not
     detected; the CLI builds none.
     """
-
-    def __init__(self) -> None:
-        self.layouts: dict[tuple[tuple, int], tuple[list, str]] = {}
-        self.indents: list[str] = []
-
-    def indent(self, depth: int) -> str:
-        while len(self.indents) <= depth:
-            self.indents.append("\n" + "  " * len(self.indents))
-        return self.indents[depth]
-
-    def layout(self, keys: tuple, depth: int) -> tuple[list, str]:
-        """Keys in sorted order and a %-template with one %s per value, kept per key order and depth."""
-        found = self.layouts.get((keys, depth))
-        if found is not None:
-            return found
-        if not all(type(key) is str for key in keys):
-            raise TypeError(f"keys must be str: {keys!r}")
-        inner = self.indent(depth + 1)
-        ordered = sorted(keys)
-        heads = (("{" if i == 0 else ",") + inner + _encode_str(key) + ": " for i, key in enumerate(ordered))
-        template = "".join(head.replace("%", "%%") + "%s" for head in heads)
-        found = self.layouts[keys, depth] = ordered, template + self.indent(depth) + "}"
-        return found
-
-    def container(self, o, depth: int) -> str:
-        if type(o) is dict:
-            if not o:
-                return "{}"
-            ordered, template = self.layout(tuple(o), depth)
-            value = self.value
-            return template % tuple([value(o[key], depth + 1) for key in ordered])
-        if not o:
-            return "[]"
-        inner = self.indent(depth + 1)
-        if all(type(item) is int for item in o):
-            body = ("," + inner).join(map(int.__repr__, o))
-        else:
-            value = self.value
-            body = ("," + inner).join([value(item, depth + 1) for item in o])
-        return "[" + inner + body + self.indent(depth) + "]"
-
-    def scan_rows(self, rows: ScanReport, depth: int) -> str:
-        if not rows.witnesses:
-            return "[]"
-        sep = "," + self.indent(depth + 1)
-        witnesses = rows.witnesses.values()
-        # keyed on identity: rows.witnesses keeps every witness alive
-        distinct = dict(zip(map(id, witnesses), witnesses))
-        heads, tails = {}, {}
-        for key, witness in distinct.items():
-            head, tail = self.row_parts(witness, depth + 1)
-            heads[key], tails[key] = sep + head, tail
-        rows_parts = zip(
-            map(heads.__getitem__, map(id, witnesses)),
-            map(int.__repr__, rows.witnesses),
-            map(tails.__getitem__, map(id, witnesses)),
-        )
-        pieces = list(chain.from_iterable(rows_parts))
-        # every head starts with the separator, but the first row's opens the list
-        pieces[0] = "[" + pieces[0][1:]
-        pieces.append(self.indent(depth) + "]")
-        return "".join(pieces)
-
-    def row_parts(self, witness: Witness | None, depth: int) -> list[str]:
-        """The text of a scan row at depth, before and after its prime."""
-        row = _scan_row(witness)
-        ordered, template = self.layout((*row, "prime"), depth)
-        value = self.value
-        # the writer never emits a NUL (_encode_str escapes it), so one marks the prime
-        texts = ["\0" if key == "prime" else value(row[key], depth + 1) for key in ordered]
-        return (template % tuple(texts)).split("\0")
-
-    def value(self, o, depth: int) -> str:
-        scalar = _SCALAR_TEXT.get(type(o))
-        if scalar is not None:
-            return scalar(o)
-        if type(o) is ScanReport:
-            return self.scan_rows(o, depth)
-        if type(o) not in (list, tuple, dict):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        return self.container(o, depth)
+    kind = type(o)
+    if kind is str:
+        return _encode_str(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is float:
+        return _float_text(o)
+    if kind is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    if kind is ScanReport:
+        return _scan_rows(o, depth)
+    if kind not in (list, tuple, dict):
+        if o is _PRIME_SLOT:
+            return "\0"
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not o:
+        return "{}" if kind is dict else "[]"
+    sep = ",\n" + "  " * (depth + 1)
+    if kind is dict:
+        if not all(type(key) is str for key in o):
+            raise TypeError(f"keys must be str: {list(o)!r}")
+        pieces = [text for key in sorted(o) for text in (sep + _encode_str(key) + ": ", _json_value(o[key], depth + 1))]
+        return _joined(pieces, "{}", depth)
+    if all(type(item) is int for item in o):
+        texts = list(map(int.__repr__, o))
+    else:
+        texts = [_json_value(item, depth + 1) for item in o]
+    # a list's items are small, so its brackets may be added to the first and last
+    texts[0] = "[" + sep[1:] + texts[0]
+    texts[-1] += "\n" + "  " * depth + "]"
+    return sep.join(texts)
 
 
 def _json_text(payload) -> str:
     """Byte for byte what json.dumps(payload, sort_keys=True) prints with an indent of 2."""
-    return _IndentWriter().value(payload, 0)
+    return _json_value(payload, 0)
 
 
 # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe.

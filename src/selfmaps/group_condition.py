@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .qorders import is_prime
+from .toric import read_capped_text
 
 __all__ = [
     "GROUP_ORDER_CAP",
+    "GROUP_FILE_BYTE_CAP",
     "GroupValidationError",
     "GroupFileError",
     "CayleyGroup",
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 GROUP_ORDER_CAP = 10000
+# Largest group file load_group reads, in bytes: the canonical text of a
+# table at the order cap (entries split by one space, rows by a newline)
+# is 488,900,006 bytes, and a file past this cap is refused after
+# reading one byte beyond it, never read to its end.
+GROUP_FILE_BYTE_CAP = 2**29
 
 # dtype of every table and inverse array: each entry is an element index
 # below GROUP_ORDER_CAP <= 2**16 - 1, so 16 bits hold it, and the
@@ -508,6 +514,9 @@ def parse_group_text(text: str) -> np.ndarray:
 
 
 def load_group(path) -> CayleyGroup:
-    """Read and validate a group table file (identity must be element 0)."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a group table file (identity must be element 0).
+
+    Files of more than GROUP_FILE_BYTE_CAP bytes are refused.
+    """
+    text = read_capped_text(path, GROUP_FILE_BYTE_CAP)
     return validate_group(parse_group_text(text))

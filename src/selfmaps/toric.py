@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 from .ns_lattice import toric_prime_candidates
@@ -233,19 +234,32 @@ def parse_fan_text(text: str) -> list[Ray]:
 # the cli): real ones hold a few hundred bytes, and the cap keeps a path
 # such as /dev/zero from being read until memory runs out.
 INPUT_BYTE_CAP = 2**20
+# One read of cap + 1 bytes would reserve that much memory whatever the
+# file's size, so a file is read in blocks of this many bytes, or of its
+# size plus one where that is larger.
+_READ_BLOCK = 2**20
 
 
-def read_capped_text(path) -> str:
-    """The UTF-8 text of a file of at most INPUT_BYTE_CAP bytes.
+def read_capped_text(path, cap: int = INPUT_BYTE_CAP) -> str:
+    """The UTF-8 text of a file of at most cap bytes.
 
     Reads at most one byte past the cap, and raises ValueError when the
     file holds more than the cap.
     """
+    blocks, size = [], 0
     with open(path, "rb") as f:
-        data = f.read(INPUT_BYTE_CAP + 1)
-    if len(data) > INPUT_BYTE_CAP:
-        raise ValueError(f"{path} is larger than the input cap of {INPUT_BYTE_CAP} bytes")
-    return data.decode("utf-8")
+        block_size = max(_READ_BLOCK, os.fstat(f.fileno()).st_size + 1)
+        while size <= cap:
+            want = min(block_size, cap + 1 - size)
+            blocks.append(block := f.read(want))
+            size += len(block)
+            # a buffered read returns short only at the end, so a regular
+            # file takes one read and no second buffer of its size
+            if len(block) < want:
+                break
+    if size > cap:
+        raise ValueError(f"{path} is larger than the input cap of {cap} bytes")
+    return b"".join(blocks).decode("utf-8")
 
 
 def load_fan(path) -> Fan:

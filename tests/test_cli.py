@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import selfmaps
-from selfmaps import cli, elliptic_pbundle, qorders
+from selfmaps import cli, elliptic_pbundle, group_condition, qorders, toric
 from selfmaps.cli import (
     CM_TABLE_MAX_N_CAP,
     EXIT_CLOSED_PIPE,
@@ -21,10 +21,11 @@ from selfmaps.cli import (
     main,
     parse_descriptor_text,
 )
-from selfmaps.elliptic_pbundle import SCAN_BOUND_CAP
+from selfmaps.elliptic_pbundle import SCAN_BOUND_CAP, ScanReport
 from selfmaps.group_condition import build_cyclic, build_semidirect
-from selfmaps.toric import INPUT_BYTE_CAP
-from selfmaps.verdicts import witness_to_payload
+from selfmaps.toric import INPUT_BYTE_CAP, read_capped_text
+from selfmaps.qorders import OrderParams, QuadElem
+from selfmaps.verdicts import AutRoute, IsogenyRoute, TorsionMultiple, witness_to_payload
 
 EXC_DESCRIPTOR = """\
 # order-5 kernel point on the square-lattice curve
@@ -439,7 +440,42 @@ def _json_values(children):
     )
 
 
-PAYLOADS = st.recursive(SCALARS, _json_values, max_leaves=25)
+QUAD_ELEMS = st.builds(
+    QuadElem, st.builds(OrderParams, st.sampled_from((0, 1)), st.integers(1, 10)), st.integers(-9, 9), st.integers(-9, 9)
+)
+WITNESSES = (
+    st.none()
+    | st.builds(TorsionMultiple, st.integers(1, 13))
+    | st.builds(AutRoute, QUAD_ELEMS, st.integers(0, 12))
+    | st.builds(IsogenyRoute, QUAD_ELEMS, st.sampled_from((1, -1)))
+)
+
+
+@st.composite
+def scan_reports(draw):
+    """Small ScanReports in which one witness object may stand for several primes."""
+    pool = draw(st.lists(WITNESSES, min_size=1, max_size=3))
+    primes = sorted(draw(st.lists(st.integers(2, 10**6), unique=True, max_size=6)))
+    return ScanReport(max(primes, default=1), {p: draw(st.sampled_from(pool)) for p in primes})
+
+
+def _with_row_dicts(o):
+    """o with each ScanReport replaced by its list of row dicts: what json.dumps must write for it."""
+    if type(o) is ScanReport:
+        return [{**cli._scan_row(w), "prime": p} for p, w in o.witnesses.items()]
+    if type(o) is dict:
+        return {key: _with_row_dicts(value) for key, value in o.items()}
+    if type(o) in (list, tuple):
+        return [_with_row_dicts(item) for item in o]
+    return o
+
+
+def assert_writes_like_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(_with_row_dicts(payload), indent=2, sort_keys=True)
+
+
+PAYLOADS = st.recursive(SCALARS | scan_reports(), _json_values, max_leaves=25)
+_SHARED_AUT = AutRoute(QuadElem(OrderParams(0, 1), 0, -1), 2)
 
 
 @settings(max_examples=400, deadline=None)
@@ -449,15 +485,16 @@ PAYLOADS = st.recursive(SCALARS, _json_values, max_leaves=25)
 @example({"a": {}, "b": [[], {}], "c": ((),)})
 @example({"": [-0.0, float("inf"), float("-inf"), float("nan")]})
 @example([2**64, -(2**100), True, False, None])
+@example(ScanReport(1, {}))
+@example([{"rows": ScanReport(7, {2: _SHARED_AUT, 3: None, 5: TorsionMultiple(5), 7: _SHARED_AUT})}, ScanReport(2, {2: None})])
 def test_json_writer_matches_json_dumps_indent2(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert_writes_like_json_dumps(payload)
 
 
 @given(PAYLOADS)
 @settings(max_examples=200, deadline=None)
 def test_json_writer_shared_subobject_at_two_depths(shared):
-    payload = {"a": shared, "b": [shared, {"c": shared, "d": [shared]}], "e": shared}
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert_writes_like_json_dumps({"a": shared, "b": [shared, {"c": shared, "d": [shared]}], "e": shared})
 
 
 class _Tag(str):
@@ -566,6 +603,48 @@ def test_group_without_order_p_elements_group_check_says_no_and_classify_rejects
     code, out, err = run_cli(capsys, "classify", desc)
     assert code == 2 and out == ""
     assert err == "error: group of order 20 has no cyclic subgroup of order 3\n"
+
+
+def test_group_files_above_the_byte_cap_are_refused(tmp_path, capsys, monkeypatch):
+    # a small cap, so that /dev/zero is refused after one byte past it
+    grp = write(tmp_path, "z3.grp", "3\n0 1 2\n1 2 0\n2 0 1\n")
+    monkeypatch.setattr(group_condition, "GROUP_FILE_BYTE_CAP", os.path.getsize(grp))
+    code, out, err = run_cli(capsys, "group-check", grp, "3")
+    assert code == 0 and err == ""
+    cap = os.path.getsize(grp) - 1
+    monkeypatch.setattr(group_condition, "GROUP_FILE_BYTE_CAP", cap)
+    for path in (grp, "/dev/zero"):
+        desc = write(tmp_path, "hg.desc", f"surface=high_genus_bundle\np=3\ngroup_file={path}\n")
+        for argv in (["group-check", path, "3"], ["classify", desc], ["classify", desc, "--json"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: {path} is larger than the input cap of {cap} bytes\n"
+
+
+def test_capped_read_reserves_no_memory_for_the_cap(tmp_path):
+    # one read of cap + 1 bytes would ask for 4 EiB here
+    grp = write(tmp_path, "z3.grp", "3\n0 1 2\n1 2 0\n2 0 1\n")
+    assert read_capped_text(grp, 2**62) == "3\n0 1 2\n1 2 0\n2 0 1\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("cap", [21, 22, 2**62])
+def test_capped_read_of_a_pipe_in_blocks(monkeypatch, cap):
+    # a pipe has no size, so it comes in blocks (of 4 bytes here) up to one byte past the cap
+    monkeypatch.setattr(toric, "_READ_BLOCK", 4)
+    text = "3\n0 1 2\n1 2 0\n2 0 1\n"
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        path = f"/dev/fd/{r}"
+        if cap < len(text):
+            with pytest.raises(ValueError, match=f"larger than the input cap of {cap} bytes"):
+                read_capped_text(path, cap)
+        else:
+            assert read_capped_text(path, cap) == text
+    finally:
+        os.close(r)
 
 
 def test_group_check_rejects_bad_p_before_reading_the_table(tmp_path, capsys):

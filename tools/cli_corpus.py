@@ -3,14 +3,17 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3001 invocations of selfmaps.cli.main in this process: scan
+Runs 3004 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
 without --modulus, error cases, cm-table and verify-paper; then toric on
 valid, rejected and malformed fans, group-check on a passing, a failing
 and malformed group files, classify on the other surface kinds and on
-descriptor errors, and verify-paper --negative-test.  Each line holds
+descriptor errors, and verify-paper --negative-test; last, the JSON
+writer at scale: scan --json at 10^6 on the Gauss order with k = 5,
+point (4, 2) and k = 7, point (1, 0), and classify --json of a no-CM
+split_nontorsion bundle at 10^7.  Each line holds
 the invocation, its exit code, and sha256 prefixes of stdout (minus its
 timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
@@ -120,6 +123,12 @@ def invocations(work: Path) -> list[list[str]]:
     for name, text in DESCRIPTORS.items():
         cases += [["classify", write(f"{name}.desc", text + "\n"), *j] for j in (["--bound", "50"], ["--json"])]
     cases += [["verify-paper", "--negative-test"], ["verify-paper", "--negative-test", "--json"]]
+    # the JSON writer at scale: 78,498 scan rows each, and 664,579 missing primes
+    for k, point in ((5, "4 2"), (7, "1 0")):
+        desc = descriptor(f"gauss-k{k}.desc", "curve=cm\norder=0 1", f"split_torsion\nk={k}\npoint={point}")
+        cases.append(["scan", desc, "--bound", "1000000", "--json"])
+    desc = descriptor("nocm-nontorsion.desc", "curve=nocm", "split_nontorsion")
+    cases.append(["classify", desc, "--bound", "10000000", "--json"])
     return cases
 
 
