@@ -362,7 +362,9 @@ _Outcome = tuple[Verdict | None, dict, int]
 # atiyah_deg0 descriptor and 1.1 s and 116 MB on a no-CM split_nontorsion
 # one (medians of 3 fresh runs).  Density took 33 s and 384 MB at 10^8;
 # at 10^10 its sieve raised MemoryError under a 1.5 GB address-space
-# limit.
+# limit.  The Legendre symbols of density run over int64 arrays of
+# residues mod p <= SIEVE_BOUND_CAP, so every product of two of them is
+# below 10^14 < 2**63; split_density_report refuses bounds from 2**31 on.
 SIEVE_BOUND_CAP = 10**7
 
 

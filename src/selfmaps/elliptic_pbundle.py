@@ -12,6 +12,7 @@ verdict per bundle shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
@@ -36,7 +37,7 @@ from .qorders import (
     conjugate,
     is_prime,
     norm,
-    norm_rows,
+    norm_blocks,
     primes_up_to,
     represented_norms,
 )
@@ -215,7 +216,7 @@ class ScanReport:
 # the text report of the latter took 2.2-2.4 s and 170 MB (two runs).
 # Writing the report takes most of it, growing linearly with the bound.
 # The lattice pass of _first_isogenies reads exact int64 norms from
-# norm_rows and forms its own int64 values: (y, x) keys below 22*bound,
+# norm_blocks and forms its own int64 values: (y, x) keys below 22*bound,
 # and dual images mod k below 2*k**2 with k at most about bound.  So it
 # is exact only while bound**2 stays far below 2**62, which this cap
 # guarantees with a wide margin.
@@ -231,11 +232,12 @@ def _first_isogenies(
     torsion or automorphism route covers.  The result maps each of them
     that has an isogeny route to the IsogenyRoute _decide picks.
 
-    Every x + y*w of norm <= bound is visited through norm_rows.  A point
-    works when its dual sends v to v or -v mod k.  Each needed prime
-    keeps the working point with the smallest (y, x), which is the
-    elements_of_norm order and so _decide's first candidate; the key's
-    low bit is 0 when that point fixes v, as _decide tries +1 before -1.
+    Every x + y*w of norm <= bound is visited through norm_blocks, a
+    block of whole rows at a time.  A point works when its dual sends v
+    to v or -v mod k.  Each needed prime keeps the working point with
+    the smallest (y, x), which is the elements_of_norm order and so
+    _decide's first candidate; the key's low bit is 0 when that point
+    fixes v, as _decide tries +1 before -1.
     Only rows y <= 0 are needed: -alpha works exactly when alpha does, so
     the smallest working point never has y > 0.
 
@@ -264,16 +266,16 @@ def _first_isogenies(
     stride = 2 * span + 1
     unset = np.iinfo(np.int64).max
     best = np.full(len(needed), unset, dtype=np.int64)
-    for y, xs, norms in norm_rows(curve.order, bound):
+    for ys, xs, norms in norm_blocks(curve.order, bound):
         keep = need[norms]
         if not keep.any():
             continue
-        xs, norms = xs[keep], norms[keep]
-        xr, yr = xs % k, y % k
+        ys, xs, norms = ys[keep], xs[keep], norms[keep]
+        xr, yr = xs % k, ys % k
         w0, w1 = (xr * v[0] + yr * b[0]) % k, (xr * v[1] + yr * b[1]) % k
         fixes = (w0 == v[0]) & (w1 == v[1])
         works = fixes | ((w0 == minus_v[0]) & (w1 == minus_v[1]))
-        keys = ((y + y_max) * stride + xs[works] + span) * 2 + ~fixes[works]
+        keys = ((ys[works] + y_max) * stride + xs[works] + span) * 2 + ~fixes[works]
         np.minimum.at(best, np.searchsorted(primes, norms[works]), keys)
     found = best != unset
     cell, flips = np.divmod(best[found], 2)
@@ -314,12 +316,14 @@ class ExceptionalFamily:
     degree: int
 
 
+@lru_cache(maxsize=1)
 def exceptional_triples() -> tuple[ExceptionalFamily, ...]:
     """The six split-torsion families beyond k <= 3 that admit all degrees.
 
     Three base triples, each with its conjugate variant: the kernel
     element has norm k (or norm 4 for k = 4) and its kernel meets the
-    exact-order-k points.
+    exact-order-k points.  Built on the first call and shared after it;
+    the families are frozen.
     """
     base = (
         (OrderParams(1, 2), 4, QuadElem(OrderParams(1, 2), 1, 1)),

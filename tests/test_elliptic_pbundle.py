@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from selfmaps import qorders
 from selfmaps.cm_elliptic import (
     CurveModel,
     TorsionPoint,
@@ -332,6 +333,24 @@ def test_scan_matches_per_prime_oracle(case):
         decision = _decide(curve, point, routes, p)
         assert report.witnesses[p] == decision.witness, (p, decision)
         assert (p in missing) == (not decision.achievable), (p, decision)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cases())
+@example((CurveModel.cm(DISC7), 8, (0, 1), 10_000))
+@example((CurveModel.cm(GAUSS), 7, (1, 0), 20_000))
+def test_lattice_pass_matches_the_oracle_across_block_seams(case):
+    curve, k, v, bound = case
+    point = split_desc(curve, k, v).bundle.point
+    routes = _aut_routes(curve, point)
+    needed = [p for p in primes_up_to(bound) if p % k and p % k not in routes]
+    expected = {p: _decide(curve, point, routes, p).witness for p in needed}
+    expected = {p: w for p, w in expected.items() if w is not None}
+    # blocks of one nonempty row each, and of the default size
+    for budget in (1, qorders._BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qorders, "_BLOCK_POINTS", budget)
+            assert _first_isogenies(curve, point, needed, bound) == expected, budget
 
 
 @pytest.mark.parametrize(

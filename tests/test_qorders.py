@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from selfmaps import qorders
 from selfmaps.qorders import (
     _SIEVE_CAP,
     PRIMALITY_CAP,
@@ -14,6 +15,11 @@ from selfmaps.qorders import (
     PrimalityCapError,
     QuadElem,
     SplitType,
+    _euler_symbols,
+    _jacobi_symbols,
+    _prime_flags,
+    _residues,
+    _split_type_of_prime,
     conjugate,
     degree_two_table,
     elements_of_norm,
@@ -22,7 +28,7 @@ from selfmaps.qorders import (
     legendre_euler,
     legendre_reciprocity,
     norm,
-    norm_rows,
+    norm_blocks,
     primes_up_to,
     represented_norms,
     split_density_report,
@@ -232,6 +238,12 @@ def test_primes_up_to_matches_trial_division():
         assert all(type(q) is int for q in sieved)
 
 
+def test_primes_up_to_reads_the_small_sieve():
+    # up to _SIEVE_CAP the primes come from is_prime's sieve, above it from a new one
+    for bound in (0, 1, 2, _SIEVE_CAP, _SIEVE_CAP + 1):
+        assert primes_up_to(bound) == np.flatnonzero(_prime_flags(bound)).tolist(), bound
+
+
 def test_legendre_frozen_values():
     assert legendre(2, 7) == 1
     assert legendre(3, 7) == -1
@@ -320,17 +332,27 @@ def test_represented_norms_matches_brute_force(order, bound):
 @example(OrderParams(0, 1), 2000)
 @example(OrderParams(1, 1), 0)
 @example(OrderParams(1, 1), 1)
-def test_norm_rows_matches_a_box_search(order, bound):
+def test_norm_blocks_matches_a_box_search(order, bound):
     # norm >= 3*y**2/4 and norm >= (x + t*y/2)**2, so every point of norm
     # <= 2000 has |y| <= 51 and |x| <= 71
     t, n = order.t, order.n
     box = ((y, x, x * x + t * x * y + n * y * y) for y in range(-60, 1) for x in range(-80, 81))
     expected = [point for point in box if point[2] <= bound]
-    rows = list(norm_rows(order, bound))
-    assert all(xs.dtype == norms.dtype == np.int64 for _, xs, norms in rows)
-    assert [
-        (y, x, m) for y, xs, norms in rows for x, m in zip(xs.tolist(), norms.tolist())
-    ] == expected
+    # a budget of one point, so that a block holds one nonempty row, and
+    # the default, which holds every row here in one block
+    for budget in (1, qorders._BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qorders, "_BLOCK_POINTS", budget)
+            blocks = list(norm_blocks(order, bound))
+        assert all(a.dtype == np.int64 for block in blocks for a in block)
+        points = [
+            (y, x, m) for ys, xs, norms in blocks for y, x, m in zip(ys.tolist(), xs.tolist(), norms.tolist())
+        ]
+        assert points == expected, budget
+        # whole rows only, and over the budget only when the block is one row
+        rows = [set(ys.tolist()) for ys, _, _ in blocks]
+        assert sum(map(len, rows)) == len(set().union(*rows)), budget
+        assert all(len(ys) <= budget or len(ys_set) == 1 for (ys, _, _), ys_set in zip(blocks, rows)), budget
 
 
 def test_represented_norms_rejects_negative_bound():
@@ -358,6 +380,51 @@ def test_split_density_report_matches_split_type():
         )
 
 
+# orders of discriminant t**2 - 4n with n small, and with n >= 2**64, so
+# that the discriminant is reduced mod p from more than one 32-bit limb
+density_orders_st = st.builds(
+    OrderParams, t=st.integers(0, 1), n=st.one_of(st.integers(1, 50), st.integers(2**64, 2**200))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(density_orders_st, st.integers(100, 10**5), st.sampled_from([1, 7, qorders._LEGENDRE_BLOCK]))
+@example(OrderParams(0, 1), 10**5, qorders._LEGENDRE_BLOCK)
+@example(OrderParams(1, 2**64), 100, 1)
+def test_density_array_pass_matches_split_type_of_prime(order, bound, block):
+    primes = primes_up_to(bound)
+    kinds = [_split_type_of_prime(order, p) for p in primes]
+    # prime by prime, over the odd primes in one array
+    ps = np.array(primes[1:], dtype=np.int64)
+    residues = _residues(order.discriminant, ps)
+    assert residues.tolist() == [order.discriminant % p for p in primes[1:]]
+    euler, jacobi = _euler_symbols(residues, ps), _jacobi_symbols(residues, ps)
+    as_kind = {1: SplitType.SPLIT, -1: SplitType.INERT, 0: SplitType.RAMIFIED}
+    assert [as_kind[e] for e in euler.tolist()] == kinds[1:]
+    assert jacobi.tolist() == euler.tolist()
+    # and the counts of the report, in blocks of block odd primes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qorders, "_LEGENDRE_BLOCK", block)
+        report = split_density_report(order, bound, primes=primes)
+    assert (report.split_count, report.inert_count, report.ramified_count) == tuple(
+        kinds.count(kind) for kind in (SplitType.SPLIT, SplitType.INERT, SplitType.RAMIFIED)
+    )
+
+
+def test_split_density_report_raises_on_a_legendre_mismatch(monkeypatch):
+    def one_wrong(residues, ps):
+        symbols = _jacobi_symbols(residues, ps)
+        symbols[ps == 101] *= -1
+        return symbols
+
+    monkeypatch.setattr(qorders, "_jacobi_symbols", one_wrong)
+    with pytest.raises(RuntimeError, match=r"legendre mismatch at \(-4, 101\)"):
+        split_density_report(GAUSS, 1000, primes=primes_up_to(1000))
+
+
 def test_split_density_bound_check():
     with pytest.raises(ValueError):
         split_density_report(GAUSS, 50, primes=primes_up_to(50))
+    # the int64 products of the array pass are exact only below 2**31
+    with pytest.raises(ValueError):
+        split_density_report(GAUSS, 2**31, primes=[])

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3004 invocations of selfmaps.cli.main in this process: scan
+Runs 3007 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -12,8 +12,9 @@ valid, rejected and malformed fans, group-check on a passing, a failing
 and malformed group files, classify on the other surface kinds and on
 descriptor errors, and verify-paper --negative-test; last, the JSON
 writer at scale: scan --json at 10^6 on the Gauss order with k = 5,
-point (4, 2) and k = 7, point (1, 0), and classify --json of a no-CM
-split_nontorsion bundle at 10^7.  Each line holds
+point (4, 2) and k = 7, point (1, 0), classify --json of a no-CM
+split_nontorsion bundle at 10^7, and density --json at 10^7 for two
+orders and at 10^5 for n = 10^30.  Each line holds
 the invocation, its exit code, and sha256 prefixes of stdout (minus its
 timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
@@ -129,6 +130,10 @@ def invocations(work: Path) -> list[list[str]]:
         cases.append(["scan", desc, "--bound", "1000000", "--json"])
     desc = descriptor("nocm-nontorsion.desc", "curve=nocm", "split_nontorsion")
     cases.append(["classify", desc, "--bound", "10000000", "--json"])
+    # the Legendre array pass of density at the sieve cap, and with a
+    # discriminant far beyond int64
+    cases += [["density", "--order", *order, "--bound", "10000000", "--json"] for order in (("0", "1"), ("1", "2"))]
+    cases.append(["density", "--order", "1", str(10**30), "--bound", "100000", "--json"])
     return cases
 
 
