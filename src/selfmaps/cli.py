@@ -357,14 +357,15 @@ _Outcome = tuple[Verdict | None, dict, int]
 
 
 # Largest --bound density and classify accept, checked before any sieve.
-# At 10^7 on a 2-core x86_64: density on the Gauss order 3.8 s and 66 MB
-# peak RSS (one fresh run); classify 1.3 s and 88 MB on a Gauss
-# atiyah_deg0 descriptor and 1.1 s and 116 MB on a no-CM split_nontorsion
-# one (medians of 3 fresh runs).  Density took 33 s and 384 MB at 10^8;
-# at 10^10 its sieve raised MemoryError under a 1.5 GB address-space
-# limit.  The Legendre symbols of density run over int64 arrays of
-# residues mod p <= SIEVE_BOUND_CAP, so every product of two of them is
-# below 10^14 < 2**63; split_density_report refuses bounds from 2**31 on.
+# At 10^7 on a 2-core x86_64: density on the Gauss order 0.77-0.79 s and
+# 60 MB peak RSS (medians of 5 fresh runs, two passes); classify 1.3 s
+# and 88 MB on a Gauss atiyah_deg0 descriptor and 1.1 s and 116 MB on a
+# no-CM split_nontorsion one (medians of 3 fresh runs).  With its earlier
+# per-prime Legendre loop, density took 33 s and 384 MB at 10^8; at 10^10
+# its sieve raised MemoryError under a 1.5 GB address-space limit.  The
+# Legendre symbols of density run over int64 arrays of residues mod
+# p <= SIEVE_BOUND_CAP, so every product of two of them is below
+# 10^14 < 2**63; split_density_report refuses bounds from 2**31 on.
 SIEVE_BOUND_CAP = 10**7
 
 

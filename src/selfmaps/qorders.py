@@ -185,13 +185,13 @@ def norm_blocks(
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound!r}")
     t, n, d = order.t, order.n, -order.discriminant
-    row_ys = range(-math.isqrt(4 * bound // d), 1)
-    roots = [math.isqrt(4 * bound - d * y * y) for y in row_ys]
-    # per row: first x, number of points and n*y**2, which is at most bound
-    firsts = np.array([-((s + t * y) // 2) for s, y in zip(roots, row_ys)], dtype=np.int64)
-    counts = np.array([(s - t * y) // 2 + (s + t * y) // 2 + 1 for s, y in zip(roots, row_ys)], dtype=np.int64)
-    ny2 = np.array([n * y * y for y in row_ys], dtype=np.int64)
-    row_ys = np.arange(row_ys.start, 1, dtype=np.int64)
+    y_range = range(-math.isqrt(4 * bound // d), 1)
+    roots = [math.isqrt(4 * bound - d * y * y) for y in y_range]
+    # per row: y, first x, number of points and n*y**2, which is at most bound
+    row_ys = np.arange(y_range.start, 1, dtype=np.int64)
+    firsts = np.array([-((s + t * y) // 2) for s, y in zip(roots, y_range)], dtype=np.int64)
+    counts = np.array([(s - t * y) // 2 + (s + t * y) // 2 + 1 for s, y in zip(roots, y_range)], dtype=np.int64)
+    ny2 = np.array([n * y * y for y in y_range], dtype=np.int64)
     ends = np.cumsum(counts)
     starts = ends - counts
     start = 0
@@ -459,8 +459,9 @@ def _euler_symbols(residues: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return symbols
 
 
-# The bits 2**1, 2**3, ...: a power of two 2**e has one of them set exactly when e is odd.
-_ODD_POWERS_OF_TWO = sum(1 << e for e in range(1, 63, 2))
+# The bits 2**1, 2**3, ..., 2**61: a power of two 2**e below 2**63 is one
+# of them exactly when e is odd.
+_ODD_POWERS_OF_TWO = 0x2AAAAAAAAAAAAAAA
 
 
 def _jacobi_symbols(residues: np.ndarray, ps: np.ndarray) -> np.ndarray:
