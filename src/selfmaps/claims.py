@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from math import gcd
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .cm_elliptic import (
     CurveModel,
     TorsionPoint,
@@ -44,11 +46,10 @@ from .ns_lattice import EndoOnNS, NSClass, atiyah_deg2_search
 from .qorders import (
     OrderParams,
     QuadElem,
-    SplitType,
     degree_two_table,
     primes_up_to,
     represented_norms,
-    split_type,
+    split_symbols,
 )
 from .toric import PROJECTIVE_PLANE, blow_up, hirzebruch, self_intersections, toric_verdict, validate_fan
 from .verdicts import AllDegrees, FiniteCandidatePrimes, InfinitelyManyMissing, MissingPrimes
@@ -212,17 +213,16 @@ def _check_toric_verdicts() -> tuple[bool, str]:
 def _check_splitting_oracle() -> tuple[bool, str]:
     orders = (EISENSTEIN, GAUSS, DISC7, DISC8)
     primes = primes_up_to(100_000)
+    ps = np.array(primes)
     for order in orders:
-        norms = represented_norms(order, primes[-1])
-        split = 0
-        for p in primes:
-            # split_type cross-checks Euler's criterion against reciprocity
-            # at every odd p not dividing the discriminant, and raises on a mismatch
-            kind = split_type(order, p)
-            split += kind is SplitType.SPLIT
-            if (norms[p] == 1) != (kind is not SplitType.INERT):
-                return False, f"disc {order.discriminant}, p={p}: norm witness disagrees with split type"
-        fraction = split / len(primes)
+        norms = np.frombuffer(represented_norms(order, primes[-1]), dtype=np.uint8)
+        # split_symbols cross-checks Euler's criterion against binary Jacobi
+        # at every odd prime, and raises on a mismatch
+        symbols = split_symbols(order, primes)
+        wrong = np.flatnonzero((norms[ps] == 1) != (symbols != -1))
+        if len(wrong):
+            return False, f"disc {order.discriminant}, p={primes[wrong[0]]}: norm witness disagrees with split type"
+        fraction = np.count_nonzero(symbols == 1) / len(primes)
         if abs(fraction - 0.5) >= 0.02:
             return False, f"disc {order.discriminant}: split fraction {fraction:.4f} off 1/2"
     return True, "norm witness = not inert on 4 orders x 9592 primes; split fractions within 0.02 of 1/2"

@@ -16,11 +16,13 @@ _SIEVE_CAP; above it, strong probable-prime tests to the twelve prime
 bases 2 to 37 decide it exactly below PRIMALITY_CAP, and an integer at
 or above the cap that passes all twelve raises PrimalityCapError.
 primes_up_to reads the same sieve for bounds up to _SIEVE_CAP.
-split_density_report takes its primes from a sieve and does not prove
-them prime again; it evaluates their Legendre symbols as int64 arrays,
-by Euler's criterion and by the binary Jacobi algorithm, and
-cross-checks the two.  legendre_euler, legendre_reciprocity and
-_split_type_of_prime stay its per-prime oracle.
+split_symbols takes its primes from a sieve and does not prove them
+prime again; it evaluates their Legendre symbols as int64 arrays, by
+Euler's criterion and by the binary Jacobi algorithm, and cross-checks
+the two.  split_density_report counts that array, and the
+splitting-oracle claim compares it with represented_norms.  split_type,
+legendre_euler, legendre_reciprocity and _split_type_of_prime stay its
+per-prime oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ __all__ = [
     "legendre_euler",
     "legendre_reciprocity",
     "split_type",
+    "split_symbols",
     "split_density_report",
 ]
 
@@ -491,46 +494,60 @@ def _jacobi_symbols(residues: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return symbols
 
 
-# Odd primes per array pass of split_density_report.  In density --bound
-# 10^7, one pass over all 664,578 of them peaked 47 MB above the per-prime
+# Odd primes per array pass of split_symbols.  In density --bound 10^7,
+# one pass over all 664,578 of them peaked 47 MB above the per-prime
 # loop; at 10^6, blocks of 2**16 ran no faster than 2**14 and peaked 4 MB higher.
 _LEGENDRE_BLOCK = 2**14
+
+_SYMBOL_OF = {SplitType.SPLIT: 1, SplitType.INERT: -1, SplitType.RAMIFIED: 0}
+
+
+def split_symbols(order: OrderParams, primes: list[int]) -> np.ndarray:
+    """int8 array: 1, -1 or 0 as each of primes splits, is inert or ramifies in order.
+
+    primes must be ascending sieve output below 2**31, so that the int64
+    products of two residues mod p are exact; they are not tested again.
+    p = 2 takes _split_type_of_prime's rule mod 8.  Every odd prime is
+    decided by the Legendre symbol of the discriminant, computed for
+    _LEGENDRE_BLOCK primes at a time, twice: by Euler's criterion and by
+    the binary Jacobi algorithm; any disagreement raises RuntimeError.
+    """
+    if primes and primes[-1] >= 2**31:
+        raise ValueError(f"primes must be below 2**31, got {primes[-1]!r}")
+    symbols = np.empty(len(primes), dtype=np.int8)
+    first_odd = 0
+    if primes and primes[0] == 2:
+        symbols[0] = _SYMBOL_OF[_split_type_of_prime(order, 2)]
+        first_odd = 1
+    d = order.discriminant
+    for start in range(first_odd, len(primes), _LEGENDRE_BLOCK):
+        ps = np.array(primes[start : start + _LEGENDRE_BLOCK], dtype=np.int64)
+        residues = _residues(d, ps)
+        block = _euler_symbols(residues, ps)
+        mismatch = np.flatnonzero(block != _jacobi_symbols(residues, ps))
+        if len(mismatch):
+            raise RuntimeError(f"legendre mismatch at ({d}, {ps[mismatch[0]]})")
+        symbols[start : start + len(ps)] = block
+    return symbols
 
 
 def split_density_report(order: OrderParams, bound: int, *, primes: list[int]) -> SplitDensityReport:
     """Split/inert/ramified counts over all primes <= bound.
 
     primes must be primes_up_to(bound), which the caller has sieved
-    already, and bound below 2**31, so that the int64 products of two
-    residues mod p are exact.  The primes are not tested again.  Every
-    odd prime is decided by the Legendre symbol of the discriminant,
-    computed for _LEGENDRE_BLOCK primes at a time, twice: by Euler's
-    criterion and by the binary Jacobi algorithm; any disagreement
-    raises RuntimeError.  p = 2 takes _split_type_of_prime's rule mod 8.
+    already, and bound below 2**31; the counts are those of
+    split_symbols(order, primes).
     """
     if bound < 100:
         raise ValueError(f"bound must be at least 100, got {bound!r}")
     if bound >= 2**31:
         raise ValueError(f"bound must be below 2**31, got {bound!r}")
-    counts = {SplitType.SPLIT: 0, SplitType.INERT: 0, SplitType.RAMIFIED: 0}
-    first_odd = 0
-    if primes and primes[0] == 2:
-        counts[_split_type_of_prime(order, 2)] += 1
-        first_odd = 1
-    d = order.discriminant
-    for start in range(first_odd, len(primes), _LEGENDRE_BLOCK):
-        ps = np.array(primes[start : start + _LEGENDRE_BLOCK], dtype=np.int64)
-        residues = _residues(d, ps)
-        symbols = _euler_symbols(residues, ps)
-        mismatch = np.flatnonzero(symbols != _jacobi_symbols(residues, ps))
-        if len(mismatch):
-            raise RuntimeError(f"legendre mismatch at ({d}, {ps[mismatch[0]]})")
-        for kind, symbol in ((SplitType.SPLIT, 1), (SplitType.INERT, -1), (SplitType.RAMIFIED, 0)):
-            counts[kind] += int(np.count_nonzero(symbols == symbol))
+    symbols = split_symbols(order, primes)
+    split, inert, ramified = (int(np.count_nonzero(symbols == symbol)) for symbol in (1, -1, 0))
     return SplitDensityReport(
         order=order,
         bound=bound,
-        split_count=counts[SplitType.SPLIT],
-        inert_count=counts[SplitType.INERT],
-        ramified_count=counts[SplitType.RAMIFIED],
+        split_count=split,
+        inert_count=inert,
+        ramified_count=ramified,
     )

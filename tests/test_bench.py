@@ -94,3 +94,21 @@ def test_every_traced_name_exists_in_its_module():
     for module, names in tracer.LAYERS.items():
         home = importlib.import_module(f"selfmaps.{module}")
         assert [name for name in names if not callable(getattr(home, name, None))] == [], module
+
+
+def test_describe_ignores_changed_bench_records(tmp_path):
+    # a suite's record in a tracked BENCH_*.json leaves the checkout clean
+    # for the next suite; any other tracked change marks it dirty
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (tmp_path / "BENCH_x.json").write_text("{}\n")
+    (tmp_path / "code.py").write_text("x = 1\n")
+    subprocess.run([*git, "add", "BENCH_x.json", "code.py"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "seed"], check=True)
+    commit = subprocess.run([*git, "rev-parse", "--short", "HEAD"], capture_output=True, text=True).stdout.strip()
+    describe = _load_bench()._describe
+    (tmp_path / "BENCH_x.json").write_text('{"runs": {}}\n')
+    (tmp_path / "untracked.txt").write_text("left by a run\n")
+    assert describe(tmp_path) == commit
+    (tmp_path / "code.py").write_text("x = 2\n")
+    assert describe(tmp_path) == f"{commit}-dirty"

@@ -1,5 +1,4 @@
-"""Output identity of the text and `--json` reports of every subcommand
-but verify-paper.
+"""Output identity of the text and `--json` reports of every subcommand.
 
 A `--json` digest is the sha256 of the report payload with its
 `timing_ms` key removed, serialized with sorted keys, as in
@@ -9,8 +8,9 @@ stdout minus its `  "timing_ms": ` line, so it also pins the layout
 (indent 2, sorted keys, separators, final newline) that the json digest
 cannot see.  The corpus covers `classify` on every surface
 kind, `scan`, `toric`, `group-check` on a passing and a failing group,
-`density --modulus` and `cm-table`; any change to a verdict, a details
-dict, a witness or a rendered line shows here.
+`density --modulus`, `cm-table`, and `verify-paper` with and without
+`--negative-test`; any change to a verdict, a details dict, a witness,
+a claim's detail or a rendered line shows here.
 """
 
 from __future__ import annotations
@@ -221,6 +221,22 @@ GOLDEN = {
             "json": "0e87c8b1855e2754e30f46097652663e5c606be4ccf8d86977bad0aa29d9fa5d",
             "text": "c31f591c981633ac3070e5f039648ab69957b8e2c77d39ded0559304ff0aa569",
             "raw": "44557324f2ff24b662c94c5055b907b522ce43c69329ec4833b2e6b083d544ed",
+        },
+    ),
+    "verify-paper": (
+        ["verify-paper"],
+        {
+            "json": "03e733844d54e2f500025dae8d9e6bca9baab9b3c72c78e5750cb7267438fd00",
+            "text": "55ffa92f7ba78f590b102ac6c07f10e39efcf72cb9b9fddd2103e73492fcc81c",
+            "raw": "a1afaf8e5ae4a6040b57abe0faae812c35d0bb3bc4a65a2a82dbe26718e18894",
+        },
+    ),
+    "verify-paper-negative-test": (
+        ["verify-paper", "--negative-test"],
+        {
+            "json": "839c37561aec39b506ad2a001a845fd7eb92571275da56821e023fa53ef129ca",
+            "text": "97739dc00350ec3ee630f4eac4d5f8180e444aca8d17bf8d1eb84a8cf861a2e5",
+            "raw": "5b77c6c9454b41a95742161692788cf333ebe60508d34d45f67697b93d4acce8",
         },
     ),
 }

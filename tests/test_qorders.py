@@ -32,6 +32,7 @@ from selfmaps.qorders import (
     primes_up_to,
     represented_norms,
     split_density_report,
+    split_symbols,
     split_type,
     units,
 )
@@ -409,6 +410,41 @@ def test_density_array_pass_matches_split_type_of_prime(order, bound, block):
     assert (report.split_count, report.inert_count, report.ramified_count) == tuple(
         kinds.count(kind) for kind in (SplitType.SPLIT, SplitType.INERT, SplitType.RAMIFIED)
     )
+
+
+# t = 1 gives the odd discriminants 1 - 4n: 1 mod 8 for even n, where 2
+# splits, and 5 mod 8 for odd n, where 2 is inert
+split_symbols_orders_st = st.one_of(
+    st.sampled_from(CLASS_NUMBER_ONE),
+    st.builds(OrderParams, t=st.just(1), n=st.integers(1, 10**6).map(lambda m: 2 * m)),
+    st.builds(OrderParams, t=st.just(1), n=st.integers(0, 10**6).map(lambda m: 2 * m + 1)),
+    density_orders_st,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_symbols_orders_st, st.integers(100, 10**5), st.sampled_from([7, 100, qorders._LEGENDRE_BLOCK]))
+@example(EISENSTEIN, 10**5, qorders._LEGENDRE_BLOCK)
+# ramified at 2, 3, 5, 7, 11 and 13, and at 3 and 5 for an odd discriminant
+@example(OrderParams(0, 3 * 5 * 7 * 11 * 13), 1000, 7)
+@example(OrderParams(1, 4), 1000, 7)
+def test_split_symbols_matches_split_type_of_prime(order, bound, block):
+    primes = primes_up_to(bound)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qorders, "_LEGENDRE_BLOCK", block)
+        symbols = split_symbols(order, primes)
+    assert symbols.dtype == np.int8
+    as_kind = {1: SplitType.SPLIT, -1: SplitType.INERT, 0: SplitType.RAMIFIED}
+    assert [as_kind[s] for s in symbols.tolist()] == [_split_type_of_prime(order, p) for p in primes]
+
+
+def test_split_symbols_takes_primes_below_2_31():
+    largest = 2**31 - 1  # a Mersenne prime
+    assert split_symbols(GAUSS, [largest]).tolist() == [-1]
+    assert _split_type_of_prime(GAUSS, largest) is SplitType.INERT
+    assert split_symbols(GAUSS, []).tolist() == []
+    with pytest.raises(ValueError):
+        split_symbols(GAUSS, [2**31 + 11])
 
 
 def test_split_density_report_raises_on_a_legendre_mismatch(monkeypatch):

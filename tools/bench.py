@@ -40,7 +40,10 @@ SUITE is one of:
 
 The record goes under runs[NAME] in FILE (default: the suite's
 BENCH_*.json at the repository root), so measurements of several
-checkouts, such as a commit and its parent, sit side by side.  One suite
+checkouts, such as a commit and its parent, sit side by side.  Measure
+a commit from a clean clone of it, through --checkout: the record's
+checkout key names the clone's commit, with -dirty appended when tracked
+files other than BENCH_*.json differ from it.  One suite
 runs per invocation, and its CLI children run before anything imports
 selfmaps or numpy into this process (see _run_child).  Measure only with
 nothing else heavy running: the numbers are wall times on a shared host.
@@ -91,8 +94,18 @@ print(json.dumps({{"build_s": built - start, "rho_s": done - built, "summary": s
 
 
 def _describe(checkout: Path) -> str | None:
-    describe = ["git", "-C", str(checkout), "describe", "--always", "--dirty"]
-    return subprocess.run(describe, capture_output=True, text=True).stdout.strip() or None
+    """The checkout's commit, marked -dirty when tracked files other than BENCH_*.json differ from it.
+
+    A suite run on the repository writes its record into a tracked
+    BENCH_*.json, which must not mark the next suite's record dirty.
+    """
+    git = ["git", "-C", str(checkout)]
+    commit = subprocess.run([*git, "describe", "--always"], capture_output=True, text=True).stdout.strip()
+    if not commit:
+        return None
+    status = [*git, "status", "--porcelain", "--untracked-files=no", "--", ".", ":(exclude)BENCH_*.json"]
+    changed = subprocess.run(status, capture_output=True, text=True).stdout.strip()
+    return f"{commit}-dirty" if changed else commit
 
 
 def _run_child(src: Path, name: str, argv: list[str], parse) -> tuple[tuple[dict, str], int]:
