@@ -97,20 +97,19 @@ def _per_prime_splitting_oracle() -> tuple[bool, str]:
     ("order", "flips"),
     [
         pytest.param(GAUSS, (), id="none"),
-        pytest.param(EISENSTEIN, (SplitType.INERT, 0), id="first-inert"),
-        pytest.param(DISC8, (SplitType.INERT, -1), id="last-inert"),
+        pytest.param(EISENSTEIN, ((SplitType.INERT, 0),), id="first-inert"),
+        pytest.param(DISC8, ((SplitType.INERT, -1),), id="last-inert"),
         # the first disagreeing prime in ascending order is reported
-        pytest.param(DISC7, (SplitType.INERT, -1, SplitType.SPLIT, 500), id="split-before-inert"),
-        pytest.param(GAUSS, (SplitType.RAMIFIED, 0), id="ramified"),
+        pytest.param(DISC7, ((SplitType.INERT, -1), (SplitType.SPLIT, 500)), id="split-before-inert"),
+        pytest.param(GAUSS, ((SplitType.RAMIFIED, 0),), id="ramified"),
     ],
 )
 def test_splitting_oracle_reports_the_first_disagreeing_prime(order, flips, monkeypatch):
-    """Flip the norm flags of chosen primes of one order: the claim fails
-    with the message of the per-prime loop on the same flags."""
+    """Flip the norm flags of the primes (kind, index) of one order, the
+    index-th prime of that split type: the claim fails with the message
+    of the per-prime loop on the same flags."""
     primes = primes_up_to(100_000)
-    targets = []
-    for kind, index in zip(flips[::2], flips[1::2]):
-        targets.append([p for p in primes if split_type(order, p) is kind][index])
+    targets = [[p for p in primes if split_type(order, p) is kind][index] for kind, index in flips]
     real = claims.represented_norms
 
     def flipped(o, bound):
