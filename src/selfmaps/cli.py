@@ -36,10 +36,9 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .claims import run_claims
 from .elliptic_pbundle import (
     SCAN_BOUND_CAP,
     AtiyahDegreeOne,
@@ -55,12 +54,6 @@ from .elliptic_pbundle import (
     scan_primes,
 )
 from .cm_elliptic import CurveModel, TorsionPoint
-from .group_condition import (
-    CayleyGroup,
-    RhoBarReport,
-    load_group,
-    rho_bar_surjective,
-)
 from .qorders import (
     OrderParams,
     degree_two_table,
@@ -89,6 +82,11 @@ from .verdicts import (
     verdict_to_payload,
     witness_to_payload,
 )
+
+# claims and group_condition import numpy, so each handler that runs them
+# imports them itself: the other subcommands start without numpy.
+if TYPE_CHECKING:
+    from .group_condition import CayleyGroup, RhoBarReport
 
 SCHEMA_VERSION = 1
 
@@ -225,6 +223,8 @@ def load_descriptor(path: str | Path) -> SurfaceDescriptor:
             return SurfaceDescriptor(surface=surface, prime=1)
         if not is_prime(p):
             raise DescriptorError(f"p= must be 1 or a prime, got {p}")
+        from .group_condition import load_group
+
         group = load_group(path.parent / fields.take("group_file"))
         fields.finish()
         return SurfaceDescriptor(surface=surface, group=group, prime=p)
@@ -261,6 +261,8 @@ def _high_genus_verdict(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
             note="trivial twist: fiber self-maps of every degree extend to the bundle"
         )
         return verdict, {"p": 1}
+    from .group_condition import rho_bar_surjective
+
     report = rho_bar_surjective(desc.group, desc.prime)
     if not report.subgroup_reports:
         raise DescriptorError(
@@ -503,6 +505,8 @@ def _cmd_toric(args: argparse.Namespace) -> _Outcome:
 def _cmd_group_check(args: argparse.Namespace) -> _Outcome:
     if not is_prime(args.p):
         raise DescriptorError(f"p must be prime, got {args.p}")
+    from .group_condition import load_group, rho_bar_surjective
+
     group = load_group(args.group_file)
     return None, _group_details(group, rho_bar_surjective(group, args.p)), 0
 
@@ -517,6 +521,8 @@ def _render_group_check(d: dict) -> list[str]:
 
 
 def _cmd_verify_paper(args: argparse.Namespace) -> _Outcome:
+    from .claims import run_claims
+
     results = run_claims(negative_test=args.negative_test)
     details: dict = {
         "claims": [

@@ -16,8 +16,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Union
 
-import numpy as np
-
 from .cm_elliptic import (
     CurveModel,
     TorsionPoint,
@@ -250,6 +248,8 @@ def _first_isogenies(
     k = point.k
     if not curve.has_cm or not needed or k > bound + isqrt(4 * bound) + 1:
         return {}
+    import numpy as np
+
     v = point.v
     minus_v = ((-v[0]) % k, (-v[1]) % k)
     # the dual is additive and fixes 1, so the dual of x + y*w sends v to

@@ -11,10 +11,11 @@ lattice points, one entry per point; represented_norms marks the norms
 it yields, so a claim about all primes below the bound costs one pass
 over the norm form, not one search per prime, and the prime scan of
 elliptic_pbundle reads the same blocks.  elements_of_norm stays their
-brute-force oracle.  is_prime reads a sieve, built on first use, up to
-_SIEVE_CAP; above it, strong probable-prime tests to the twelve prime
-bases 2 to 37 decide it exactly below PRIMALITY_CAP, and an integer at
-or above the cap that passes all twelve raises PrimalityCapError.
+brute-force oracle.  is_prime reads a pure-Python bytearray sieve,
+built on first use, up to _SIEVE_CAP; above it, strong probable-prime
+tests to the twelve prime bases 2 to 37 decide it exactly below
+PRIMALITY_CAP, and an integer at or above the cap that passes all
+twelve raises PrimalityCapError.
 primes_up_to reads the same sieve for bounds up to _SIEVE_CAP.
 split_symbols takes its primes from a sieve and does not prove them
 prime again; it evaluates their Legendre symbols as int64 arrays, by
@@ -23,6 +24,12 @@ the two.  split_density_report counts that array, and the
 splitting-oracle claim compares it with represented_norms.  split_type,
 legendre_euler, legendre_reciprocity and _split_type_of_prime stay its
 per-prime oracle.
+
+numpy is imported inside the array passes alone: norm_blocks,
+represented_norms, _prime_flags, primes_up_to, split_symbols with its
+three Legendre helpers, and split_density_report.  Importing this
+module, the element arithmetic and is_prime never load it, so CLI paths
+that run no array pass start without numpy.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NotPrimeError",
@@ -185,6 +193,8 @@ def norm_blocks(
     absolute value, and any bound small enough for a table of that many
     entries to be allocated is far below 2**62.
     """
+    import numpy as np
+
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound!r}")
     t, n, d = order.t, order.n, -order.discriminant
@@ -216,6 +226,8 @@ def represented_norms(order: OrderParams, bound: int) -> bytearray:
     Marks the norms of every block of norm_blocks, through a numpy view
     of the flags.
     """
+    import numpy as np
+
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound!r}")
     flags = bytearray(bound + 1)
@@ -254,6 +266,8 @@ _SIEVE_CAP = 2**17
 
 def _prime_flags(bound: int) -> np.ndarray:
     """Sieve of Eratosthenes: flags[m] is True exactly when m is prime, 0 <= m <= bound (>= 1)."""
+    import numpy as np
+
     flags = np.ones(bound + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
@@ -264,7 +278,13 @@ def _prime_flags(bound: int) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _small_prime_flags() -> bytes:
-    return _prime_flags(_SIEVE_CAP).tobytes()
+    """The bytes of _prime_flags(_SIEVE_CAP), by the same sieve on a bytearray, without numpy."""
+    flags = bytearray(b"\1") * (_SIEVE_CAP + 1)
+    flags[:2] = b"\0\0"
+    for p in range(2, math.isqrt(_SIEVE_CAP) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes((_SIEVE_CAP - p * p) // p + 1)
+    return bytes(flags)
 
 
 # psi_12 of Sorenson and Webster, "Strong pseudoprimes to twelve prime
@@ -308,6 +328,8 @@ def is_prime(m: int) -> bool:
 
 def primes_up_to(bound: int) -> list[int]:
     """Sieve of Eratosthenes, inclusive bound; up to _SIEVE_CAP, a prefix of is_prime's sieve."""
+    import numpy as np
+
     if bound < 2:
         return []
     if bound <= _SIEVE_CAP:
@@ -429,6 +451,8 @@ def _residues(a: int, ps: np.ndarray) -> np.ndarray:
     Horner's rule over the 32-bit limbs of |a|: with every p below 2**31,
     r * 2**32 + limb stays below 2**63.
     """
+    import numpy as np
+
     m = abs(a)
     r = np.zeros_like(ps)
     for shift in range(m.bit_length() // 32 * 32, -1, -32):
@@ -444,6 +468,8 @@ def _euler_symbols(residues: np.ndarray, ps: np.ndarray) -> np.ndarray:
     Square-and-multiply over the bits of (p - 1)/2, all primes at once;
     every product is of two residues below p, so below 2**62.
     """
+    import numpy as np
+
     power = np.ones_like(ps)
     square = residues.copy()
     product = np.empty_like(ps)
@@ -476,6 +502,8 @@ def _jacobi_symbols(residues: np.ndarray, ps: np.ndarray) -> np.ndarray:
     mod n.  An entry leaves at a = 0 with its sign when n = 1, else 0.
     Entries still running are compacted after every step.
     """
+    import numpy as np
+
     symbols = np.zeros(len(ps), dtype=np.int8)
     live = np.flatnonzero(residues)
     a, n = residues[live], ps[live]
@@ -512,6 +540,8 @@ def split_symbols(order: OrderParams, primes: list[int]) -> np.ndarray:
     _LEGENDRE_BLOCK primes at a time, twice: by Euler's criterion and by
     the binary Jacobi algorithm; any disagreement raises RuntimeError.
     """
+    import numpy as np
+
     if primes and primes[-1] >= 2**31:
         raise ValueError(f"primes must be below 2**31, got {primes[-1]!r}")
     symbols = np.empty(len(primes), dtype=np.int8)
@@ -538,6 +568,8 @@ def split_density_report(order: OrderParams, bound: int, *, primes: list[int]) -
     already, and bound below 2**31; the counts are those of
     split_symbols(order, primes).
     """
+    import numpy as np
+
     if bound < 100:
         raise ValueError(f"bound must be at least 100, got {bound!r}")
     if bound >= 2**31:

@@ -698,12 +698,12 @@ def test_verify_exit_codes_with_stub_battery(capsys, monkeypatch):
     # exit-code plumbing only; the real battery runs in the acceptance tests
     all_pass = "PASS degree-two-table: stub\nPASS exceptional-families: stub\nPASS ns-bookkeeping: stub\n"
     one_fail = "PASS degree-two-table: stub\nFAIL exceptional-families: stub\nPASS ns-bookkeeping: stub\n"
-    monkeypatch.setattr("selfmaps.cli.run_claims", lambda negative_test=False: _fake_results(False))
+    monkeypatch.setattr("selfmaps.claims.run_claims", lambda negative_test=False: _fake_results(False))
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 0
     assert out == all_pass + "3/3 claims pass\n"
 
-    monkeypatch.setattr("selfmaps.cli.run_claims", lambda negative_test=False: _fake_results(True))
+    monkeypatch.setattr("selfmaps.claims.run_claims", lambda negative_test=False: _fake_results(True))
     code, out, _ = run_cli(capsys, "verify-paper")
     assert code == 1
     assert out == one_fail + "2/3 claims pass\n"
@@ -712,7 +712,7 @@ def test_verify_exit_codes_with_stub_battery(capsys, monkeypatch):
     assert code == 0
     assert out == one_fail + "injected fault: detected\n"
 
-    monkeypatch.setattr("selfmaps.cli.run_claims", lambda negative_test=False: _fake_results(False))
+    monkeypatch.setattr("selfmaps.claims.run_claims", lambda negative_test=False: _fake_results(False))
     code, out, _ = run_cli(capsys, "verify-paper", "--negative-test")
     assert code == 1
     assert out == all_pass + "injected fault: MISSED\n"

@@ -19,6 +19,7 @@ from selfmaps.qorders import (
     _jacobi_symbols,
     _prime_flags,
     _residues,
+    _small_prime_flags,
     _split_type_of_prime,
     conjugate,
     degree_two_table,
@@ -243,6 +244,11 @@ def test_primes_up_to_reads_the_small_sieve():
     # up to _SIEVE_CAP the primes come from is_prime's sieve, above it from a new one
     for bound in (0, 1, 2, _SIEVE_CAP, _SIEVE_CAP + 1):
         assert primes_up_to(bound) == np.flatnonzero(_prime_flags(bound)).tolist(), bound
+
+
+def test_small_sieve_without_numpy_matches_the_numpy_sieve():
+    # is_prime's pure-Python bytearray sieve against the numpy one, byte for byte
+    assert _small_prime_flags() == _prime_flags(_SIEVE_CAP).tobytes()
 
 
 def test_legendre_frozen_values():

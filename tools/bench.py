@@ -37,6 +37,21 @@ SUITE is one of:
                   recording the median of each part and of their sum, the
                   largest peak RSS and the sha256 of the reports' holds,
                   images and witnesses
+    startup       fresh-interpreter start-up: `--version`, `toric` of
+                  the plane fan, `classify` of an abelian and of a toric
+                  descriptor (the paths that run no numpy array pass),
+                  and `verify-paper --json`, which imports everything.
+                  Each case runs in two modes.  source sets
+                  PYTHONDONTWRITEBYTECODE=1, so every run compiles
+                  selfmaps from source; every older BENCH_*.json record
+                  was taken this way.  bytecode points PYTHONPYCACHEPREFIX
+                  at a temporary directory that one untimed run of each
+                  case fills, so every run reads bytecode, as an installed
+                  package does.  Each mode also records the -X importtime
+                  split of `import selfmaps.cli` (RUNS runs, medians): the
+                  self time of each selfmaps module and their share of all
+                  import time, numpy's cumulative time, and the number of
+                  dataclasses the imported selfmaps modules define
 
 The record goes under runs[NAME] in FILE (default: the suite's
 BENCH_*.json at the repository root), so measurements of several
@@ -108,7 +123,7 @@ def _describe(checkout: Path) -> str | None:
     return f"{commit}-dirty" if changed else commit
 
 
-def _run_child(src: Path, name: str, argv: list[str], parse) -> tuple[tuple[dict, str], int]:
+def _run_child(src: Path, name: str, argv: list[str], parse, env: dict | None = None) -> tuple[tuple[dict, str], int]:
     """parse(wall seconds, stdout) and peak RSS in kB of `python ARGV` against SRC, which must exit 0.
 
     stdout is the child's output as a binary file, read back from disk,
@@ -117,8 +132,9 @@ def _run_child(src: Path, name: str, argv: list[str], parse) -> tuple[tuple[dict
     child waited for so far, earlier cases included.  Linux carries the
     peak across fork and exec, so the figure is never below this
     process's own peak RSS: keep the runner smaller than what it measures.
+    ENV is set in the child's environment on top of this process's.
     """
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **(env or {}))
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, *argv], stdout=out, stderr=err, env=env)
@@ -131,7 +147,7 @@ def _run_child(src: Path, name: str, argv: list[str], parse) -> tuple[tuple[dict
         return parse(wall, out), usage.ru_maxrss
 
 
-def _runs(src: Path, name: str, argv: list[str], parse) -> dict:
+def _runs(src: Path, name: str, argv: list[str], parse, env: dict | None = None) -> dict:
     """Medians, peak RSS and payload sha256 of `python ARGV` against SRC in RUNS fresh interpreters.
 
     parse(wall, stdout) gives a run's timed parts, in seconds, and the
@@ -140,7 +156,7 @@ def _runs(src: Path, name: str, argv: list[str], parse) -> dict:
     """
     seconds, digests, peak_kb = {}, set(), 0
     for _ in range(RUNS):
-        (parts, digest), rss_kb = _run_child(src, name, argv, parse)
+        (parts, digest), rss_kb = _run_child(src, name, argv, parse, env)
         digests.add(digest)
         for part, s in parts.items():
             seconds.setdefault(part, []).append(s)
@@ -170,13 +186,13 @@ def payload_sha256(stdout) -> str:
     return digest.hexdigest()
 
 
-def cli_runs(src: Path, argv: list[str]) -> dict:
-    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in RUNS fresh interpreters."""
+def _wall_and_digest(wall: float, stdout) -> tuple[dict, str]:
+    return {"wall_s": wall}, payload_sha256(stdout)
 
-    def parts(wall: float, stdout) -> tuple[dict, str]:
-        return {"wall_s": wall}, payload_sha256(stdout)
 
-    return _runs(src, argv[0], ["-m", "selfmaps.cli", *argv], parts)
+def cli_runs(src: Path, argv: list[str], env: dict | None = None) -> dict:
+    """Median wall and peak RSS of `python -m selfmaps.cli ARGV` in RUNS fresh interpreters, ENV set in each."""
+    return _runs(src, argv[0], ["-m", "selfmaps.cli", *argv], _wall_and_digest, env)
 
 
 def claim_seconds(src: Path) -> dict:
@@ -281,6 +297,100 @@ def _group(src: Path, work: Path) -> dict:
     return {"numpy": numpy.__version__, "cases": cases}
 
 
+STARTUP_FILES = {
+    "plane.fan": "1 0\n0 1\n-1 -1\n",
+    "abelian.desc": "surface=abelian\n",
+    "toric.desc": "surface=toric\nfan_file=plane.fan\n",
+}
+# case: argv, with the names of STARTUP_FILES standing for their paths
+STARTUP_CASES = {
+    "version": ["--version"],
+    "toric-plane": ["toric", "plane.fan", "--json"],
+    "classify-abelian": ["classify", "abelian.desc", "--json"],
+    "classify-toric": ["classify", "toric.desc", "--json"],
+    "verify-paper": ["verify-paper", "--json"],
+}
+STARTUP_MODES = {
+    "source": "PYTHONDONTWRITEBYTECODE=1: every run compiles selfmaps from source, as in every older BENCH_*.json record",
+    "bytecode": "PYTHONPYCACHEPREFIX=a temporary directory, filled by one untimed run of each case: every run reads bytecode",
+}
+
+# Runs in the child under -X importtime; prints how many dataclasses the imported selfmaps modules define.
+_DATACLASS_COUNT_SCRIPT = """
+import selfmaps.cli
+import dataclasses, sys
+modules = [(name, m) for name, m in list(sys.modules.items()) if name.startswith("selfmaps")]
+print(sum(isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == name for name, m in modules for v in vars(m).values()))
+"""
+
+
+def import_split(src: Path, env: dict) -> dict:
+    """Medians over RUNS fresh `-X importtime` imports of selfmaps.cli, in ms.
+
+    Self time of each selfmaps module and their sum, the sum over every
+    module the interpreter imported (site included), and numpy's
+    cumulative time (0 when it was not imported).
+    """
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
+    runs, dataclass_counts = [], set()
+    for _ in range(RUNS):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-c", _DATACLASS_COUNT_SCRIPT], capture_output=True, text=True, env=env
+        )
+        if proc.returncode != 0:
+            raise SystemExit(f"importtime run exited {proc.returncode}: {proc.stderr}")
+        dataclass_counts.add(int(proc.stdout))
+        selfs, numpy_us = {}, 0
+        for line in proc.stderr.splitlines()[1:]:
+            own, cumulative, module = line.removeprefix("import time:").split("|")
+            module = module.strip()
+            selfs[module] = selfs.get(module, 0) + int(own)
+            if module == "numpy":
+                numpy_us = int(cumulative)
+        modules = {m: us for m, us in selfs.items() if m.split(".")[0] == "selfmaps"}
+        runs.append({"modules": modules, "selfmaps": sum(modules.values()), "total": sum(selfs.values()), "numpy": numpy_us})
+    if len(dataclass_counts) != 1:
+        raise SystemExit(f"the imported modules defined {sorted(dataclass_counts)} dataclasses")
+
+    def median_ms(values) -> float:
+        return round(statistics.median(values) / 1000, 2)
+
+    selfmaps_ms, total_ms = median_ms([r["selfmaps"] for r in runs]), median_ms([r["total"] for r in runs])
+    return {
+        "selfmaps_self_ms_by_module": {m: median_ms([r["modules"].get(m, 0) for r in runs]) for m in runs[0]["modules"]},
+        "selfmaps_self_ms": selfmaps_ms,
+        "all_imports_self_ms": total_ms,
+        "selfmaps_share": round(selfmaps_ms / total_ms, 3),
+        "numpy_cumulative_ms": median_ms([r["numpy"] for r in runs]),
+        "selfmaps_dataclasses": dataclass_counts.pop(),
+    }
+
+
+def _startup(src: Path, work: Path) -> dict:
+    if (src / "selfmaps" / "__pycache__").exists():
+        raise SystemExit(f"{src / 'selfmaps' / '__pycache__'} holds bytecode: measure a clean clone")
+    for name, text in STARTUP_FILES.items():
+        (work / name).write_text(text)
+    argvs = {case: [str(work / a) if a in STARTUP_FILES else a for a in argv] for case, argv in STARTUP_CASES.items()}
+    prefix = work / "pycache"
+    envs = {
+        "source": {"PYTHONDONTWRITEBYTECODE": "1"},
+        # an empty PYTHONDONTWRITEBYTECODE lets the untimed first runs write the prefix
+        "bytecode": {"PYTHONDONTWRITEBYTECODE": "", "PYTHONPYCACHEPREFIX": str(prefix)},
+    }
+    for argv in argvs.values():
+        _run_child(src, "precompile", ["-m", "selfmaps.cli", *argv], _wall_and_digest, envs["bytecode"])
+    return {
+        "modes": {
+            mode: {
+                "cases": {case: cli_runs(src, argv, env) for case, argv in argvs.items()},
+                "import_selfmaps_cli": import_split(src, env),
+            }
+            for mode, env in envs.items()
+        }
+    }
+
+
 # suite: (default --out at the repository root, header keys of the BENCH file, (src, work dir) -> record keys)
 SUITES = {
     "verify-paper": ("BENCH_verify_paper.json", {"command": "python -m selfmaps.cli verify-paper --json"}, _verify_paper),
@@ -305,6 +415,11 @@ SUITES = {
             "in_process": f"build_semidirect({SEMIDIRECT_P}), then rho_bar_surjective at q in {list(SEMIDIRECT_QS)}",
         },
         _group,
+    ),
+    "startup": (
+        "BENCH_startup.json",
+        {"command": "python -m selfmaps.cli ARGV", "files": STARTUP_FILES, "cases": STARTUP_CASES, "modes": STARTUP_MODES},
+        _startup,
     ),
 }
 
