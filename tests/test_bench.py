@@ -38,8 +38,11 @@ def test_importing_bench_loads_neither_numpy_nor_selfmaps():
 
 
 def test_suite_headers_match_the_committed_bench_files():
-    # new labels sit beside the recorded runs under the same header
-    for out, header, _ in _load_bench().SUITES.values():
+    # new labels sit beside the recorded runs under the same header, and
+    # every committed BENCH file, BENCH_startup.json included, has its suite
+    suites = _load_bench().SUITES.values()
+    assert {out for out, _, _ in suites} == {path.name for path in REPO.glob("BENCH_*.json")}
+    for out, header, _ in suites:
         committed = json.loads((REPO / out).read_text())
         assert set(committed) == set(header) | {"runs"}
         assert {key: committed[key] for key in header} == header

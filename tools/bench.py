@@ -344,7 +344,7 @@ def import_split(src: Path, env: dict) -> dict:
         for line in proc.stderr.splitlines()[1:]:
             own, cumulative, module = line.removeprefix("import time:").split("|")
             module = module.strip()
-            selfs[module] = selfs.get(module, 0) + int(own)
+            selfs[module] = int(own)
             if module == "numpy":
                 numpy_us = int(cumulative)
         modules = {m: us for m, us in selfs.items() if m.split(".")[0] == "selfmaps"}
