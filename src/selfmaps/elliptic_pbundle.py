@@ -374,7 +374,11 @@ def _certificate_attempt(desc: EllipticBundleDescriptor) -> DegreeCertificate | 
     if any(gcd(r, k) == 1 and r not in residue_witnesses for r in range(k)):
         return None
     special_witnesses: dict[int, Witness] = {}
-    for p in (q for q in primes_up_to(k) if k % q == 0):
+    # The residue check passes only when the at most 6 exponents +-m of
+    # the automorphisms cover (Z/k)*, so phi(k) <= 6 and k <= 18: trial
+    # division lists the prime divisors without primes_up_to's numpy sieve.
+    prime_divisors = (q for q in range(2, k + 1) if k % q == 0 and all(q % d for d in range(2, isqrt(q) + 1)))
+    for p in prime_divisors:
         witness = _decide(desc.curve, point, routes, p).witness
         if witness is None:
             return None

@@ -1,10 +1,13 @@
 import itertools
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfmaps import group_condition
 from selfmaps.group_condition import (
     GROUP_ORDER_CAP,
     _generating_set,
@@ -486,6 +489,103 @@ def _outcome(parse, text):
 @given(table_texts())
 def test_parse_group_text_fast_path_matches_row_loop(text):
     assert _outcome(parse_group_text, text) == _outcome(_parse_rows_reference, text)
+
+
+# Features of a table text for the byte kernel.  Each changes one row
+# token, or the text, in one way; the flag says whether the kernel
+# still reads the text (True) or leaves it to the row loop (False).
+KERNEL_EDITS = {
+    "seven-digit": True,  # "000000" + entry: the longest token the kernel reads
+    "eight-digit": False,
+    "nine-digit": False,
+    "entry-n": False,
+    "entry-65537": False,
+    "plus": False,  # "+3"
+    "arabic-indic": False,  # U+0663, which int() reads as 3
+    "trailing-comment": False,  # "# x" after the last token of a row
+    "drop-token": False,
+    "extra-token": False,
+    "move-token": False,  # from one row to the next: right total, wrong rows
+    "drop-row": False,
+    "extra-row": False,
+    "letter": False,
+    "form-feed-comment": False,  # str.splitlines splits a comment at \x0c
+}
+
+
+@st.composite
+def kernel_texts(draw):
+    """(text, the kernel reads it) for a table of order up to 70 with random entries."""
+    n = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    width = draw(st.sampled_from([0, 0, 3, 5]))  # leading zeros up to this width
+    rows = [[str(rng.randrange(n)).zfill(width) for _ in range(n)] for _ in range(n)]
+    edits = draw(st.lists(st.sampled_from(sorted(KERNEL_EDITS)), max_size=2))
+    for edit in edits:
+        if not rows:
+            break
+        row = rows[rng.randrange(len(rows))]
+        col = rng.randrange(len(row)) if row else 0
+        if edit == "seven-digit":
+            row[col] = str(rng.randrange(n)).zfill(7)
+        elif edit in ("eight-digit", "nine-digit"):
+            row[col] = str(rng.randrange(n)).zfill(8 if edit == "eight-digit" else 9)
+        elif edit == "entry-n":
+            row[col] = str(n)
+        elif edit == "entry-65537":
+            row[col] = "65537"
+        elif edit == "plus":
+            row[col] = "+3"
+        elif edit == "arabic-indic":
+            row[col] = "\u0663"
+        elif edit == "trailing-comment":
+            row.append("# x")
+        elif edit == "drop-token" and row:
+            row.pop(col)
+        elif edit == "extra-token":
+            row.append("0")
+        elif edit == "move-token" and row:
+            rows[(rows.index(row) + 1) % len(rows)].append(row.pop(col))
+        elif edit == "drop-row":
+            rows.remove(row)
+        elif edit == "extra-row":
+            rows.append(list(row))
+        elif edit == "letter":
+            row[col] = "x"
+    lines = [" ".join(row) if rng.random() < 0.5 else rng.choice(["\t", "  ", " \t "]).join(row) for row in rows]
+    lines = [rng.choice(["", "", " ", "\t"]) + line + rng.choice(["", "", " ", "\t"]) for line in lines]
+    lines.insert(0, rng.choice([str(n), str(n), f" {n} ", str(n).zfill(4)]))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t", "# note", "  #", "#\t1 2"]))
+    if "form-feed-comment" in edits:
+        lines.insert(rng.randrange(len(lines) + 1), "# a\x0c0")
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    return text, not any(not KERNEL_EDITS[edit] for edit in edits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_texts(), st.sampled_from([24, 40, 64, group_condition._TEXT_BLOCK]))
+def test_parse_group_text_kernel_matches_row_loop(case, block):
+    """The kernel, with blocks down to a few dozen bytes, against the row loop alone."""
+    text, kernel_reads = case
+    with mock.patch.object(group_condition, "_TEXT_BLOCK", block):
+        got = _outcome(parse_group_text, text)
+        read = group_condition._parse_table_bytes(text)
+    with mock.patch.object(group_condition, "_parse_table_bytes", lambda text: None):
+        expected = _outcome(parse_group_text, text)
+    assert got == expected
+    if kernel_reads:
+        assert read is not None and read.tolist() == expected[1]
+
+
+def test_kernel_table_is_uint16_and_validate_group_copies_it():
+    text = "6\n" + "".join(" ".join(str((a + b) % 6) for b in range(6)) + "\n" for a in range(6))
+    table = parse_group_text(text)
+    assert table.dtype == np.uint16 and table.shape == (6, 6)
+    group = validate_group(table)
+    assert not np.shares_memory(group.table, table)
+    assert group.table.tolist() == table.tolist()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
 """Start-up: the CLI paths that run no array pass never import numpy.
 
+The classify steps include two split torsion bundles whose all-degrees
+certificate succeeds: the certificate lists the primes dividing k by
+trial division, so it needs no sieve.
+
 Each case runs in a fresh interpreter, since this test process has
 numpy loaded already.  The child imports selfmaps.cli, then runs the
 paths one after another in the same process and records after each
@@ -43,7 +47,7 @@ step("import")
 step("--version", ["--version"])
 work = sys.argv[1]
 step("toric", ["toric", f"{work}/plane.fan"])
-for kind in ("abelian", "hyperelliptic", "kodaira_one", "toric"):
+for kind in ("abelian", "hyperelliptic", "kodaira_one", "toric", "certificate-k5", "certificate-k2"):
     step(f"classify {kind}", ["classify", f"{work}/{kind}.desc", "--json"])
 step("scan", ["scan", f"{work}/scan.desc", "--bound", "100", "--json"])
 print(json.dumps({"optimize": sys.flags.optimize, "steps": steps}))
@@ -54,6 +58,10 @@ DESCRIPTORS = {
     "hyperelliptic": "surface=hyperelliptic\n",
     "kodaira_one": "surface=kodaira_one\n",
     "toric": "surface=toric\nfan_file=plane.fan\n",
+    # split torsion bundles over the Gauss curve whose all-degrees
+    # certificate succeeds, so classify runs no scan
+    "certificate-k5": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=1 2\n",
+    "certificate-k2": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=2\npoint=1 0\n",
     "scan": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=1 2\n",
 }
 
@@ -80,5 +88,7 @@ def test_numpy_loads_only_where_an_array_pass_runs(tmp_path, flags):
         ["classify hyperelliptic", 0, False],
         ["classify kodaira_one", 0, False],
         ["classify toric", 0, False],
+        ["classify certificate-k5", 0, False],
+        ["classify certificate-k2", 0, False],
     ]
     assert (control, control_code, control_loaded) == ("scan", 0, True)

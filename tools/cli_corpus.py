@@ -3,13 +3,14 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3007 invocations of selfmaps.cli.main in this process: scan
+Runs 3021 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
 without --modulus, error cases, cm-table and verify-paper; then toric on
 valid, rejected and malformed fans, group-check on a passing, a failing
-and malformed group files, classify on the other surface kinds and on
+and malformed group files and on files at the edge of the byte kernel of
+parse_group_text, classify on the other surface kinds and on
 descriptor errors, and verify-paper --negative-test; last, the JSON
 writer at scale: scan --json at 10^6 on the Gauss order with k = 5,
 point (4, 2) and k = 7, point (1, 0), classify --json of a no-CM
@@ -60,6 +61,29 @@ GROUPS = {
     "order": ("x\n0\n", "2"), "rows": ("3\n0 1 2\n1 2 0\n", "2"), "word": ("2\n0 1\n1 a\n", "2"),
     "range": ("2\n0 1\n1 5\n", "2"), "cap": ("10001\n", "2"), "latin": ("2\n0 1\n1 1\n", "2"),
 }
+
+
+def _group_text(order, lines, sep=" ", newline="\n", final=True) -> str:
+    """A group file: the order line, then one line per list of tokens."""
+    text = newline.join([str(order), *(sep.join(map(str, line)) for line in lines)])
+    return text + newline if final else text
+
+
+# the boundary of the byte kernel of parse_group_text: the kernel reads
+# CRLF, tabs, an interior comment line and a missing final newline; a
+# trailing "# x", a 9-digit token and an entry of 65537 go to the row loop
+Z7 = [[(a + b) % 7 for b in range(7)] for a in range(7)]
+GROUPS.update(
+    {
+        "crlf": (_group_text(7, Z7, newline="\r\n"), "7"),
+        "tabs": (_group_text(7, Z7, sep="\t"), "7"),
+        "comment": (_group_text(20, AFF5[:10] + [["# the second half"]] + AFF5[10:]), "5"),
+        "hash": (_group_text(7, Z7[:3] + [Z7[3] + ["#", "x"]] + Z7[4:]), "7"),
+        "nine": (_group_text(7, [[f"{x:09d}" if x == 6 else x for x in row] for row in Z7]), "7"),
+        "big": (_group_text(7, Z7[:2] + [[65537 if x == 6 else x for x in Z7[2]]] + Z7[3:]), "7"),
+        "nofinal": (_group_text(7, Z7, final=False), "7"),
+    }
+)
 DESCRIPTORS = {
     "abelian": "surface=abelian", "hyperelliptic": "surface=hyperelliptic", "kodaira": "surface=kodaira_one",
     "toric": "surface=toric\nfan_file=hex.fan", "hg1": "surface=high_genus_bundle\np=1",
