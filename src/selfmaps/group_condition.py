@@ -519,9 +519,10 @@ def parse_group_text(text: str) -> np.ndarray:
 # x86_64 host: with 2^17-character blocks a table of order 156 (80 kB,
 # one block) parsed in 1.2 ms against 0.54 ms, since its fresh ~1.3 MB
 # of temporaries page-fault on every call; on order-1806 tables 2^15 was
-# as fast as 2^17, and 2^13 1.3-1.8 times slower.  All integer constants are
-# uint64 scalars: with numpy 1.24's value-based casting a Python int
-# could promote a uint64 array to float64.
+# as fast as 2^17, and 2^13 1.3-1.8 times slower.  Every integer
+# constant is a numpy scalar of the array's dtype: with numpy 1.24's
+# value-based casting a Python int could promote a uint64 array to
+# float64.
 _TEXT_BLOCK = 2**15
 # bytes the kernel reads outside comments
 _TABLE_BYTES = b"0123456789 \t\n\r"
@@ -538,7 +539,12 @@ _DIGIT_MASKS = np.array(
     [(0x0F0F0F0F0F0F0F0F << 8 * (8 - k)) & 0xFFFFFFFFFFFFFFFF for k in range(8)], dtype=np.uint64
 )
 _PAIRS, _QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
-_TIMES_PAIR, _TIMES_QUAD, _TIMES_OCTET = np.uint64(10 * 2**8 + 1), np.uint64(100 * 2**16 + 1), np.uint64(10000 * 2**32 + 1)
+# window * _TIMES_PAIR >> 8 puts 10 * a + b in the low byte of each
+# 16-bit lane (a, b); likewise for 32-bit lanes of pairs and the 64-bit
+# lane of two groups of four, whose value lands in the upper 32 bits
+_TIMES_PAIR = np.uint64(10 * 2**8 + 1)
+_TIMES_QUAD = np.uint64(100 * 2**16 + 1)
+_TIMES_OCTET = np.uint64(10000 * 2**32 + 1)
 _SHIFT_PAIR, _SHIFT_QUAD = np.uint64(8), np.uint64(16)
 _WINDOW, _WINDOW_HALVES = np.dtype("<u8"), np.dtype("<u4")
 
@@ -649,11 +655,13 @@ def _parse_table_bytes(text: str) -> np.ndarray | None:
             continue
         try:
             masks = _DIGIT_MASKS.take(ends - edges[::2])
-        except IndexError:
+        except IndexError:  # a token of 8 or more characters
             return None
         breaks = ((body == _LF) | (body == _CR)) if b"\r" in block else body == _LF
         before = ends.searchsorted(breaks.nonzero()[0])
         per_line = before[1:] - before[:-1]
+        # no line holds more than n tokens, and the lines holding any
+        # hold all count of them at n each: so each holds 0 or n
         if per_line.max() != n or np.count_nonzero(per_line) * n != count or filled + count > table.size:
             return None
         value = np.ndarray((len(data) - 7,), dtype=_WINDOW, buffer=data, strides=(1,)).take(ends)

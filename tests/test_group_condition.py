@@ -561,7 +561,7 @@ def kernel_texts(draw):
     if "form-feed-comment" in edits:
         lines.insert(rng.randrange(len(lines) + 1), "# a\x0c0")
     text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
-    return text, not any(not KERNEL_EDITS[edit] for edit in edits)
+    return text, all(KERNEL_EDITS[edit] for edit in edits)
 
 
 @settings(max_examples=400, deadline=None)
