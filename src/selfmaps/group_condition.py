@@ -53,10 +53,26 @@ GROUP_FILE_BYTE_CAP = 2**29
 # arithmetic on them would wrap.
 _INDEX_DTYPE = np.uint16
 
-# rows, columns or subgroups per block of the quadratic table scans:
-# bounds peak memory, and 64 rows of the largest table (1.2 MB) stay in
-# cache while Light's test gathers within them
+# rows, columns or subgroups per block of the quadratic table scans
+# (inverse, Light's test, Latin, conjugation): bounds the temporaries of
+# a block, 64 rows of a table at the order cap being 1.3 MB.  Light's
+# test gathers every block into the same two buffers, allocated once
+# per half of the table.  Measured in process on a 2-core x86_64 host,
+# one thread ran Light's test at orders 110-1806 with 64-row buffers in
+# 0.6-1.0 times the time of gathering each block into fresh arrays, and
+# with 16-row buffers in 1.1-2.4 times; at order 9312 with both halves
+# split, the two sizes were within 3% of each other.
 _BLOCK = 64
+
+# order from which _split_rows runs the upper half of a pass in a helper
+# thread.  Measured in process on a 2-core x86_64 host, validating a
+# table with both halves split took, as a median ratio of interleaved
+# calls to one thread: semidirect order 506 1.21, 812 1.06, 930 1.21,
+# 1332 0.83, 1806 0.75; cyclic order 768 1.12, 1024 1.04, 1280 0.99,
+# 1806 0.92.  Below the break-even, the thread start (about 0.16 ms)
+# and the hand-offs of the GIL between numpy calls outweigh the
+# overlap; at order 9312 a split pass takes 0.56 times as long.
+_SPLIT_ORDER = 1024
 
 
 class GroupValidationError(ValueError):
@@ -88,6 +104,10 @@ class CayleyGroup:
     outside the closure of the greedy ones before it, which holds the
     kept ones before it; the kept generators that pass the test thus
     generate a group, each at least doubling it.
+
+    From order _SPLIT_ORDER (1024) on, the inverse scan and Light's test
+    each run on two threads, one per half of the rows (``_split_rows``);
+    they reach the same verdict and message as one pass over all rows.
 
     ``table`` and ``inverse`` are read-only uint16 arrays: the order
     cap of 10000 keeps every element index below 2**16.  The range of
@@ -125,8 +145,13 @@ class CayleyGroup:
         try:
             if not np.array_equal(table[0], idx) or not np.array_equal(table[:, 0], idx):
                 raise GroupValidationError("identity must be element 0")
-            for start in range(0, n, _BLOCK):
-                inverse[start : start + _BLOCK] = np.argmin(table[start : start + _BLOCK], axis=1)
+
+            def inverses(lo: int, hi: int) -> None:
+                for start in range(lo, hi, _BLOCK):
+                    stop = min(start + _BLOCK, hi)
+                    inverse[start:stop] = np.argmin(table[start:stop], axis=1)
+
+            _split_rows(inverses, n)
             if (table[inverse, idx] != 0).any() or (table[idx, inverse] != 0).any():
                 raise GroupValidationError("inverses are not two-sided")
             _check_associativity(table, _generating_set(table))
@@ -164,6 +189,39 @@ def _adopt(table: np.ndarray) -> CayleyGroup:
     return group
 
 
+def _split_rows(work, n: int, unit: int = 1) -> None:
+    """work(0, n), as two halves on two threads for n >= _SPLIT_ORDER.
+
+    work(lo, hi) does a pass over rows lo..hi-1; the halves meet at a
+    multiple of unit.  A helper thread runs the upper half while this
+    one runs the lower: numpy releases the GIL inside each pass, so on
+    two cores the halves overlap.  The helper is joined before this
+    returns or raises, and an exception it raised is raised here.
+    """
+    if n < _SPLIT_ORDER:
+        work(0, n)
+        return
+    import threading
+
+    mid = n // (2 * unit) * unit
+    failure: list[BaseException] = []
+
+    def upper() -> None:
+        try:
+            work(mid, n)
+        except BaseException as exc:
+            failure.append(exc)
+
+    helper = threading.Thread(target=upper)
+    helper.start()
+    try:
+        work(0, mid)
+    finally:
+        helper.join()
+    if failure:
+        raise failure[0]
+
+
 def _generating_set(table: np.ndarray) -> list[int]:
     """Small set whose closure, with 0, under the table operation is everything.
 
@@ -198,34 +256,53 @@ def _generating_set(table: np.ndarray) -> list[int]:
         # so the closing confirmation round is skipped
         while frontier.size and not known.all():
             kidx = np.nonzero(known)[0]
-            prods = np.unique(
-                np.concatenate(
-                    [
-                        table[np.ix_(frontier, kidx)].ravel(),
-                        table[np.ix_(kidx, frontier)].ravel(),
-                    ]
-                )
-            )
-            fresh = prods[~known[prods]]
-            known[fresh] = True
-            frontier = fresh
+            reached = np.zeros(n, dtype=bool)
+            reached[table[np.ix_(frontier, kidx)]] = True
+            reached[table[np.ix_(kidx, frontier)]] = True
+            frontier = np.nonzero(reached & ~known)[0]
+            known[frontier] = True
     return gens
 
 
 def _check_associativity(table: np.ndarray, gens: list[int]) -> None:
-    """Light's test: (x*g)*y == x*(g*y) for every generator g suffices."""
+    """Light's test: (x*g)*y == x*(g*y) for every generator g suffices.
+
+    Each half of the rows is tested for one generator after another and
+    stops at its first failure, or once the other half has failed at an
+    earlier generator; the first failing generator in gens order is
+    reported, as by one pass over all rows.
+    """
     n = table.shape[0]
-    for g in gens:
-        g_times = table[g, :]
-        times_g = table[:, g]
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            left = np.take(table, times_g[start:stop], axis=0)
-            right = np.take(table[start:stop], g_times, axis=1)
-            if not np.array_equal(left, right):
-                raise GroupValidationError(
-                    f"associativity fails for triples with middle element {g}"
-                )
+    # index in gens of the first failure in each half; each half writes
+    # only its own slot
+    failed = [len(gens), len(gens)]
+
+    def light(lo: int, hi: int) -> None:
+        half = int(hi == n)
+        left = np.empty((_BLOCK, n), dtype=table.dtype)
+        right = np.empty_like(left)
+        differ = np.empty(left.shape, dtype=bool)
+        for k, g in enumerate(gens):
+            if k >= min(failed):
+                return
+            g_times = table[g, :]
+            times_g = table[:, g]
+            for start in range(lo, hi, _BLOCK):
+                stop = min(start + _BLOCK, hi)
+                rows = stop - start
+                # every entry is an index below n, so "clip" never
+                # clips; unlike "raise" it lets take write into out
+                np.take(table, times_g[start:stop], axis=0, out=left[:rows], mode="clip")
+                np.take(table[start:stop], g_times, axis=1, out=right[:rows], mode="clip")
+                if np.not_equal(left[:rows], right[:rows], out=differ[:rows]).any():
+                    failed[half] = k
+                    return
+
+    _split_rows(light, n)
+    if min(failed) < len(gens):
+        raise GroupValidationError(
+            f"associativity fails for triples with middle element {gens[min(failed)]}"
+        )
 
 
 def _latin_failure(table: np.ndarray) -> str | None:
@@ -457,7 +534,13 @@ def build_semidirect(p: int) -> CayleyGroup:
     prod_a = ((a[:, None, None] + u[None, :, None] * a[None, None, :]) % p * (p - 1)).astype(_INDEX_DTYPE)
     prod_u = ((u[:, None] * u[None, :]) % p - 1).astype(_INDEX_DTYPE)
     table = np.empty((n, n), dtype=_INDEX_DTYPE)
-    np.add(prod_a[..., None], prod_u[None, :, None, :], out=table.reshape(p, p - 1, p, p - 1))
+    blocks = table.reshape(p, p - 1, p, p - 1)
+
+    def fill(lo: int, hi: int) -> None:
+        a_lo, a_hi = lo // (p - 1), hi // (p - 1)
+        np.add(prod_a[a_lo:a_hi, ..., None], prod_u[None, :, None, :], out=blocks[a_lo:a_hi])
+
+    _split_rows(fill, n, unit=p - 1)
     return _adopt(table)
 
 
@@ -686,5 +769,6 @@ def load_group(path) -> CayleyGroup:
 
     Files of more than GROUP_FILE_BYTE_CAP bytes are refused.
     """
-    text = read_capped_text(path, GROUP_FILE_BYTE_CAP)
-    return validate_group(parse_group_text(text))
+    # no name holds the text, so it is freed when the parse returns,
+    # before validate_group copies the table
+    return validate_group(parse_group_text(read_capped_text(path, GROUP_FILE_BYTE_CAP)))

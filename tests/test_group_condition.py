@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from selfmaps import group_condition
 from selfmaps.group_condition import (
     GROUP_ORDER_CAP,
+    _check_associativity,
     _generating_set,
+    _split_rows,
     CayleyGroup,
     CyclicSubgroup,
     GroupFileError,
@@ -402,9 +405,7 @@ def corrupted_tables(draw):
     return t
 
 
-@settings(max_examples=300, deadline=None)
-@given(corrupted_tables())
-def test_validate_group_matches_ordered_oracle(table):
+def _check_against_ordered_oracle(table):
     expected = _oracle_failure(table)
     if expected is None:
         group = validate_group(table)
@@ -420,6 +421,19 @@ def test_validate_group_matches_ordered_oracle(table):
         prefix = "associativity fails for triples with middle element "
         assert got.startswith(prefix)
         assert int(got[len(prefix) :]) in bad_middles
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+def test_validate_group_matches_ordered_oracle(table):
+    _check_against_ordered_oracle(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tables())
+def test_validate_group_matches_ordered_oracle_on_two_threads(table):
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", 1):
+        _check_against_ordered_oracle(table)
 
 
 def test_validate_group_copy_semantics():
@@ -795,9 +809,7 @@ def large_corrupted_tables(draw):
     return t
 
 
-@settings(max_examples=100, deadline=None)
-@given(large_corrupted_tables())
-def test_large_tables_generating_set_and_associativity(t):
+def _check_generating_set_and_associativity(t):
     n = t.shape[0]
     assert _brute_closure(t, _generating_set(t)).all()
     # (x*y)*z and x*(y*z) for every triple, indexed [x, y, z]
@@ -821,3 +833,73 @@ def test_large_tables_generating_set_and_associativity(t):
             assert not np.array_equal(left[:, g, :], right[:, g, :])
     else:
         assert is_group and np.array_equal(left, right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_corrupted_tables())
+def test_large_tables_generating_set_and_associativity(t):
+    _check_generating_set_and_associativity(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(large_corrupted_tables())
+def test_large_tables_generating_set_and_associativity_on_two_threads(t):
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", 1):
+        _check_generating_set_and_associativity(t)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_build_semidirect_on_two_threads_fills_the_same_table(p):
+    table = build_semidirect(p).table
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", 1):
+        assert np.array_equal(build_semidirect(p).table, table)
+
+
+def test_split_rows_runs_the_upper_half_in_a_helper_thread():
+    caller = threading.get_ident()
+    calls = []
+
+    def work(lo, hi):
+        calls.append((lo, hi, threading.get_ident() == caller))
+
+    n = group_condition._SPLIT_ORDER
+    _split_rows(work, n - 1)
+    assert calls == [(0, n - 1, True)]
+    calls.clear()
+    _split_rows(work, 9312, unit=96)
+    assert sorted(calls) == [(0, 4608, True), (4608, 9312, False)]
+
+
+def test_split_rows_raises_the_helpers_exception_and_joins_it():
+    before = threading.active_count()
+
+    def work(lo, hi):
+        if lo > 0:
+            raise ZeroDivisionError(f"rows {lo}..{hi - 1}")
+
+    n = group_condition._SPLIT_ORDER
+    with pytest.raises(ZeroDivisionError, match=f"rows {n // 2}..{n - 1}"):
+        _split_rows(work, n)
+    assert threading.active_count() == before
+
+
+def test_split_light_test_reports_a_defect_in_the_helpers_rows_like_one_pass():
+    n = group_condition._SPLIT_ORDER
+    t = build_cyclic(n).table.copy()
+    # swap the entries 1 and 2 of the last row: for the generator 1,
+    # only rows n - 2 and n - 1 see it, both in the helper's half; for
+    # n/2 + 1 row n/2 - 2 of the caller's half sees it too
+    t[n - 1, [2, 3]] = t[n - 1, [3, 2]]
+    gens = [1, n // 2 + 1]
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", n + 1):
+        with pytest.raises(GroupValidationError) as serial_light:
+            _check_associativity(t, gens)
+        with pytest.raises(GroupValidationError) as serial_validate:
+            validate_group(t)
+    with pytest.raises(GroupValidationError) as light:
+        _check_associativity(t, gens)
+    with pytest.raises(GroupValidationError) as validate:
+        validate_group(t)
+    assert str(light.value) == str(serial_light.value) == "associativity fails for triples with middle element 1"
+    # Light's test rejects the table, then the Latin scan names the column
+    assert str(validate.value) == str(serial_validate.value) == "some column is not a permutation"

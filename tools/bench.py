@@ -53,6 +53,10 @@ SUITE is one of:
                   import time, numpy's cumulative time, and the number of
                   dataclasses the imported selfmaps modules define
 
+Each record's host block names the machine, its CPU count, the CPUs
+this process may run on (os.sched_getaffinity where it exists) and the
+Python version.
+
 The record goes under runs[NAME] in FILE (default: the suite's
 BENCH_*.json at the repository root), so measurements of several
 checkouts, such as a commit and its parent, sit side by side.  Measure
@@ -442,7 +446,15 @@ def main() -> int:
     out, header, measure = SUITES[args.suite]
     with tempfile.TemporaryDirectory() as work:
         measured = measure(args.checkout.resolve() / "src", Path(work))
-    host = {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()}
+    host = {
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        # the CPUs this process may run on: group_condition splits its
+        # largest table passes over two threads, so the group figures
+        # depend on it
+        "cpus_available": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "python": platform.python_version(),
+    }
     record = {"checkout": _describe(args.checkout), "host": host, "runs": RUNS, **measured}
     write_record(args.out or REPO / out, args.label, header, record)
     print(json.dumps({args.label: record}, indent=2, sort_keys=True))
