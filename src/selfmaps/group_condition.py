@@ -209,7 +209,7 @@ def _split_rows(work, n: int, unit: int = 1) -> None:
     def upper() -> None:
         try:
             work(mid, n)
-        except BaseException as exc:
+        except BaseException as exc:  # raised below: no half may go unchecked
             failure.append(exc)
 
     helper = threading.Thread(target=upper)
@@ -274,7 +274,7 @@ def _check_associativity(table: np.ndarray, gens: list[int]) -> None:
     """
     n = table.shape[0]
     # index in gens of the first failure in each half; each half writes
-    # only its own slot
+    # only its own slot, the one for the half that ends at row n last
     failed = [len(gens), len(gens)]
 
     def light(lo: int, hi: int) -> None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import threading
 from unittest import mock
 
@@ -903,3 +904,41 @@ def test_split_light_test_reports_a_defect_in_the_helpers_rows_like_one_pass():
     assert str(light.value) == str(serial_light.value) == "associativity fails for triples with middle element 1"
     # Light's test rejects the table, then the Latin scan names the column
     assert str(validate.value) == str(serial_validate.value) == "some column is not a permutation"
+
+
+def test_split_light_test_under_concurrent_callers_and_fast_thread_switches():
+    # four callers at once, each with a helper thread, on two cores; a
+    # lost or crossed write of a half's first failure changes a message
+    n = group_condition._SPLIT_ORDER
+    base = build_cyclic(n).table
+    gens = [1, n // 2 + 1, 3]
+    cases = []
+    for row in (5, n // 2 - 1, n // 2 + 7, n - 1):
+        t = base.copy()
+        t[row, [2, 3]] = t[row, [3, 2]]
+        with mock.patch.object(group_condition, "_SPLIT_ORDER", n + 1):
+            with pytest.raises(GroupValidationError) as serial:
+                _check_associativity(t, gens)
+        cases.append((t, str(serial.value)))
+    got = [[] for _ in cases]
+
+    def caller(i):
+        t, _ = cases[i]
+        for _ in range(10):
+            try:
+                _check_associativity(t, gens)
+            except GroupValidationError as exc:
+                got[i].append(str(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert got == [[message] * 10 for _, message in cases]
