@@ -213,11 +213,10 @@ class ScanReport:
 # 328 MB with k = 7, point (1, 0), three fresh runs each on a 2-core x86_64;
 # the text report of the latter took 2.2-2.4 s and 170 MB (two runs).
 # Writing the report takes most of it, growing linearly with the bound.
-# The lattice pass of _first_isogenies reads exact int64 norms from
-# norm_blocks and forms its own int64 values: (y, x) keys below 22*bound,
-# and dual images mod k below 2*k**2 with k at most about bound.  So it
-# is exact only while bound**2 stays far below 2**62, which this cap
-# guarantees with a wide margin.
+# The lattice pass of _first_isogenies reads exact int64 points and norms
+# from norm_blocks and forms its own int64 values only for dual images mod
+# k, below 2*k**2 with k at most about bound, so this cap keeps them far
+# below 2**63.
 SCAN_BOUND_CAP = 10**7
 
 
@@ -231,13 +230,14 @@ def _first_isogenies(
     that has an isogeny route to the IsogenyRoute _decide picks.
 
     Every x + y*w of norm <= bound is visited through norm_blocks, a
-    block of whole rows at a time.  A point works when its dual sends v
-    to v or -v mod k.  Each needed prime keeps the working point with
-    the smallest (y, x), which is the elements_of_norm order and so
-    _decide's first candidate; the key's low bit is 0 when that point
-    fixes v, as _decide tries +1 before -1.
+    block of whole rows at a time, in (y, x) order, which is the
+    elements_of_norm order in which _decide tries its candidates.  A
+    point works when its dual sends v to v or -v mod k.  Each needed prime
+    takes its first working point in that walk, with sign +1 when that
+    point fixes v, as _decide tries +1 before -1, and is then dropped
+    from the primes later blocks look for.
     Only rows y <= 0 are needed: -alpha works exactly when alpha does, so
-    the smallest working point never has y > 0.
+    the first working point never has y > 0.
 
     No point works once k exceeds bound + isqrt(4*bound) + 1.  If the
     dual beta of alpha sends v to +-v, the adjugate of beta -+ 1 shows
@@ -255,17 +255,9 @@ def _first_isogenies(
     # the dual is additive and fixes 1, so the dual of x + y*w sends v to
     # x*v + y*b with b the image of v under the dual of w
     b = torsion_action(dual(QuadElem(curve.order, 0, 1)), k).apply_mod(v, k)
-    primes = np.array(needed, dtype=np.int64)
     need = np.zeros(bound + 1, dtype=bool)
-    need[primes] = True
-    # |x| <= (isqrt(4*bound) + y_max) / 2 <= span on every row, so the key
-    # (y + y_max) * stride + (x + span) orders points by (y, x) and never
-    # spills a point into the next row's range.
-    y_max = isqrt(4 * bound // -curve.order.discriminant)
-    span = isqrt(4 * bound) + y_max
-    stride = 2 * span + 1
-    unset = np.iinfo(np.int64).max
-    best = np.full(len(needed), unset, dtype=np.int64)
+    need[np.array(needed)] = True
+    found: dict[int, IsogenyRoute] = {}
     for ys, xs, norms in norm_blocks(curve.order, bound):
         keep = need[norms]
         if not keep.any():
@@ -274,18 +266,16 @@ def _first_isogenies(
         xr, yr = xs % k, ys % k
         w0, w1 = (xr * v[0] + yr * b[0]) % k, (xr * v[1] + yr * b[1]) % k
         fixes = (w0 == v[0]) & (w1 == v[1])
-        works = fixes | ((w0 == minus_v[0]) & (w1 == minus_v[1]))
-        keys = ((ys[works] + y_max) * stride + xs[works] + span) * 2 + ~fixes[works]
-        np.minimum.at(best, np.searchsorted(primes, norms[works]), keys)
-    found = best != unset
-    cell, flips = np.divmod(best[found], 2)
-    ys, xs = np.divmod(cell, stride)
-    return {
-        p: IsogenyRoute(QuadElem(curve.order, x, y), -1 if flip else 1)
-        for p, x, y, flip in zip(
-            primes[found].tolist(), (xs - span).tolist(), (ys - y_max).tolist(), flips.tolist()
-        )
-    }
+        hits = np.flatnonzero(fixes | ((w0 == minus_v[0]) & (w1 == minus_v[1])))
+        if not hits.size:
+            continue
+        # return_index gives each prime's first occurrence, its first working point
+        primes, first = np.unique(norms[hits], return_index=True)
+        need[primes] = False
+        hits = hits[first]
+        for p, x, y, fix in zip(primes.tolist(), xs[hits].tolist(), ys[hits].tolist(), fixes[hits].tolist()):
+            found[p] = IsogenyRoute(QuadElem(curve.order, x, y), 1 if fix else -1)
+    return found
 
 
 def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
@@ -374,11 +364,7 @@ def _certificate_attempt(desc: EllipticBundleDescriptor) -> DegreeCertificate | 
     if any(gcd(r, k) == 1 and r not in residue_witnesses for r in range(k)):
         return None
     special_witnesses: dict[int, Witness] = {}
-    # The residue check passes only when the at most 6 exponents +-m of
-    # the automorphisms cover (Z/k)*, so phi(k) <= 6 and k <= 18: trial
-    # division lists the prime divisors without primes_up_to's numpy sieve.
-    prime_divisors = (q for q in range(2, k + 1) if k % q == 0 and all(q % d for d in range(2, isqrt(q) + 1)))
-    for p in prime_divisors:
+    for p in (q for q in range(2, k + 1) if k % q == 0 and is_prime(q)):
         witness = _decide(desc.curve, point, routes, p).witness
         if witness is None:
             return None

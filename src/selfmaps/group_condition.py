@@ -566,8 +566,7 @@ def parse_group_text(text: str) -> np.ndarray:
     table = _parse_table_bytes(text)
     if table is not None:
         return table
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise GroupFileError("group file is empty")
     try:
@@ -580,19 +579,22 @@ def parse_group_text(text: str) -> np.ndarray:
         raise GroupValidationError(f"order {n} exceeds cap {GROUP_ORDER_CAP}")
     if len(lines) != n + 1:
         raise GroupFileError(f"expected {n} rows after the order line, got {len(lines) - 1}")
-    rows = []
+    table = np.empty((n, n), dtype=np.int64)
+    # an entry beyond int64 is reported only once every row has passed its format checks
+    overflow = False
     for lineno, line in enumerate(lines[1:], start=1):
         parts = line.split()
         if len(parts) != n:
             raise GroupFileError(f"row {lineno}: expected {n} entries, got {len(parts)}")
         try:
-            rows.append([int(x) for x in parts])
+            table[lineno - 1] = [int(x) for x in parts]
         except ValueError as exc:
             raise GroupFileError(f"row {lineno}: not integers") from exc
-    try:
-        return np.array(rows, dtype=np.int64)
-    except OverflowError:
-        raise GroupValidationError("table entries must be element indices") from None
+        except OverflowError:
+            overflow = True
+    if overflow:
+        raise GroupValidationError("table entries must be element indices")
+    return table
 
 
 # The byte kernel of parse_group_text.  The table body is read in

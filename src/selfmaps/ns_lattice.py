@@ -18,7 +18,6 @@ __all__ = [
     "NSClass",
     "EndoOnNS",
     "SquareDegreeCertificate",
-    "intersect",
     "square_degree_certificate",
     "atiyah_deg2_search",
     "toric_prime_candidates",
@@ -34,22 +33,12 @@ class NSClass:
     e: int
 
     def __add__(self, other: "NSClass") -> "NSClass":
-        _same_surface(self, other)
+        if self.e != other.e:
+            raise ValueError(f"classes live on different surfaces: e={self.e} vs e={other.e}")
         return NSClass(self.h + other.h, self.f + other.f, self.e)
 
     def __rmul__(self, scalar: int) -> "NSClass":
         return NSClass(scalar * self.h, scalar * self.f, self.e)
-
-
-def _same_surface(c1: NSClass, c2: NSClass) -> None:
-    if c1.e != c2.e:
-        raise ValueError(f"classes live on different surfaces: e={c1.e} vs e={c2.e}")
-
-
-def intersect(c1: NSClass, c2: NSClass) -> int:
-    """Intersection number under H.H = e, H.F = 1, F.F = 0."""
-    _same_surface(c1, c2)
-    return c1.h * c2.h * c1.e + c1.h * c2.f + c1.f * c2.h
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,7 @@ def scan_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(scan_cases())
-# a key stride shorter than a row's x range gave a wrong witness here
+# the first example once gave a wrong witness
 @example((CurveModel.cm(DISC7), 8, (0, 1), 10_000))
 @example((CurveModel.cm(OrderParams(0, 5)), 7, (1, 0), 20_000))
 @example((CurveModel.cm(OrderParams(0, 6)), 13, (1, 3), 20_000))

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -592,6 +593,40 @@ def test_parse_group_text_kernel_matches_row_loop(case, block):
     assert got == expected
     if kernel_reads:
         assert read is not None and read.tolist() == expected[1]
+
+
+def test_row_loop_writes_into_one_table():
+    """A table only the row loop reads, through one "+1" token, in under twice its int64 size."""
+    n = 300
+    text = f"{n}\n" + "".join(" ".join(str((a + b) % n) for b in range(n)) + "\n" for a in range(n))
+    kernel = parse_group_text(text)
+    assert kernel.dtype == np.uint16
+    text = text.replace("\n1 ", "\n+1 ", 1)
+    assert group_condition._parse_table_bytes(text) is None
+    tracemalloc.start()
+    try:
+        table = parse_group_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.dtype == np.int64 and np.array_equal(table, kernel)
+    # a list of lists of Python ints before the int64 copy peaked at 3.1 times
+    assert peak < 2 * table.nbytes
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # every row's format check comes before the entry beyond int64
+        ("2\n0 99999999999999999999999\n1 x\n", GroupFileError, "row 2: not integers"),
+        ("2\n0 99999999999999999999999\n1\n", GroupFileError, "row 2: expected 2 entries, got 1"),
+    ],
+    ids=["overflow-then-word", "overflow-then-short-row"],
+)
+def test_row_loop_reports_overflow_after_row_checks(text, error, message):
+    with pytest.raises(error) as info:
+        parse_group_text(text)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_kernel_table_is_uint16_and_validate_group_copies_it():

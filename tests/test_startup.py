@@ -1,8 +1,8 @@
 """Start-up: the CLI paths that run no array pass never import numpy.
 
 The classify steps include two split torsion bundles whose all-degrees
-certificate succeeds: the certificate lists the primes dividing k by
-trial division, so it needs no sieve.
+certificate succeeds: the certificate lists the primes dividing k with
+is_prime, whose sieve is a bytearray, so it needs no numpy.
 
 Each case runs in a fresh interpreter, since this test process has
 numpy loaded already.  The child imports selfmaps.cli, then runs the

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3021 invocations of selfmaps.cli.main in this process: scan
+Runs 3023 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -15,7 +15,9 @@ descriptor errors, and verify-paper --negative-test; last, the JSON
 writer at scale: scan --json at 10^6 on the Gauss order with k = 5,
 point (4, 2) and k = 7, point (1, 0), classify --json of a no-CM
 split_nontorsion bundle at 10^7, and density --json at 10^7 for two
-orders and at 10^5 for n = 10^30.  Each line holds
+orders and at 10^5 for n = 10^30; and the isogeny routes at scale: scan
+--json at 10^6 with k = 13 on the Gauss order, point (1, 8), and on the
+order of discriminant -3, point (1, 3).  Each line holds
 the invocation, its exit code, and sha256 prefixes of stdout (minus its
 timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
@@ -158,6 +160,12 @@ def invocations(work: Path) -> list[list[str]]:
     # discriminant far beyond int64
     cases += [["density", "--order", *order, "--bound", "10000000", "--json"] for order in (("0", "1"), ("1", "2"))]
     cases.append(["density", "--order", "1", str(10**30), "--bound", "100000", "--json"])
+    # the first working point per prime at scale: 17,448 and 19,610 primes
+    # up to 10^6 reached by an isogeny route; the bound-20000 cases above
+    # are the largest others that reach any
+    for name, order, point in (("gauss", "0 1", "1 8"), ("disc3", "1 1", "1 3")):
+        desc = descriptor(f"{name}-k13.desc", f"curve=cm\norder={order}", f"split_torsion\nk=13\npoint={point}")
+        cases.append(["scan", desc, "--bound", "1000000", "--json"])
     return cases
 
 
