@@ -32,8 +32,8 @@ from .elliptic_pbundle import (
     admits_all_degrees,
     exceptional_triples,
     matching_exceptional_family,
+    missing_primes,
     nonsplit_verdict,
-    scan_primes,
 )
 from .group_condition import (
     build_cyclic,
@@ -127,9 +127,9 @@ def _check_exceptional_families(families: tuple[ExceptionalFamily, ...]) -> tupl
         if point is None:
             return False, f"{label}: kernel has no point of exact order {family.k}"
         desc = EllipticBundleDescriptor(CurveModel.cm(family.order), SplitTorsion(point))
-        report = scan_primes(desc, 10_000)
-        if report.missing:
-            return False, f"{label}: scan to 10000 misses {report.missing[:5]}"
+        missing = missing_primes(desc, 10_000)
+        if missing:
+            return False, f"{label}: scan to 10000 misses {missing[:5]}"
         verdict = admits_all_degrees(desc)
         if not isinstance(verdict, AllDegrees) or verdict.certificate is None:
             return False, f"{label}: no all-degrees certificate"
@@ -162,9 +162,9 @@ def _check_small_torsion() -> tuple[bool, str]:
         for k in (1, 2, 3):
             for v in _exact_order_orbits(curve, k):
                 desc = EllipticBundleDescriptor(curve, SplitTorsion(TorsionPoint(k, v)))
-                report = scan_primes(desc, 10_000)
-                if report.missing:
-                    return False, f"{curve} k={k} L={v}: missing {report.missing[:5]}"
+                missing = missing_primes(desc, 10_000)
+                if missing:
+                    return False, f"{curve} k={k} L={v}: missing {missing[:5]}"
                 scans += 1
     return True, f"{scans} descriptors with k <= 3 scan clean to 10000"
 

@@ -14,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Union
+from typing import TYPE_CHECKING, Sequence, Union
+
+if TYPE_CHECKING:
+    import numpy as np
 
 from .cm_elliptic import (
     CurveModel,
@@ -36,6 +39,7 @@ from .qorders import (
     is_prime,
     norm,
     norm_blocks,
+    prime_array,
     primes_up_to,
     represented_norms,
 )
@@ -66,6 +70,7 @@ __all__ = [
     "SCAN_BOUND_CAP",
     "prime_achievable",
     "scan_primes",
+    "missing_primes",
     "admits_all_degrees",
     "nonsplit_verdict",
     "exceptional_triples",
@@ -221,7 +226,7 @@ SCAN_BOUND_CAP = 10**7
 
 
 def _first_isogenies(
-    curve: CurveModel, point: TorsionPoint, needed: list[int], bound: int
+    curve: CurveModel, point: TorsionPoint, needed: Sequence[int], bound: int
 ) -> dict[int, IsogenyRoute]:
     """_decide's isogeny step for every prime in needed, by one pass over the lattice.
 
@@ -246,7 +251,7 @@ def _first_isogenies(
     that limit.
     """
     k = point.k
-    if not curve.has_cm or not needed or k > bound + isqrt(4 * bound) + 1:
+    if not curve.has_cm or not len(needed) or k > bound + isqrt(4 * bound) + 1:
         return {}
     import numpy as np
 
@@ -256,7 +261,7 @@ def _first_isogenies(
     # x*v + y*b with b the image of v under the dual of w
     b = torsion_action(dual(QuadElem(curve.order, 0, 1)), k).apply_mod(v, k)
     need = np.zeros(bound + 1, dtype=bool)
-    need[np.array(needed)] = True
+    need[needed] = True
     found: dict[int, IsogenyRoute] = {}
     for ys, xs, norms in norm_blocks(curve.order, bound):
         keep = need[norms]
@@ -278,22 +283,58 @@ def _first_isogenies(
     return found
 
 
-def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
-    """prime_achievable for every prime up to bound, with one residue table
-    and one lattice pass for the primes that need an isogeny."""
+def _scan_parts(
+    desc: EllipticBundleDescriptor, bound: int, routes: dict[int, AutRoute] | None
+) -> tuple[dict[int, Witness], np.ndarray, np.ndarray, dict[int, IsogenyRoute]]:
+    """The work scan_primes and missing_primes share, for the primes up to bound.
+
+    Returns the residue table (residue mod k -> torsion or automorphism
+    route), the primes as an array, the needed primes, those whose
+    residue the table leaves uncovered, and the isogeny routes
+    _first_isogenies finds for them.  routes is the descriptor's
+    _aut_routes table, built here when the caller has none.
+    """
+    import numpy as np
+
     if bound < 2:
         raise ValueError(f"need bound >= 2, got {bound!r}")
     if bound > SCAN_BOUND_CAP:
         raise ValueError(f"bound {bound} is above the scan cap {SCAN_BOUND_CAP}")
     point = _require_split_torsion(desc).point
     k = point.k
+    if routes is None:
+        routes = _aut_routes(desc.curve, point)
     # residue 0 goes to the torsion route, which _decide tries first
-    residues: dict[int, Witness] = {**_aut_routes(desc.curve, point), 0: TorsionMultiple(k)}
-    primes = primes_up_to(bound)
-    needed = [p for p in primes if p % k not in residues]
-    isogenies = _first_isogenies(desc.curve, point, needed, bound)
-    witnesses = {p: residues.get(p % k) or isogenies.get(p) for p in primes}
+    residues: dict[int, Witness] = {**routes, 0: TorsionMultiple(k)}
+    primes = prime_array(bound)
+    # above bound, k leaves every prime as its own residue, so residues
+    # larger than bound never occur
+    covered = np.zeros(min(k, bound + 1), dtype=bool)
+    covered[[r for r in residues if r < len(covered)]] = True
+    needed = primes[~covered[primes % k if k <= bound else primes]]
+    return residues, primes, needed, _first_isogenies(desc.curve, point, needed, bound)
+
+
+def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
+    """prime_achievable for every prime up to bound, with one residue table
+    and one lattice pass for the primes that need an isogeny."""
+    residues, primes, _, isogenies = _scan_parts(desc, bound, None)
+    k = desc.bundle.point.k
+    witnesses = {p: residues.get(p % k) or isogenies.get(p) for p in primes.tolist()}
     return ScanReport(bound=bound, witnesses=witnesses)
+
+
+def missing_primes(
+    desc: EllipticBundleDescriptor, bound: int, *, routes: dict[int, AutRoute] | None = None
+) -> tuple[int, ...]:
+    """scan_primes(desc, bound).missing, without the per-prime witnesses.
+
+    The missing primes are the needed primes, in increasing order, that
+    no isogeny route covers.  routes is the descriptor's _aut_routes
+    table, for a caller that has built it already.
+    """
+    _, _, needed, isogenies = _scan_parts(desc, bound, routes)
+    return tuple(p for p in needed.tolist() if p not in isogenies)
 
 
 @dataclass(frozen=True)
@@ -346,18 +387,19 @@ def matching_exceptional_family(desc: EllipticBundleDescriptor) -> ExceptionalFa
     return None
 
 
-def _certificate_attempt(desc: EllipticBundleDescriptor) -> DegreeCertificate | None:
+def _certificate_attempt(
+    curve: CurveModel, point: TorsionPoint, routes: dict[int, AutRoute]
+) -> DegreeCertificate | None:
     """Build the all-degrees certificate, or None if some piece is unreachable.
 
     Complete means: every residue in (Z/k)* is hit by an automorphism
     exponent up to sign (an automorphism route covers a whole residue
     class of primes at once), and every prime divisor of k has its own
     per-prime witness.  Together these cover all primes, and products
-    of primes follow by composing.
+    of primes follow by composing.  routes is the descriptor's
+    _aut_routes table.
     """
-    point = _require_split_torsion(desc).point
     k = point.k
-    routes = _aut_routes(desc.curve, point)
     residue_witnesses: dict[int, Witness] = {
         r: route for r, route in routes.items() if gcd(r, k) == 1
     }
@@ -365,7 +407,7 @@ def _certificate_attempt(desc: EllipticBundleDescriptor) -> DegreeCertificate | 
         return None
     special_witnesses: dict[int, Witness] = {}
     for p in (q for q in range(2, k + 1) if k % q == 0 and is_prime(q)):
-        witness = _decide(desc.curve, point, routes, p).witness
+        witness = _decide(curve, point, routes, p).witness
         if witness is None:
             return None
         special_witnesses[p] = witness
@@ -375,8 +417,14 @@ def _certificate_attempt(desc: EllipticBundleDescriptor) -> DegreeCertificate | 
 
 
 def admits_all_degrees(desc: EllipticBundleDescriptor) -> Verdict:
-    """Certificate-or-counterexample classification of a split torsion bundle."""
-    certificate = _certificate_attempt(desc)
+    """Certificate-or-counterexample classification of a split torsion bundle.
+
+    The certificate and the fallback scan to 1000 share one _aut_routes
+    table.
+    """
+    point = _require_split_torsion(desc).point
+    routes = _aut_routes(desc.curve, point)
+    certificate = _certificate_attempt(desc.curve, point, routes)
     if certificate is not None:
         family = matching_exceptional_family(desc)
         if family is not None:
@@ -387,13 +435,13 @@ def admits_all_degrees(desc: EllipticBundleDescriptor) -> Verdict:
         else:
             note = "unit pullbacks cover every residue class"
         return AllDegrees(certificate=certificate, note=note)
-    report = scan_primes(desc, 1000)
-    if not report.missing:
+    missing = missing_primes(desc, 1000, routes=routes)
+    if not missing:
         raise RuntimeError(
             "residue certificate incomplete yet no missing prime up to 1000; "
             "the two methods disagree"
         )
-    return MissingPrimes(missing=report.missing, scan_bound=report.bound)
+    return MissingPrimes(missing=missing, scan_bound=1000)
 
 
 def nonsplit_verdict(desc: EllipticBundleDescriptor, bound: int = 1000) -> Verdict:

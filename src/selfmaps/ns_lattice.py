@@ -9,7 +9,7 @@ H (self-intersection e) and H - e*F (self-intersection -e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cm_elliptic import EndoMatrix
 from .qorders import is_prime
@@ -49,12 +49,14 @@ class EndoOnNS:
     base map of degree d_B and hitting fibers with degree d_F pulls F
     back to d_B * F and H to d_F * H + s * F; pairing the images forces
     det = degree, which makes the pushforward degree * pullback^(-1)
-    integral (it is the adjugate).
+    integral (it is the adjugate).  The pushforward is computed and
+    checked once, at construction, and shared by every pushforward call.
     """
 
     pullback: EndoMatrix
     degree: int
     e: int
+    _pushforward: EndoMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.pullback
@@ -66,6 +68,10 @@ class EndoOnNS:
             raise ValueError(
                 f"pullback determinant {p.det()} must equal the degree {self.degree}"
             )
+        adjugate = EndoMatrix(p.d, -p.b, -p.c, p.a)
+        if adjugate * p != EndoMatrix(self.degree, 0, 0, self.degree):
+            raise ValueError("pushforward is not integral for this pullback")
+        object.__setattr__(self, "_pushforward", adjugate)
 
     @classmethod
     def from_degrees(cls, base_degree: int, fiber_degree: int, e: int) -> "EndoOnNS":
@@ -87,12 +93,7 @@ class EndoOnNS:
 
     def pushforward(self) -> EndoMatrix:
         """degree * pullback^(-1); integral because det(pullback) = degree."""
-        p = self.pullback
-        adjugate = EndoMatrix(p.d, -p.b, -p.c, p.a)
-        composed = adjugate * p
-        if composed != EndoMatrix(self.degree, 0, 0, self.degree):
-            raise ValueError("pushforward is not integral for this pullback")
-        return adjugate
+        return self._pushforward
 
     def pullback_class(self, c: NSClass) -> NSClass:
         if c.e != self.e:
@@ -103,7 +104,7 @@ class EndoOnNS:
     def pushforward_class(self, c: NSClass) -> NSClass:
         if c.e != self.e:
             raise ValueError(f"class lives on e={c.e}, endomorphism on e={self.e}")
-        h, f = self.pushforward().apply((c.h, c.f))
+        h, f = self._pushforward.apply((c.h, c.f))
         return NSClass(h, f, self.e)
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "represented_norms",
     "degree_two_table",
     "is_prime",
+    "prime_array",
     "primes_up_to",
     "legendre",
     "legendre_euler",
@@ -326,16 +327,21 @@ def is_prime(m: int) -> bool:
     return True
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """Sieve of Eratosthenes, inclusive bound; up to _SIEVE_CAP, a prefix of is_prime's sieve."""
+def prime_array(bound: int) -> np.ndarray:
+    """Sieve of Eratosthenes as an int64 array, inclusive bound; up to _SIEVE_CAP, a prefix of is_prime's sieve."""
     import numpy as np
 
     if bound < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     if bound <= _SIEVE_CAP:
-        return np.flatnonzero(np.frombuffer(_small_prime_flags(), dtype=np.uint8, count=bound + 1)).tolist()
-    # a temporary sieve is freed before the list is built
-    return np.flatnonzero(_prime_flags(bound)).tolist()
+        return np.flatnonzero(np.frombuffer(_small_prime_flags(), dtype=np.uint8, count=bound + 1))
+    # a temporary sieve is freed once the array is built
+    return np.flatnonzero(_prime_flags(bound))
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """prime_array(bound) as a list of ints."""
+    return prime_array(bound).tolist()
 
 
 def legendre_euler(a: int, p: int) -> int:

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from selfmaps import qorders
+from selfmaps import elliptic_pbundle, qorders
 from selfmaps.cm_elliptic import (
     CurveModel,
     TorsionPoint,
@@ -28,6 +28,7 @@ from selfmaps.elliptic_pbundle import (
     admits_all_degrees,
     exceptional_triples,
     matching_exceptional_family,
+    missing_primes,
     nonsplit_verdict,
     prime_achievable,
     _aut_routes,
@@ -351,6 +352,62 @@ def test_lattice_pass_matches_the_oracle_across_block_seams(case):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qorders, "_BLOCK_POINTS", budget)
             assert _first_isogenies(curve, point, needed, bound) == expected, budget
+
+
+MISSING_CURVES = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)),)
+
+
+@st.composite
+def missing_cases(draw):
+    curve = draw(st.sampled_from(MISSING_CURVES))
+    k = draw(st.integers(1, 13))
+    points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
+    return curve, k, draw(st.sampled_from(points)), draw(st.integers(2, 3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(missing_cases())
+def test_missing_primes_matches_scan_and_per_prime_oracle(case):
+    curve, k, v, bound = case
+    desc = split_desc(curve, k, v)
+    oracle = [p for p in primes_up_to(bound) if not prime_achievable(desc, p).achievable]
+    missing = missing_primes(desc, bound)
+    assert missing == scan_primes(desc, bound).missing
+    assert list(missing) == oracle
+
+
+@pytest.mark.parametrize(
+    "desc, bound",
+    [
+        (split_desc(CurveModel.cm(GAUSS), 7, (1, 0)), 1),
+        (split_desc(CurveModel.cm(GAUSS), 7, (1, 0)), SCAN_BOUND_CAP + 1),
+        (EllipticBundleDescriptor(CurveModel.cm(GAUSS), SplitNonTorsion()), 100),
+    ],
+    ids=["bound-1", "above-cap", "not-split-torsion"],
+)
+def test_missing_primes_rejects_what_scan_rejects(desc, bound):
+    with pytest.raises(ValueError) as scan_error:
+        scan_primes(desc, bound)
+    with pytest.raises(ValueError) as missing_error:
+        missing_primes(desc, bound)
+    assert str(missing_error.value) == str(scan_error.value)
+
+
+@pytest.mark.parametrize(
+    "v, verdict_type", [((1, 2), AllDegrees), ((1, 0), MissingPrimes)], ids=["certificate", "missing"]
+)
+def test_admits_all_degrees_builds_the_unit_routes_once(monkeypatch, v, verdict_type):
+    calls = []
+
+    def counting(curve, point):
+        calls.append(point)
+        return _aut_routes(curve, point)
+
+    monkeypatch.setattr(elliptic_pbundle, "_aut_routes", counting)
+    k = 5 if verdict_type is AllDegrees else 7
+    verdict = admits_all_degrees(split_desc(CurveModel.cm(GAUSS), k, v))
+    assert isinstance(verdict, verdict_type)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

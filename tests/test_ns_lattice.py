@@ -77,6 +77,12 @@ def test_push_pull_identity_random_triples():
         checked += 1
 
 
+def test_pushforward_is_built_once():
+    endo = EndoOnNS.from_degrees(4, 2, 1)
+    assert endo.pushforward() is endo.pushforward()
+    assert endo == EndoOnNS(pullback=EndoMatrix(2, 0, 1, 4), degree=8, e=1)
+
+
 def test_pullback_scales_intersections():
     rng = random.Random(7)
     for _ in range(200):

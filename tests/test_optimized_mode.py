@@ -37,15 +37,16 @@ import json, sys
 from types import SimpleNamespace
 import numpy
 from selfmaps import cli, elliptic_pbundle as eb, group_condition as gc, toric
-from selfmaps.cm_elliptic import CurveModel
+from selfmaps.cm_elliptic import CurveModel, EndoMatrix, TorsionPoint
+from selfmaps.ns_lattice import EndoOnNS
 from selfmaps.qorders import NotPrimeError, OrderParams, legendre, split_type
 from selfmaps.verdicts import verdict_to_payload
 
-def raises(fn, exc):
+def raises(fn, exc, text=""):
     try:
         fn()
-    except exc:
-        return True
+    except exc as error:
+        return text in str(error)
     return False
 
 bundles = {
@@ -73,6 +74,16 @@ eb.square_degree_certificate = lambda c: SimpleNamespace(degree_is_square=False)
 out["square_proof_step_raises"] = raises(
     lambda: eb.nonsplit_verdict(eb.EllipticBundleDescriptor(curve, bundles["split_degree"])), RuntimeError
 )
+# a failed certificate with no missing prime means the certificate and
+# the scan disagree (Gauss order, k = 7, point (1, 0) misses 2)
+eb.missing_primes = lambda *args, **kwargs: ()
+out["methods_disagree_raises"] = raises(
+    lambda: eb.admits_all_degrees(eb.EllipticBundleDescriptor(curve, eb.SplitTorsion(TorsionPoint(7, (1, 0))))),
+    RuntimeError,
+    "the two methods disagree",
+)
+# det 3 against degree 2: the construction checks must raise
+out["endo_on_ns_raises"] = raises(lambda: EndoOnNS(pullback=EndoMatrix(3, 0, 0, 1), degree=2, e=0), ValueError)
 # element 1 generates all of Z/6; claiming it has order 3 must not yield
 # a six-element "subgroup of order 3"
 z6 = gc.build_cyclic(6)
@@ -105,6 +116,7 @@ def test_checks_hold_under_python_optimize():
     assert out["deg2_proof_step_raises"] and out["square_proof_step_raises"]
     assert out["subgroup_order_step_raises"] and out["toric_ray_count_step_raises"]
     assert out["witness_text_dispatch_raises"] and out["verdict_lines_dispatch_raises"]
+    assert out["methods_disagree_raises"] and out["endo_on_ns_raises"]
     curve = CurveModel.cm(OrderParams(0, 1))
     expected = {
         name: verdict_to_payload(nonsplit_verdict(EllipticBundleDescriptor(curve, bundle), 200))
