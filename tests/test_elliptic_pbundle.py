@@ -394,9 +394,9 @@ def test_missing_primes_rejects_what_scan_rejects(desc, bound):
 
 
 @pytest.mark.parametrize(
-    "v, verdict_type", [((1, 2), AllDegrees), ((1, 0), MissingPrimes)], ids=["certificate", "missing"]
+    "k, v, verdict_type", [(5, (1, 2), AllDegrees), (7, (1, 0), MissingPrimes)], ids=["certificate", "missing"]
 )
-def test_admits_all_degrees_builds_the_unit_routes_once(monkeypatch, v, verdict_type):
+def test_admits_all_degrees_builds_the_unit_routes_once(monkeypatch, k, v, verdict_type):
     calls = []
 
     def counting(curve, point):
@@ -404,7 +404,6 @@ def test_admits_all_degrees_builds_the_unit_routes_once(monkeypatch, v, verdict_
         return _aut_routes(curve, point)
 
     monkeypatch.setattr(elliptic_pbundle, "_aut_routes", counting)
-    k = 5 if verdict_type is AllDegrees else 7
     verdict = admits_all_degrees(split_desc(CurveModel.cm(GAUSS), k, v))
     assert isinstance(verdict, verdict_type)
     assert len(calls) == 1

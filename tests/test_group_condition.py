@@ -542,6 +542,8 @@ def kernel_texts(draw):
         if not rows:
             break
         row = rows[rng.randrange(len(rows))]
+        if not row and edit not in ("trailing-comment", "extra-token", "drop-row", "extra-row"):
+            continue  # an earlier edit dropped the only token of an order-1 table's row
         col = rng.randrange(len(row)) if row else 0
         if edit == "seven-digit":
             row[col] = str(rng.randrange(n)).zfill(7)
@@ -557,11 +559,11 @@ def kernel_texts(draw):
             row[col] = "\u0663"
         elif edit == "trailing-comment":
             row.append("# x")
-        elif edit == "drop-token" and row:
+        elif edit == "drop-token":
             row.pop(col)
         elif edit == "extra-token":
             row.append("0")
-        elif edit == "move-token" and row:
+        elif edit == "move-token":
             rows[(rows.index(row) + 1) % len(rows)].append(row.pop(col))
         elif edit == "drop-row":
             rows.remove(row)
