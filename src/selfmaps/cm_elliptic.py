@@ -33,6 +33,7 @@ __all__ = [
     "exact_order",
     "normalize_point",
     "pullback_exponent",
+    "unit_covector",
     "aut_group",
     "endomorphisms_of_degree",
 ]
@@ -178,13 +179,24 @@ def pullback_exponent(phi: QuadElem, point: TorsionPoint) -> int | None:
             "normalize it first"
         )
     w = torsion_action(dual(phi), k).apply_mod(point.v, k)
-    # gcd(v0, v1) = g is prime to k, so c = (s, t) / g with s*v0 + t*v1 = g
-    # has c.v = 1 mod k; m*v = w then forces m = c.w, the only candidate
-    g, s, t = _bezout(*point.v)
-    m = (s * w[0] + t * w[1]) * pow(g, -1, k) % k
+    # m*v = w forces m = c.w, the only candidate
+    c = unit_covector(point)
+    m = (c[0] * w[0] + c[1] * w[1]) % k
     if (m * point.v[0] - w[0]) % k == 0 and (m * point.v[1] - w[1]) % k == 0:
         return m
     return None
+
+
+def unit_covector(point: TorsionPoint) -> tuple[int, int]:
+    """(c0, c1) in [0, k) with c0*v0 + c1*v1 = 1 mod k, for a point v of exact order k.
+
+    gcd(v0, v1) = g is prime to k, so one extended gcd s*v0 + t*v1 = g
+    gives c = (s, t) / g mod k.
+    """
+    k = point.k
+    g, s, t = _bezout(*point.v)
+    g_inv = pow(g, -1, k)
+    return (s * g_inv % k, t * g_inv % k)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:

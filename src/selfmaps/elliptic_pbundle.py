@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -29,16 +30,20 @@ from .cm_elliptic import (
     normalize_point,
     pullback_exponent,
     torsion_action,
+    unit_covector,
 )
 from .ns_lattice import atiyah_deg2_search, square_degree_certificate
 from .qorders import (
+    _SIEVE_CAP,
     NotPrimeError,
     OrderParams,
     QuadElem,
+    _small_prime_flags,
     conjugate,
+    coset_blocks,
     is_prime,
     norm,
-    norm_blocks,
+    norm_rows,
     prime_array,
     primes_up_to,
     represented_norms,
@@ -219,66 +224,120 @@ class ScanReport:
 # the text report of the latter took 2.2-2.4 s and 170 MB (two runs).
 # Writing the report takes most of it, growing linearly with the bound.
 # The lattice pass of _first_isogenies reads exact int64 points and norms
-# from norm_blocks and forms its own int64 values only for dual images mod
-# k, below 2*k**2 with k at most about bound, so this cap keeps them far
-# below 2**63.
+# from norm_rows and coset_blocks.  Its own int64 products are of two
+# residues mod k, y mod k in place of y, so each is below k**2 and each
+# sum below 2*k**2, with k at most about bound where it runs.  The one
+# exception is n*y**2 in the norm residue, which takes the row's own y:
+# it is at most bound + y**2/4 (see norm_rows), whereas n*(y mod k)**2
+# could pass 2**63 for an order with n near bound and k near the cap.
+# So this cap keeps every value far below 2**63.
 SCAN_BOUND_CAP = 10**7
+
+
+def _working_classes(
+    order: OrderParams, point: TorsionPoint, bound: int
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, np.ndarray], np.ndarray] | None:
+    """Where an isogeny of norm <= bound can fix the point: rows, classes and norm residues.
+
+    A point x + y*w works when its dual sends v to v or -v mod k.  The
+    dual is additive and fixes 1, so it sends v to x*v + y*b, with b the
+    image of v under the dual of w.  Take c = unit_covector(point), so
+    c.v = 1 mod k, and beta = c.b.  Then x*v = +-v - y*b forces
+    x = c.(+-v - y*b) = +-1 - y*beta mod k, the classes x+ and x-, and
+    x+- * v - (+-v - y*b) = y*e for both signs, with e = b - beta*v.  So
+    the working rows are those with y*e = 0 mod k, the multiples of
+    k / gcd(k, e0, e1), each working in both classes.
+
+    Returns those rows of norm_rows(order, bound), their classes (x+, x-)
+    as int64 arrays of residues mod k, and R, the norm residues mod k of
+    those classes as a sorted int64 array, which holds the residue of
+    every working point's norm.  None when k exceeds
+    bound + isqrt(4*bound) + 1, where no point of norm 2 to bound works:
+    if the dual beta of alpha sends v to +-v, the adjugate of beta -+ 1
+    shows that k, the exact order of v, divides the norm of beta -+ 1,
+    which is p -+ tr(beta) + 1 with tr(beta)**2 < 4p, so positive for
+    p >= 2 and at most that limit.
+    """
+    k = point.k
+    if k > bound + isqrt(4 * bound) + 1:
+        return None
+    import numpy as np
+
+    v = point.v
+    b = torsion_action(dual(QuadElem(order, 0, 1)), k).apply_mod(v, k)
+    c = unit_covector(point)
+    beta = (c[0] * b[0] + c[1] * b[1]) % k
+    rows = norm_rows(order, bound, k // gcd(k, b[0] - beta * v[0], b[1] - beta * v[1]))
+    ys, _, _, ny2 = rows
+    yr = ys % k
+    classes = tuple((sign - yr * beta) % k for sign in (1, -1))
+    # x**2 + t*x*y + n*y**2 mod k, with n*y**2 from the row's own y; a set
+    # of at most two per row, since np.unique and np.union1d without
+    # return_index load numpy.ma (9 ms, 1.4 MB)
+    residues = {r for x in classes for r in ((x * x + order.t * x * yr + ny2) % k).tolist()}
+    return rows, classes, np.array(sorted(residues), dtype=np.int64)
 
 
 def _first_isogenies(
     curve: CurveModel, point: TorsionPoint, needed: Sequence[int], bound: int
 ) -> dict[int, IsogenyRoute]:
-    """_decide's isogeny step for every prime in needed, by one pass over the lattice.
+    """_decide's isogeny step for every prime in needed, by one pass over the working lattice points.
 
     needed holds, in increasing order, the primes up to bound that no
     torsion or automorphism route covers.  The result maps each of them
     that has an isogeny route to the IsogenyRoute _decide picks.
 
-    Every x + y*w of norm <= bound is visited through norm_blocks, a
-    block of whole rows at a time, in (y, x) order, which is the
-    elements_of_norm order in which _decide tries its candidates.  A
-    point works when its dual sends v to v or -v mod k.  Each needed prime
-    takes its first working point in that walk, with sign +1 when that
-    point fixes v, as _decide tries +1 before -1, and is then dropped
-    from the primes later blocks look for.
-    Only rows y <= 0 are needed: -alpha works exactly when alpha does, so
-    the first working point never has y > 0.
+    Whether x + y*w works, and its norm mod k, depend only on
+    (x mod k, y mod k).  _working_classes solves each row once: with
+    lambda = unit_covector(point) from one extended gcd, lambda.v = 1 mod
+    k, the only working x are x+- = lambda.(+-v - y*b) mod k, b the image
+    of v under the dual of w, and a row holds them exactly when
+    x+- * v = +-v - y*b.  The norms of those classes mod k form the set R
+    of residues that working points can have at all.  A needed prime
+    whose residue mod k is not in R has no isogeny route, and is dropped
+    before the walk; with none left there is no walk.  When v is an
+    eigenvector of the dual of w mod no prime dividing k, only rows
+    y = 0 mod k work, with x = +-1 mod k and norm 1 mod k: R = {1}, a
+    residue the identity automorphism always covers.
 
-    No point works once k exceeds bound + isqrt(4*bound) + 1.  If the
-    dual beta of alpha sends v to +-v, the adjugate of beta -+ 1 shows
-    that k, the exact order of v, divides the norm of beta -+ 1, which is
-    p -+ tr(beta) + 1 with tr(beta)**2 < 4p, so positive and at most
-    that limit.
+    The walk visits, through coset_blocks, the points of norm <= bound in
+    the working classes of each working row, a block of whole rows at a
+    time, in (y, x) order, which is the elements_of_norm order in which
+    _decide tries its candidates.  Each needed prime takes its first
+    working point in that walk, with sign +1 when that point fixes v, as
+    _decide tries +1 before -1, and is then dropped from the primes later
+    blocks look for.  Only rows y <= 0 are needed: -alpha works exactly
+    when alpha does, so the first working point never has y > 0.
     """
-    k = point.k
-    if not curve.has_cm or not len(needed) or k > bound + isqrt(4 * bound) + 1:
+    if not curve.has_cm or not len(needed):
+        return {}
+    working = _working_classes(curve.order, point, bound)
+    if working is None:
         return {}
     import numpy as np
 
-    v = point.v
-    minus_v = ((-v[0]) % k, (-v[1]) % k)
-    # the dual is additive and fixes 1, so the dual of x + y*w sends v to
-    # x*v + y*b with b the image of v under the dual of w
-    b = torsion_action(dual(QuadElem(curve.order, 0, 1)), k).apply_mod(v, k)
+    rows, classes, residues = working
+    k = point.k
+    needed = np.asarray(needed, dtype=np.int64)
+    # membership in the sorted R by binary search, as np.isin loads numpy.ma
+    r = needed % k
+    needed = needed[residues[np.minimum(np.searchsorted(residues, r), len(residues) - 1)] == r]
+    if not needed.size:
+        return {}
     need = np.zeros(bound + 1, dtype=bool)
     need[needed] = True
     found: dict[int, IsogenyRoute] = {}
-    for ys, xs, norms in norm_blocks(curve.order, bound):
-        keep = need[norms]
-        if not keep.any():
-            continue
-        ys, xs, norms = ys[keep], xs[keep], norms[keep]
-        xr, yr = xs % k, ys % k
-        w0, w1 = (xr * v[0] + yr * b[0]) % k, (xr * v[1] + yr * b[1]) % k
-        fixes = (w0 == v[0]) & (w1 == v[1])
-        hits = np.flatnonzero(fixes | ((w0 == minus_v[0]) & (w1 == minus_v[1])))
+    for ys, xs, norms in coset_blocks(curve.order, rows, k, classes):
+        hits = np.flatnonzero(need[norms])
         if not hits.size:
             continue
         # return_index gives each prime's first occurrence, its first working point
         primes, first = np.unique(norms[hits], return_index=True)
         need[primes] = False
         hits = hits[first]
-        for p, x, y, fix in zip(primes.tolist(), xs[hits].tolist(), ys[hits].tolist(), fixes[hits].tolist()):
+        # a point fixes v when it lies in its row's class x+
+        fixes = (xs[hits] - classes[0][np.searchsorted(rows[0], ys[hits])]) % k == 0
+        for p, x, y, fix in zip(primes.tolist(), xs[hits].tolist(), ys[hits].tolist(), fixes.tolist()):
             found[p] = IsogenyRoute(QuadElem(curve.order, x, y), 1 if fix else -1)
     return found
 
@@ -459,7 +518,11 @@ def nonsplit_verdict(desc: EllipticBundleDescriptor, bound: int = 1000) -> Verdi
     if isinstance(bundle, SplitTorsion):
         raise ValueError("split torsion bundles are classified by admits_all_degrees")
     if isinstance(bundle, (AtiyahDegreeZero, SplitNonTorsion)):
-        primes = primes_up_to(bound)
+        if bound <= _SIEVE_CAP:
+            # is_prime's bytearray sieve lists them without loading numpy
+            primes = list(compress(range(bound + 1), _small_prime_flags()))
+        else:
+            primes = primes_up_to(bound)
         if desc.curve.has_cm and primes:
             norms = represented_norms(desc.curve.order, primes[-1])
             non_norm = tuple(p for p in primes if not norms[p])

@@ -9,10 +9,12 @@ no per-prime fast path beside it.  norm_blocks walks that exhaustion for
 every norm up to a bound at once, in numpy blocks of whole rows of
 lattice points, one entry per point; represented_norms marks the norms
 it yields, so a claim about all primes below the bound costs one pass
-over the norm form, not one search per prime, and the prime scan of
-elliptic_pbundle reads the same blocks.  elements_of_norm stays their
-brute-force oracle.  is_prime reads a pure-Python bytearray sieve,
-built on first use, up to _SIEVE_CAP; above it, strong probable-prime
+over the norm form, not one search per prime.  The prime scan of
+elliptic_pbundle walks the same rows, from the same norm_rows layout,
+through coset_blocks, which keeps only the points whose x lies in one of
+two classes mod k per row.  elements_of_norm stays their brute-force
+oracle.  is_prime reads a pure-Python bytearray sieve, built on first
+use, up to _SIEVE_CAP; above it, strong probable-prime
 tests to the twelve prime bases 2 to 37 decide it exactly below
 PRIMALITY_CAP, and an integer at or above the cap that passes all
 twelve raises PrimalityCapError.
@@ -25,9 +27,10 @@ splitting-oracle claim compares it with represented_norms.  split_type,
 legendre_euler, legendre_reciprocity and _split_type_of_prime stay its
 per-prime oracle.
 
-numpy is imported inside the array passes alone: norm_blocks,
-represented_norms, _prime_flags, primes_up_to, split_symbols with its
-three Legendre helpers, and split_density_report.  Importing this
+numpy is imported inside the array passes alone: norm_rows,
+norm_blocks, coset_blocks, represented_norms, _prime_flags,
+primes_up_to, split_symbols with its three Legendre helpers, and
+split_density_report.  Importing this
 module, the element arithmetic and is_prime never load it, so CLI paths
 that run no array pass start without numpy.
 """
@@ -55,7 +58,9 @@ __all__ = [
     "conjugate",
     "units",
     "elements_of_norm",
+    "norm_rows",
     "norm_blocks",
+    "coset_blocks",
     "represented_norms",
     "degree_two_table",
     "is_prime",
@@ -179,46 +184,112 @@ def elements_of_norm(order: OrderParams, m: int) -> tuple[QuadElem, ...]:
 _BLOCK_POINTS = 2**14
 
 
-def norm_blocks(
-    order: OrderParams, bound: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ys, xs, norms) for blocks of whole rows y <= 0 of the points x + y*w of norm <= bound.
+def norm_rows(
+    order: OrderParams, bound: int, step: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows y <= 0, y a multiple of step, of the points x + y*w of norm <= bound.
 
-    Each block holds consecutive rows, at most _BLOCK_POINTS points
-    unless one row is longer, as int64 arrays with one entry per point
-    in (y, x) order: ys, xs and norms = x**2 + t*x*y + n*y**2.  The
-    bounds are those of elements_of_norm: |y| <= sqrt(4*bound/|D|) and
+    Four int64 arrays, per row in increasing y: y, the first x, the
+    number of points and n*y**2.  The bounds are those of
+    elements_of_norm: |y| <= sqrt(4*bound/|D|) and
     |2x + t*y| <= isqrt(4*bound - |D|*y**2).  Rows y > 0 are left out,
-    since norm(-a) = norm(a).  The int64 arithmetic is exact: every
-    norm is at most bound, every intermediate value is below 4*bound in
-    absolute value, and any bound small enough for a table of that many
-    entries to be allocated is far below 2**62.
+    since norm(-a) = norm(a).  As 4n - t**2 = |D|, every row has
+    n*y**2 <= bound + y**2/4, so no entry exceeds 2*bound.
     """
     import numpy as np
 
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound!r}")
     t, n, d = order.t, order.n, -order.discriminant
-    y_range = range(-math.isqrt(4 * bound // d), 1)
+    y_range = range(-(math.isqrt(4 * bound // d) // step) * step, 1, step)
     roots = [math.isqrt(4 * bound - d * y * y) for y in y_range]
-    # per row: y, first x, number of points and n*y**2, which is at most bound
-    row_ys = np.arange(y_range.start, 1, dtype=np.int64)
-    firsts = np.array([-((s + t * y) // 2) for s, y in zip(roots, y_range)], dtype=np.int64)
-    counts = np.array([(s - t * y) // 2 + (s + t * y) // 2 + 1 for s, y in zip(roots, y_range)], dtype=np.int64)
-    ny2 = np.array([n * y * y for y in y_range], dtype=np.int64)
+    return (
+        np.arange(y_range.start, 1, step, dtype=np.int64),
+        np.array([-((s + t * y) // 2) for s, y in zip(roots, y_range)], dtype=np.int64),
+        np.array([(s - t * y) // 2 + (s + t * y) // 2 + 1 for s, y in zip(roots, y_range)], dtype=np.int64),
+        np.array([n * y * y for y in y_range], dtype=np.int64),
+    )
+
+
+def _row_blocks(counts: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Consecutive rows of at most _BLOCK_POINTS points together, unless one row is longer.
+
+    Yields each block's slice of rows and the offsets of its rows' first
+    points within the block.
+    """
+    import numpy as np
+
     ends = np.cumsum(counts)
     starts = ends - counts
     start = 0
     while start < len(counts):
         stop = max(start + 1, int(np.searchsorted(ends, starts[start] + _BLOCK_POINTS, side="right")))
-        rows = slice(start, stop)
-        size = int(ends[stop - 1] - starts[start])
-        # a point's x is its row's first x plus its index within the row
-        xs = np.arange(size, dtype=np.int64)
-        xs += np.repeat(firsts[rows] - (starts[rows] - starts[start]), counts[rows])
-        ys = np.repeat(row_ys[rows], counts[rows])
-        yield ys, xs, xs * (xs + t * ys) + np.repeat(ny2[rows], counts[rows])
+        yield slice(start, stop), starts[start:stop] - starts[start]
         start = stop
+
+
+def norm_blocks(
+    order: OrderParams, bound: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ys, xs, norms) for blocks of whole rows of norm_rows(order, bound).
+
+    Each block holds consecutive rows, at most _BLOCK_POINTS points
+    unless one row is longer, as int64 arrays with one entry per point
+    in (y, x) order: ys, xs and norms = x**2 + t*x*y + n*y**2.  The
+    int64 arithmetic is exact: every norm is at most bound, every
+    intermediate value is below 4*bound in absolute value, and any bound
+    small enough for a table of that many entries to be allocated is far
+    below 2**62.
+    """
+    import numpy as np
+
+    row_ys, firsts, counts, ny2 = norm_rows(order, bound)
+    for rows, offsets in _row_blocks(counts):
+        # a point's x is its row's first x plus its index within the row
+        xs = np.arange(int(offsets[-1] + counts[rows.stop - 1]), dtype=np.int64)
+        xs += np.repeat(firsts[rows] - offsets, counts[rows])
+        ys = np.repeat(row_ys[rows], counts[rows])
+        yield ys, xs, xs * (xs + order.t * ys) + np.repeat(ny2[rows], counts[rows])
+
+
+def coset_blocks(
+    order: OrderParams, rows: tuple[np.ndarray, ...], k: int, classes: tuple[np.ndarray, np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """norm_blocks over the given rows, keeping the points whose x is in one of two classes mod k.
+
+    rows is a selection of the four arrays of norm_rows, and classes two
+    int64 arrays of residues in [0, k), one entry per row each.  In a row
+    whose first x is x0, the class of r starts at x0 + d with
+    d = (r - x0) mod k.  When the two classes differ, with starts
+    d0 < d1, the row's points in them are x0 + d0, x0 + d1, x0 + d0 + k,
+    x0 + d1 + k, ..., alternating, up to the row's end; a single class
+    is walked as the two classes d0 and d0 + k mod 2k.  So the points
+    come in the (y, x) order of norm_blocks without a sort, and blocks
+    again hold whole rows, at most _BLOCK_POINTS points unless one row
+    is longer.  Beside the values of norm_blocks, the int64 arithmetic
+    only forms residues mod k and indices below a row's length plus 2*k.
+    """
+    import numpy as np
+
+    row_ys, firsts, counts, ny2 = rows
+    d0, d1 = ((c - firsts) % k for c in classes)
+    d0, d1 = np.minimum(d0, d1), np.maximum(d0, d1)
+    single = d0 == d1
+    period = np.where(single, 2 * k, k)
+    d1[single] += k
+    # the points x0 + d + j*period with j >= 0 and d + j*period < count
+    sizes = (counts - d0 + period - 1) // period + (counts - d1 + period - 1) // period
+    full = sizes > 0
+    row_ys, ny2, sizes, period = row_ys[full], ny2[full], sizes[full], period[full]
+    starts, gaps = (firsts + d0)[full], (d1 - d0)[full]
+    for block, offsets in _row_blocks(sizes):
+        # i, a point's index within its row, is even in the first class and odd in the second
+        i = np.arange(int(offsets[-1] + sizes[block.stop - 1]), dtype=np.int64)
+        i -= np.repeat(offsets, sizes[block])
+        xs = np.repeat(starts[block], sizes[block]) + (i >> 1) * np.repeat(period[block], sizes[block])
+        xs += (i & 1) * np.repeat(gaps[block], sizes[block])
+        ys = np.repeat(row_ys[block], sizes[block])
+        yield ys, xs, xs * (xs + order.t * ys) + np.repeat(ny2[block], sizes[block])
 
 
 def represented_norms(order: OrderParams, bound: int) -> bytearray:
@@ -342,6 +413,7 @@ def prime_array(bound: int) -> np.ndarray:
 def primes_up_to(bound: int) -> list[int]:
     """prime_array(bound) as a list of ints."""
     return prime_array(bound).tolist()
+
 
 
 def legendre_euler(a: int, p: int) -> int:

@@ -5,7 +5,7 @@ import tracemalloc
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from selfmaps import elliptic_pbundle, qorders
 from selfmaps.cm_elliptic import (
@@ -13,6 +13,7 @@ from selfmaps.cm_elliptic import (
     TorsionPoint,
     aut_group,
     endomorphisms_of_degree,
+    dual,
     kernel_on_torsion,
     pullback_exponent,
     torsion_action,
@@ -34,9 +35,10 @@ from selfmaps.elliptic_pbundle import (
     _aut_routes,
     _decide,
     _first_isogenies,
+    _working_classes,
     scan_primes,
 )
-from selfmaps.qorders import OrderParams, QuadElem, norm, primes_up_to
+from selfmaps.qorders import OrderParams, QuadElem, coset_blocks, norm, norm_blocks, primes_up_to
 from selfmaps.verdicts import (
     AllDegrees,
     AutRoute,
@@ -307,9 +309,9 @@ SCAN_CURVES = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)), CurveModel.cm(Orde
 
 
 @st.composite
-def scan_cases(draw):
+def scan_cases(draw, max_k=13):
     curve = draw(st.sampled_from(SCAN_CURVES))
-    k = draw(st.integers(1, 13))
+    k = draw(st.integers(1, max_k))
     points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
     bound = draw(st.one_of(st.integers(2, 1000), st.integers(10_000, 20_000)))
     return curve, k, draw(st.sampled_from(points)), bound
@@ -409,21 +411,105 @@ def test_admits_all_degrees_builds_the_unit_routes_once(monkeypatch, k, v, verdi
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize(
-    "k, v, bound, found",
-    [
-        # beta = -50 - 7i of norm 2549 fixes v mod norm(beta - 1) = 2650,
-        # the largest k at which the lattice pass still runs for this bound
-        (2650, (7, 2599), 2549, True),
-        (2651, (7, 2599), 2549, False),
-        # far above the limit the pass is skipped, so residues this large
-        # never reach its int64 products
-        (2**40 + 15, (2**40 + 14, 2**40 + 13), 3000, False),
-    ],
-)
+LARGE_LEVEL_PARAMS = [
+    # beta = -50 - 7i of norm 2549 fixes v mod norm(beta - 1) = 2650,
+    # the largest k at which the lattice pass still runs for this bound
+    (2650, (7, 2599), 2549, True),
+    (2651, (7, 2599), 2549, False),
+    # far above the limit the pass is skipped, so residues this large
+    # never reach its int64 products
+    (2**40 + 15, (2**40 + 14, 2**40 + 13), 3000, False),
+]
+
+
+@pytest.mark.parametrize("k, v, bound, found", LARGE_LEVEL_PARAMS)
 def test_lattice_pass_at_large_torsion_levels(k, v, bound, found):
     curve, point = CurveModel.cm(GAUSS), TorsionPoint(k, v)
     needed = [p for p in primes_up_to(bound) if p % k != 0]
+    expected = {p: _decide(curve, point, {}, p).witness for p in needed}
+    expected = {p: w for p, w in expected.items() if w is not None}
+    assert bool(expected) == found
+    assert _first_isogenies(curve, point, needed, bound) == expected
+
+
+LARGE_LEVEL_CASES = [(CurveModel.cm(GAUSS), k, v, bound) for k, v, bound, _ in LARGE_LEVEL_PARAMS]
+
+
+def _working_residues(curve, point, bound) -> set:
+    """R of _working_classes, empty where no point works."""
+    working = _working_classes(curve.order, point, bound) if curve.has_cm else None
+    return set() if working is None else set(working[2].tolist())
+
+
+@settings(max_examples=30, deadline=None)
+@given(scan_cases(max_k=60))
+@example(LARGE_LEVEL_CASES[0])
+@example(LARGE_LEVEL_CASES[1])
+@example(LARGE_LEVEL_CASES[2])
+def test_no_isogeny_route_outside_the_working_residues(case):
+    curve, k, v, bound = case
+    point = split_desc(curve, k, v).bundle.point
+    routes = _aut_routes(curve, point)
+    residues = _working_residues(curve, point, bound)
+    outside = [p for p in primes_up_to(bound) if p % k and p % k not in routes and p % k not in residues]
+    for p in outside:
+        assert _decide(curve, point, routes, p).witness is None, p
+    # the filter leaves the lattice pass nothing to find among them
+    assert _first_isogenies(curve, point, outside, bound) == {}
+
+
+def _points(blocks) -> list:
+    return [(y, x, m) for ys, xs, norms in blocks for y, x, m in zip(ys.tolist(), xs.tolist(), norms.tolist())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cases())
+# every row works, in two classes; k = 2, where the two classes are one;
+# and k above the limit of _working_classes, where only 1 and -1 work
+@example((CurveModel.cm(OrderParams(0, 3)), 13, (7, 1), 20_000))
+@example((CurveModel.cm(EISENSTEIN), 2, (1, 1), 3000))
+@example((CurveModel.cm(GAUSS), 6, (0, 1), 2))
+def test_coset_walk_is_the_full_walk_at_its_working_points(case):
+    curve, k, v, bound = case
+    assume(curve.has_cm)
+    order, point = curve.order, split_desc(curve, k, v).bundle.point
+    v = point.v
+    b = torsion_action(dual(QuadElem(order, 0, 1)), k).apply_mod(v, k)
+    fixed_up_to_sign = {v, ((-v[0]) % k, (-v[1]) % k)}
+    # blocks of one nonempty row each, and of the default size
+    for budget in (1, qorders._BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qorders, "_BLOCK_POINTS", budget)
+            full = _points(norm_blocks(order, bound))
+            working = _working_classes(order, point, bound)
+            blocks = [] if working is None else list(coset_blocks(order, working[0], k, working[1]))
+        expected = [
+            (y, x, m) for y, x, m in full if ((x * v[0] + y * b[0]) % k, (x * v[1] + y * b[1]) % k) in fixed_up_to_sign
+        ]
+        if working is None:
+            assert {m for _, _, m in expected} <= {1}
+        assert _points(blocks) == ([] if working is None else expected), budget
+        assert all(len(ys) <= budget or len(set(ys.tolist())) == 1 for ys, _, _ in blocks), budget
+
+
+# k = 9,999,971 and k + 2 are prime.  On the order with t = 1, n = k the
+# dual of w fixes v = (1, k - 1) mod k, so the row y = -1 works, and
+# 2 - w of norm k + 2 is the witness; there n*(y mod k)**2 would be about
+# 10**21, past 2**63, where the row's own n*y**2 is k.  An order with
+# n >= 2**40 (or 10**30, beyond int64) has only the row y = 0 below the
+# bound, so R = {1} and nothing is found.
+@pytest.mark.parametrize(
+    "order, k, v, bound, needed, residues, found",
+    [
+        (OrderParams(1, 9_999_971), 9_999_971, (1, 9_999_970), SCAN_BOUND_CAP, [9_999_973, 9_999_991], {0, 1, 2}, True),
+        (OrderParams(0, 2**40 + 15), 1009, (1, 0), 3000, [p for p in primes_up_to(3000) if p % 1009], {1}, False),
+        (OrderParams(0, 10**30), 1009, (1, 0), 3000, [p for p in primes_up_to(3000) if p % 1009], {1}, False),
+    ],
+    ids=["n-near-the-cap", "n-2**40", "n-10**30"],
+)
+def test_lattice_pass_is_exact_for_large_n(order, k, v, bound, needed, residues, found):
+    curve, point = CurveModel.cm(order), TorsionPoint(k, v)
+    assert _working_residues(curve, point, bound) == residues
     expected = {p: _decide(curve, point, {}, p).witness for p in needed}
     expected = {p: w for p, w in expected.items() if w is not None}
     assert bool(expected) == found

@@ -2,7 +2,10 @@
 
 The classify steps include two split torsion bundles whose all-degrees
 certificate succeeds: the certificate lists the primes dividing k with
-is_prime, whose sieve is a bytearray, so it needs no numpy.
+is_prime, whose sieve is a bytearray, so it needs no numpy.  They also
+include a split bundle with a nontorsion summand over a curve without
+CM, whose missing primes up to the default bound of 1000 come from the
+same bytearray sieve.
 
 Each case runs in a fresh interpreter, since this test process has
 numpy loaded already.  The child imports selfmaps.cli, then runs the
@@ -47,7 +50,7 @@ step("import")
 step("--version", ["--version"])
 work = sys.argv[1]
 step("toric", ["toric", f"{work}/plane.fan"])
-for kind in ("abelian", "hyperelliptic", "kodaira_one", "toric", "certificate-k5", "certificate-k2"):
+for kind in ("abelian", "hyperelliptic", "kodaira_one", "toric", "certificate-k5", "certificate-k2", "nocm-nontorsion"):
     step(f"classify {kind}", ["classify", f"{work}/{kind}.desc", "--json"])
 step("scan", ["scan", f"{work}/scan.desc", "--bound", "100", "--json"])
 print(json.dumps({"optimize": sys.flags.optimize, "steps": steps}))
@@ -62,6 +65,7 @@ DESCRIPTORS = {
     # certificate succeeds, so classify runs no scan
     "certificate-k5": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=1 2\n",
     "certificate-k2": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=2\npoint=1 0\n",
+    "nocm-nontorsion": "surface=elliptic_bundle\ncurve=nocm\nbundle=split_nontorsion\n",
     "scan": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=1 2\n",
 }
 
@@ -90,5 +94,6 @@ def test_numpy_loads_only_where_an_array_pass_runs(tmp_path, flags):
         ["classify toric", 0, False],
         ["classify certificate-k5", 0, False],
         ["classify certificate-k2", 0, False],
+        ["classify nocm-nontorsion", 0, False],
     ]
     assert (control, control_code, control_loaded) == ("scan", 0, True)

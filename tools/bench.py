@@ -17,13 +17,17 @@ SUITE is one of:
                   a timer and run_claims is called RUNS times, so each
                   claim's seconds are a median (the first call also pays
                   the one-time caches and sieves)
-    scan          `scan DESC --bound 10^6 --json` on two descriptors:
+    scan          `scan DESC --bound B --json` on the Gauss order:
                   gauss-k5 (k = 5, point (4, 2): every prime achievable,
                   so the JSON of about 25 MB dominates) and gauss-k7
                   (k = 7, point (1, 0): 52,344 of the 78,498 primes are
-                  missing, ruled out by the lattice pass); then
-                  gauss-k7-text, the same scan without --json, which
-                  times the text renderer
+                  missing, and no isogeny can reach their residues) at
+                  B = 10^6; gauss-k7-text, the same scan without --json,
+                  which times the text renderer; gauss-k7 again and
+                  gauss-k13 (k = 13, point (1, 8), an eigenvector of the
+                  dual of w, so the lattice pass walks the working
+                  classes of every row) at B = 10^7; and gauss-k999983
+                  (k = 999,983, point (1, 0)) at B = 10^6
     density       `density --order T N --bound B --json` for the Gauss
                   order (0 1) and t = 1, n = 2 (discriminant -7), each at
                   B = 10^6 and 10^7
@@ -86,13 +90,19 @@ REPO = Path(__file__).resolve().parents[1]
 RUNS = 5
 _TIMING_PREFIX = b'  "timing_ms": '
 
-SCAN_BOUND = 1_000_000
 SCAN_DESCRIPTORS = {
-    "gauss-k5": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=5\npoint=4 2\n",
-    "gauss-k7": "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=7\npoint=1 0\n",
+    f"gauss-k{k}": f"surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk={k}\npoint={point}\n"
+    for k, point in ((5, "4 2"), (7, "1 0"), (13, "1 8"), (999_983, "1 0"))
 }
-# case: [descriptor, *output flags]
-SCAN_CASES = {"gauss-k5": ["gauss-k5", "--json"], "gauss-k7": ["gauss-k7", "--json"], "gauss-k7-text": ["gauss-k7"]}
+# case: [descriptor, bound, *output flags]
+SCAN_CASES = {
+    "gauss-k5": ["gauss-k5", 10**6, "--json"],
+    "gauss-k7": ["gauss-k7", 10**6, "--json"],
+    "gauss-k7-text": ["gauss-k7", 10**6],
+    "gauss-k7-1e7": ["gauss-k7", 10**7, "--json"],
+    "gauss-k13-1e7": ["gauss-k13", 10**7, "--json"],
+    "gauss-k999983": ["gauss-k999983", 10**6, "--json"],
+}
 DENSITY_ORDERS = {"gauss": "0 1", "disc7": "1 2"}
 DENSITY_BOUNDS = (10**6, 10**7)
 GROUP_P, GROUP_QS = 71, (71, 5)
@@ -276,8 +286,8 @@ def _scan(src: Path, work: Path) -> dict:
     for name, text in SCAN_DESCRIPTORS.items():
         (work / f"{name}.desc").write_text(text)
     cases = {}
-    for case, (name, *flags) in SCAN_CASES.items():
-        cases[case] = cli_runs(src, ["scan", str(work / f"{name}.desc"), "--bound", str(SCAN_BOUND), *flags])
+    for case, (name, bound, *flags) in SCAN_CASES.items():
+        cases[case] = cli_runs(src, ["scan", str(work / f"{name}.desc"), "--bound", str(bound), *flags])
     return {"cases": cases}
 
 
@@ -401,7 +411,7 @@ SUITES = {
     "scan": (
         "BENCH_scan.json",
         {
-            "command": f"python -m selfmaps.cli scan DESC --bound {SCAN_BOUND} [--json]",
+            "command": "python -m selfmaps.cli scan DESC --bound B [--json]",
             "descriptors": SCAN_DESCRIPTORS,
             "cases": SCAN_CASES,
         },

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3023 invocations of selfmaps.cli.main in this process: scan
+Runs 3025 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -16,8 +16,10 @@ writer at scale: scan --json at 10^6 on the Gauss order with k = 5,
 point (4, 2) and k = 7, point (1, 0), classify --json of a no-CM
 split_nontorsion bundle at 10^7, and density --json at 10^7 for two
 orders and at 10^5 for n = 10^30; and the isogeny routes at scale: scan
---json at 10^6 with k = 13 on the Gauss order, point (1, 8), and on the
-order of discriminant -3, point (1, 3).  Each line holds
+--json at 10^6 with k = 13 on the Gauss order, point (1, 8), on the
+order of discriminant -3, point (1, 3), and on the order with n = 3,
+point (7, 1); and the residue filter that skips the walk: scan --json at
+10^6 on the Gauss order with k = 999,983, point (1, 0).  Each line holds
 the invocation, its exit code, and sha256 prefixes of stdout (minus its
 timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
@@ -166,6 +168,14 @@ def invocations(work: Path) -> list[list[str]]:
     for name, order, point in (("gauss", "0 1", "1 8"), ("disc3", "1 1", "1 3")):
         desc = descriptor(f"{name}-k13.desc", f"curve=cm\norder={order}", f"split_torsion\nk=13\npoint={point}")
         cases.append(["scan", desc, "--bound", "1000000", "--json"])
+    # the two paths of the residue filter: at k = 999,983 no needed prime
+    # has a working residue, so the lattice is not walked; on the order
+    # with n = 3 the point (7, 1) is an eigenvector of the dual of w, so
+    # every row works and the coset walk spans several blocks
+    desc = descriptor("gauss-k999983.desc", "curve=cm\norder=0 1", "split_torsion\nk=999983\npoint=1 0")
+    cases.append(["scan", desc, "--bound", "1000000", "--json"])
+    desc = descriptor("n3-k13.desc", "curve=cm\norder=0 3", "split_torsion\nk=13\npoint=7 1")
+    cases.append(["scan", desc, "--bound", "1000000", "--json"])
     return cases
 
 
