@@ -36,10 +36,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .elliptic_pbundle import (
+    ISOGENY,
     SCAN_BOUND_CAP,
     AtiyahDegreeOne,
     AtiyahDegreeZero,
@@ -56,8 +57,10 @@ from .elliptic_pbundle import (
 from .cm_elliptic import CurveModel, TorsionPoint
 from .qorders import (
     OrderParams,
+    QuadElem,
     degree_two_table,
     is_prime,
+    prime_array,
     primes_up_to,
     split_density_report,
 )
@@ -401,7 +404,11 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     if desc.surface != "elliptic_bundle" or not isinstance(desc.elliptic.bundle, SplitTorsion):
         raise DescriptorError("scan needs an elliptic_bundle descriptor with bundle=split_torsion")
     e = desc.elliptic
-    report = scan_primes(e, args.bound) if args.bound >= 2 else ScanReport(args.bound, {})
+    if args.bound >= 2:
+        report = scan_primes(e, args.bound)
+    else:
+        none = prime_array(args.bound)
+        report = ScanReport(args.bound, none, none, (None,), e.curve.order, (none,) * 3)
     missing = report.missing
     details = {
         "bound": args.bound,
@@ -410,21 +417,19 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
         "curve": repr(e.curve),
         "rows": report,
         "missing": missing,
-        "achievable_count": len(report.witnesses) - len(missing),
+        "achievable_count": len(report.primes) - len(missing),
         "missing_count": len(missing),
     }
     return None, details, 0
 
 
 def _render_scan(d: dict) -> list[str]:
+    rows = d["rows"]
+    # "yes  <route>" or "no   no route", once per route
+    tails = ["no   no route" if witness is None else "yes  " + _witness_text(witness) for witness in rows.routes]
+    isogeny = "yes  " + _isogeny_route(rows.order, str) if len(rows.isogenies[0]) else ""
     lines = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
-    # "yes  <route>" or "no   no route", once per witness object
-    tails: dict[int, str] = {}
-    for p, witness in d["rows"].witnesses.items():
-        tail = tails.get(id(witness))
-        if tail is None:
-            tail = tails[id(witness)] = "no   no route" if witness is None else "yes  " + _witness_text(witness)
-        lines.append(f"  {p:>6}  {tail}")
+    lines += map("  {:>6}  {}".format, rows.primes.tolist(), _row_tails(rows, [*tails, isogeny]))
     lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
     if d["missing"]:
         lines.append("missing primes: " + ", ".join(str(p) for p in d["missing"]))
@@ -631,30 +636,83 @@ def _joined(pieces: list[str], brackets: str, depth: int) -> str:
     return "".join(pieces)
 
 
-# a scan row's prime in its template: written as the only NUL of the text (_encode_str escapes NULs)
-_PRIME_SLOT = object()
+class _Slot(int):
+    """A value's place in a scan row template: _json_value writes it as a NUL."""
+
+
+# _encode_str escapes every NUL of a str, so the NULs of a row template are its slots
+_SLOT = _Slot()
+
+
+def _braced(text: str) -> str:
+    """text as literal text of a str.format template."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _isogeny_route(order: OrderParams, encode: Callable[[str], str]) -> str:
+    """An isogeny row's route as a str.format template of its x, y and sign (fields 0, 1 and 2).
+
+    _witness_text writes the route of a sample whose x, y and sign note
+    their format specs and write a marker that the rest of the text does
+    not hold; the texts between markers go through encode.
+    """
+    marker, fields = "", []
+
+    class Value(int):
+        def __format__(self, spec: str) -> str:
+            fields.append(f"{{{int(self)}:{spec}}}")
+            return marker
+
+    def route() -> str:
+        fields.clear()
+        return _witness_text(IsogenyRoute(QuadElem(order, Value(0), Value(1)), Value(2)))
+
+    text = route()
+    marker = next(c for c in map(chr, range(len(text) + 1)) if c not in text)
+    return "".join(map(str.__add__, (_braced(encode(t)) for t in route().split(marker)), [*fields, ""]))
+
+
+def _isogeny_row(order: OrderParams, depth: int) -> tuple[str, str]:
+    """An isogeny row's JSON text before its prime, and after it as a str.format template of its x, y and sign."""
+    sample = IsogenyRoute(QuadElem(order, _SLOT, _SLOT), _SLOT)
+    # slots at the prime, the route, x, y and the sign, in the order of the sorted keys
+    head, *texts = _json_value({**_scan_row(sample), "prime": _SLOT, "route": _SLOT}, depth).split("\0")
+    after_prime, after_route, after_x, after_y, after_sign = map(_braced, texts)
+    route = _isogeny_route(order, lambda text: _encode_str(text)[1:-1])
+    return head, f'{after_prime}"{route}"{after_route}{{0}}{after_x}{{1}}{after_y}{{2}}{after_sign}'
+
+
+def _row_tails(rows: ScanReport, tails: list[str]) -> list[str]:
+    """Each row's text after its prime, from tails indexed by ScanReport.slot.
+
+    tails[ISOGENY], its last entry, is a str.format template that each
+    isogeny row fills with its x, y and sign.
+    """
+    import numpy as np
+
+    texts = np.array(tails, dtype=object)[rows.slot]
+    texts[rows.slot == ISOGENY] = list(map(tails[ISOGENY].format, *(column.tolist() for column in rows.isogenies)))
+    return texts.tolist()
 
 
 def _scan_rows(rows: ScanReport, depth: int) -> str:
     """The rows as the list of _scan_row dicts, each with its "prime", without building them.
 
-    The row of each distinct witness object is written once, with a NUL
-    for its prime, and split there into a head and a tail.  The list is
+    The row of each of rows.routes, None giving the row without a route,
+    is written once with a NUL for its prime and split there into a head
+    and a tail; isogeny rows take theirs from _isogeny_row.  The list is
     then one join over head, prime and tail of each row.
     """
-    if not rows.witnesses:
+    if not len(rows.primes):
         return "[]"
     sep = ",\n" + "  " * (depth + 1)
-    witnesses = rows.witnesses.values()
-    heads, tails = {}, {}
-    # keyed on identity: rows.witnesses keeps every witness alive
-    for key, witness in dict(zip(map(id, witnesses), witnesses)).items():
-        head, tail = _json_value({**_scan_row(witness), "prime": _PRIME_SLOT}, depth + 1).split("\0")
-        heads[key], tails[key] = sep + head, tail
-    pieces = [sep] * (3 * len(witnesses))
-    pieces[::3] = map(heads.__getitem__, map(id, witnesses))
-    pieces[1::3] = map(int.__repr__, rows.witnesses)
-    pieces[2::3] = map(tails.__getitem__, map(id, witnesses))
+    routes = [_json_value({**_scan_row(w), "prime": _SLOT}, depth + 1).split("\0") for w in rows.routes]
+    isogeny = _isogeny_row(rows.order, depth + 1) if len(rows.isogenies[0]) else ("", "")
+    heads, tails = zip(*routes, isogeny)
+    pieces = [sep] * (3 * len(rows.primes))
+    pieces[::3] = map([sep + head for head in heads].__getitem__, rows.slot.tolist())
+    pieces[1::3] = map(int.__repr__, rows.primes.tolist())
+    pieces[2::3] = _row_tails(rows, list(tails))
     return _joined(pieces, "[]", depth)
 
 
@@ -686,7 +744,7 @@ def _json_value(o, depth: int) -> str:
     if kind is ScanReport:
         return _scan_rows(o, depth)
     if kind not in (list, tuple, dict):
-        if o is _PRIME_SLOT:
+        if kind is _Slot:
             return "\0"
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not o:

@@ -205,16 +205,39 @@ def prime_achievable(desc: EllipticBundleDescriptor, p: int) -> PrimeDecision:
     return _decide(desc.curve, bundle.point, _aut_routes(desc.curve, bundle.point), p)
 
 
-@dataclass(frozen=True)
+# ScanReport.slot of a prime with no route, and of a prime with an isogeny route
+NO_ROUTE, ISOGENY = 0, -1
+
+
+@dataclass(frozen=True, eq=False)
 class ScanReport:
-    """Each prime up to bound, in increasing order, mapped to its witness or None."""
+    """Each prime up to bound, in increasing order, with its witness or none, as columns.
+
+    routes holds None, then the distinct torsion and automorphism
+    witnesses, and routes[slot[i]] is the witness of primes[i], or None
+    when slot[i] is NO_ROUTE; slot ISOGENY marks the primes that take,
+    in turn, the rows of isogenies, the arrays (x, y, sign) of
+    IsogenyRoute(QuadElem(order, x, y), sign), with order the curve's.
+    No object is built per prime: the CLI writes the report from these
+    arrays.
+    """
 
     bound: int
-    witnesses: dict[int, Witness | None]
+    primes: np.ndarray
+    slot: np.ndarray
+    routes: tuple[Witness | None, ...]
+    order: OrderParams | None
+    isogenies: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def missing(self) -> tuple[int, ...]:
-        return tuple(p for p, witness in self.witnesses.items() if witness is None)
+        return tuple(self.primes[self.slot == NO_ROUTE].tolist())
+
+    @property
+    def witnesses(self) -> dict[int, Witness | None]:
+        """Each prime mapped to its witness or None, built on each call: a view for tests and oracles."""
+        found = iter([IsogenyRoute(QuadElem(self.order, x, y), s) for x, y, s in zip(*(c.tolist() for c in self.isogenies))])
+        return {p: next(found) if s == ISOGENY else self.routes[s] for p, s in zip(self.primes.tolist(), self.slot.tolist())}
 
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
@@ -280,12 +303,14 @@ def _working_classes(
 
 def _first_isogenies(
     curve: CurveModel, point: TorsionPoint, needed: Sequence[int], bound: int
-) -> dict[int, IsogenyRoute]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """_decide's isogeny step for every prime in needed, by one pass over the working lattice points.
 
     needed holds, in increasing order, the primes up to bound that no
-    torsion or automorphism route covers.  The result maps each of them
-    that has an isogeny route to the IsogenyRoute _decide picks.
+    torsion or automorphism route covers.  Returns four int64 arrays: the
+    primes of needed that have an isogeny route, in increasing order, and
+    the x, y and sign of the IsogenyRoute(QuadElem(curve.order, x, y),
+    sign) _decide picks for each.
 
     Whether x + y*w works, and its norm mod k, depend only on
     (x mod k, y mod k).  _working_classes solves each row once: with
@@ -309,24 +334,25 @@ def _first_isogenies(
     blocks look for.  Only rows y <= 0 are needed: -alpha works exactly
     when alpha does, so the first working point never has y > 0.
     """
-    if not curve.has_cm or not len(needed):
-        return {}
-    working = _working_classes(curve.order, point, bound)
-    if working is None:
-        return {}
     import numpy as np
 
+    needed = np.asarray(needed, dtype=np.int64)
+    none = (needed[:0],) * 4
+    if not curve.has_cm or not needed.size:
+        return none
+    working = _working_classes(curve.order, point, bound)
+    if working is None:
+        return none
     rows, classes, residues = working
     k = point.k
-    needed = np.asarray(needed, dtype=np.int64)
     # membership in the sorted R by binary search, as np.isin loads numpy.ma
     r = needed % k
     needed = needed[residues[np.minimum(np.searchsorted(residues, r), len(residues) - 1)] == r]
     if not needed.size:
-        return {}
+        return none
     need = np.zeros(bound + 1, dtype=bool)
     need[needed] = True
-    found: dict[int, IsogenyRoute] = {}
+    found = [none]
     for ys, xs, norms in coset_blocks(curve.order, rows, k, classes):
         hits = np.flatnonzero(need[norms])
         if not hits.size:
@@ -335,21 +361,24 @@ def _first_isogenies(
         primes, first = np.unique(norms[hits], return_index=True)
         need[primes] = False
         hits = hits[first]
+        ys, xs = ys[hits], xs[hits]
         # a point fixes v when it lies in its row's class x+
-        fixes = (xs[hits] - classes[0][np.searchsorted(rows[0], ys[hits])]) % k == 0
-        for p, x, y, fix in zip(primes.tolist(), xs[hits].tolist(), ys[hits].tolist(), fixes.tolist()):
-            found[p] = IsogenyRoute(QuadElem(curve.order, x, y), 1 if fix else -1)
-    return found
+        fixes = (xs - classes[0][np.searchsorted(rows[0], ys)]) % k == 0
+        found.append((primes, xs, ys, np.where(fixes, 1, -1)))
+    primes, xs, ys, signs = map(np.concatenate, zip(*found))
+    # each block's primes are sorted, but a later block can find smaller ones
+    by_prime = np.argsort(primes)
+    return primes[by_prime], xs[by_prime], ys[by_prime], signs[by_prime]
 
 
 def _scan_parts(
     desc: EllipticBundleDescriptor, bound: int, routes: dict[int, AutRoute] | None
-) -> tuple[dict[int, Witness], np.ndarray, np.ndarray, dict[int, IsogenyRoute]]:
+) -> tuple[tuple[Witness | None, ...], np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """The work scan_primes and missing_primes share, for the primes up to bound.
 
-    Returns the residue table (residue mod k -> torsion or automorphism
-    route), the primes as an array, the needed primes, those whose
-    residue the table leaves uncovered, and the isogeny routes
+    Returns ScanReport.routes, the primes as an array, each prime's
+    slot (the index in routes of its residue's witness, or NO_ROUTE),
+    the needed primes, those with slot NO_ROUTE, and the columns
     _first_isogenies finds for them.  routes is the descriptor's
     _aut_routes table, built here when the caller has none.
     """
@@ -365,35 +394,47 @@ def _scan_parts(
         routes = _aut_routes(desc.curve, point)
     # residue 0 goes to the torsion route, which _decide tries first
     residues: dict[int, Witness] = {**routes, 0: TorsionMultiple(k)}
+    # distinct by identity: the two residues of an automorphism share its route
+    witnesses = {id(witness): witness for witness in residues.values()}
+    index = {key: i for i, key in enumerate(witnesses, 1)}
     primes = prime_array(bound)
     # above bound, k leaves every prime as its own residue, so residues
     # larger than bound never occur
-    covered = np.zeros(min(k, bound + 1), dtype=bool)
-    covered[[r for r in residues if r < len(covered)]] = True
-    needed = primes[~covered[primes % k if k <= bound else primes]]
-    return residues, primes, needed, _first_isogenies(desc.curve, point, needed, bound)
+    table = np.zeros(min(k, bound + 1), dtype=np.int8)  # NO_ROUTE
+    for r, witness in residues.items():
+        if r < len(table):
+            table[r] = index[id(witness)]
+    slot = table[primes % k if k <= bound else primes]
+    needed = primes[slot == NO_ROUTE]
+    return (None, *witnesses.values()), primes, slot, needed, _first_isogenies(desc.curve, point, needed, bound)
 
 
 def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
     """prime_achievable for every prime up to bound, with one residue table
     and one lattice pass for the primes that need an isogeny."""
-    residues, primes, _, isogenies = _scan_parts(desc, bound, None)
-    k = desc.bundle.point.k
-    witnesses = {p: residues.get(p % k) or isogenies.get(p) for p in primes.tolist()}
-    return ScanReport(bound=bound, witnesses=witnesses)
+    import numpy as np
+
+    routes, primes, slot, _, (found, *isogenies) = _scan_parts(desc, bound, None)
+    slot[np.searchsorted(primes, found)] = ISOGENY
+    return ScanReport(bound, primes, slot, routes, desc.curve.order, tuple(isogenies))
 
 
 def missing_primes(
     desc: EllipticBundleDescriptor, bound: int, *, routes: dict[int, AutRoute] | None = None
 ) -> tuple[int, ...]:
-    """scan_primes(desc, bound).missing, without the per-prime witnesses.
+    """scan_primes(desc, bound).missing, without the report.
 
     The missing primes are the needed primes, in increasing order, that
     no isogeny route covers.  routes is the descriptor's _aut_routes
     table, for a caller that has built it already.
     """
-    _, _, needed, isogenies = _scan_parts(desc, bound, routes)
-    return tuple(p for p in needed.tolist() if p not in isogenies)
+    import numpy as np
+
+    _, _, _, needed, (found, *_) = _scan_parts(desc, bound, routes)
+    if found.size:
+        # found is a sorted subset of needed
+        needed = np.delete(needed, np.searchsorted(needed, found))
+    return tuple(needed.tolist())
 
 
 @dataclass(frozen=True)

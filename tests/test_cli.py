@@ -7,6 +7,7 @@ import sys
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -21,7 +22,7 @@ from selfmaps.cli import (
     main,
     parse_descriptor_text,
 )
-from selfmaps.elliptic_pbundle import SCAN_BOUND_CAP, ScanReport
+from selfmaps.elliptic_pbundle import ISOGENY, NO_ROUTE, SCAN_BOUND_CAP, ScanReport
 from selfmaps.group_condition import build_cyclic, build_semidirect
 from selfmaps.toric import INPUT_BYTE_CAP, read_capped_text
 from selfmaps.qorders import OrderParams, QuadElem
@@ -443,20 +444,39 @@ def _json_values(children):
 QUAD_ELEMS = st.builds(
     QuadElem, st.builds(OrderParams, st.sampled_from((0, 1)), st.integers(1, 10)), st.integers(-9, 9), st.integers(-9, 9)
 )
-WITNESSES = (
+RESIDUE_WITNESSES = (
     st.none()
     | st.builds(TorsionMultiple, st.integers(1, 13))
     | st.builds(AutRoute, QUAD_ELEMS, st.integers(0, 12))
-    | st.builds(IsogenyRoute, QUAD_ELEMS, st.sampled_from((1, -1)))
 )
+INT64_COORDS = st.integers(-(2**62), 2**62)
+
+
+def scan_report(bound, witnesses):
+    """The ScanReport of a {prime: witness} dict whose IsogenyRoutes share one order."""
+    routes = (None, *dict.fromkeys(w for w in witnesses.values() if type(w) not in (IsogenyRoute, type(None))))
+    slots = [ISOGENY if type(w) is IsogenyRoute else NO_ROUTE if w is None else routes.index(w) for w in witnesses.values()]
+    isogenies = [w for w in witnesses.values() if type(w) is IsogenyRoute]
+    columns = ([w.alpha.x for w in isogenies], [w.alpha.y for w in isogenies], [w.sign for w in isogenies])
+    order = isogenies[0].alpha.order if isogenies else None
+    return ScanReport(
+        bound,
+        np.array(list(witnesses), dtype=np.int64),
+        np.array(slots, dtype=np.int8),
+        routes,
+        order,
+        tuple(np.array(column, dtype=np.int64) for column in columns),
+    )
 
 
 @st.composite
 def scan_reports(draw):
-    """Small ScanReports in which one witness object may stand for several primes."""
-    pool = draw(st.lists(WITNESSES, min_size=1, max_size=3))
+    """Small ScanReports: residue routes that one witness may stand for several primes of, isogeny rows and missing rows."""
+    pool = draw(st.lists(RESIDUE_WITNESSES, min_size=1, max_size=3))
+    order = draw(st.builds(OrderParams, st.sampled_from((0, 1)), st.integers(1, 10**30)))
+    isogenies = st.builds(IsogenyRoute, st.builds(QuadElem, st.just(order), INT64_COORDS, INT64_COORDS), st.sampled_from((1, -1)))
     primes = sorted(draw(st.lists(st.integers(2, 10**6), unique=True, max_size=6)))
-    return ScanReport(max(primes, default=1), {p: draw(st.sampled_from(pool)) for p in primes})
+    return scan_report(max(primes, default=1), {p: draw(st.sampled_from(pool) | isogenies) for p in primes})
 
 
 def _with_row_dicts(o):
@@ -485,8 +505,8 @@ _SHARED_AUT = AutRoute(QuadElem(OrderParams(0, 1), 0, -1), 2)
 @example({"a": {}, "b": [[], {}], "c": ((),)})
 @example({"": [-0.0, float("inf"), float("-inf"), float("nan")]})
 @example([2**64, -(2**100), True, False, None])
-@example(ScanReport(1, {}))
-@example([{"rows": ScanReport(7, {2: _SHARED_AUT, 3: None, 5: TorsionMultiple(5), 7: _SHARED_AUT})}, ScanReport(2, {2: None})])
+@example(scan_report(1, {}))
+@example([{"rows": scan_report(7, {2: _SHARED_AUT, 3: None, 5: TorsionMultiple(5), 7: _SHARED_AUT})}, scan_report(2, {2: None})])
 def test_json_writer_matches_json_dumps_indent2(payload):
     assert_writes_like_json_dumps(payload)
 

@@ -19,6 +19,7 @@ from selfmaps.cm_elliptic import (
     torsion_action,
 )
 from selfmaps.elliptic_pbundle import (
+    ISOGENY,
     SCAN_BOUND_CAP,
     AtiyahDegreeOne,
     AtiyahDegreeZero,
@@ -305,6 +306,11 @@ def test_scan_table_matches_per_prime_rule():
                 assert (p in missing) == (not decision.achievable), (curve, k, p)
 
 
+def isogeny_routes(curve, columns) -> dict:
+    """_first_isogenies' columns as a {prime: IsogenyRoute} dict."""
+    return {p: IsogenyRoute(QuadElem(curve.order, x, y), sign) for p, x, y, sign in zip(*(c.tolist() for c in columns))}
+
+
 SCAN_CURVES = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)), CurveModel.cm(OrderParams(0, 6)))
 
 
@@ -353,7 +359,7 @@ def test_lattice_pass_matches_the_oracle_across_block_seams(case):
     for budget in (1, qorders._BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qorders, "_BLOCK_POINTS", budget)
-            assert _first_isogenies(curve, point, needed, bound) == expected, budget
+            assert isogeny_routes(curve, _first_isogenies(curve, point, needed, bound)) == expected, budget
 
 
 MISSING_CURVES = ALL_CURVES + (CurveModel.cm(OrderParams(0, 5)),)
@@ -429,7 +435,7 @@ def test_lattice_pass_at_large_torsion_levels(k, v, bound, found):
     expected = {p: _decide(curve, point, {}, p).witness for p in needed}
     expected = {p: w for p, w in expected.items() if w is not None}
     assert bool(expected) == found
-    assert _first_isogenies(curve, point, needed, bound) == expected
+    assert isogeny_routes(curve, _first_isogenies(curve, point, needed, bound)) == expected
 
 
 LARGE_LEVEL_CASES = [(CurveModel.cm(GAUSS), k, v, bound) for k, v, bound, _ in LARGE_LEVEL_PARAMS]
@@ -455,7 +461,29 @@ def test_no_isogeny_route_outside_the_working_residues(case):
     for p in outside:
         assert _decide(curve, point, routes, p).witness is None, p
     # the filter leaves the lattice pass nothing to find among them
-    assert _first_isogenies(curve, point, outside, bound) == {}
+    assert isogeny_routes(curve, _first_isogenies(curve, point, outside, bound)) == {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cases())
+@example(LARGE_LEVEL_CASES[0])
+@example(LARGE_LEVEL_CASES[1])
+@example(LARGE_LEVEL_CASES[2])
+def test_scan_columns_are_the_per_prime_decisions(case):
+    curve, k, v, bound = case
+    desc = split_desc(curve, k, v)
+    point = desc.bundle.point
+    routes = _aut_routes(curve, point)
+    expected = {p: _decide(curve, point, routes, p).witness for p in primes_up_to(bound)}
+    # blocks of one nonempty row each, where later blocks find smaller primes, and of the default size
+    for budget in (1, qorders._BLOCK_POINTS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qorders, "_BLOCK_POINTS", budget)
+            report = scan_primes(desc, bound)
+        # one row of isogeny columns per prime with slot ISOGENY
+        assert {len(column) for column in report.isogenies} == {int((report.slot == ISOGENY).sum())}
+        assert report.witnesses == expected, budget
+        assert report.missing == missing_primes(desc, bound), budget
 
 
 def _points(blocks) -> list:
@@ -513,7 +541,7 @@ def test_lattice_pass_is_exact_for_large_n(order, k, v, bound, needed, residues,
     expected = {p: _decide(curve, point, {}, p).witness for p in needed}
     expected = {p: w for p, w in expected.items() if w is not None}
     assert bool(expected) == found
-    assert _first_isogenies(curve, point, needed, bound) == expected
+    assert isogeny_routes(curve, _first_isogenies(curve, point, needed, bound)) == expected
 
 
 def test_scan_bound_cap_checked_before_allocating():

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3025 invocations of selfmaps.cli.main in this process: scan
+Runs 3027 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -18,8 +18,9 @@ split_nontorsion bundle at 10^7, and density --json at 10^7 for two
 orders and at 10^5 for n = 10^30; and the isogeny routes at scale: scan
 --json at 10^6 with k = 13 on the Gauss order, point (1, 8), on the
 order of discriminant -3, point (1, 3), and on the order with n = 3,
-point (7, 1); and the residue filter that skips the walk: scan --json at
-10^6 on the Gauss order with k = 999,983, point (1, 0).  Each line holds
+point (7, 1); the residue filter that skips the walk: scan --json at
+10^6 on the Gauss order with k = 999,983, point (1, 0); and the text
+report of the first two of those k = 13 scans.  Each line holds
 the invocation, its exit code, and sha256 prefixes of stdout (minus its
 timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
@@ -176,6 +177,10 @@ def invocations(work: Path) -> list[list[str]]:
     cases.append(["scan", desc, "--bound", "1000000", "--json"])
     desc = descriptor("n3-k13.desc", "curve=cm\norder=0 3", "split_torsion\nk=13\npoint=7 1")
     cases.append(["scan", desc, "--bound", "1000000", "--json"])
+    # the text report's isogeny rows at scale; above, text mode meets them
+    # only up to bound 3000
+    for name in ("gauss", "disc3"):
+        cases.append(["scan", str(work / f"{name}-k13.desc"), "--bound", "1000000"])
     return cases
 
 
