@@ -682,7 +682,7 @@ def _isogeny_row(order: OrderParams, depth: int) -> tuple[str, str]:
     return head, f'{after_prime}"{route}"{after_route}{{0}}{after_x}{{1}}{after_y}{{2}}{after_sign}'
 
 
-def _row_tails(rows: ScanReport, tails: list[str]) -> list[str]:
+def _row_tails(rows: ScanReport, tails: Sequence[str]) -> list[str]:
     """Each row's text after its prime, from tails indexed by ScanReport.slot.
 
     tails[ISOGENY], its last entry, is a str.format template that each
@@ -712,7 +712,7 @@ def _scan_rows(rows: ScanReport, depth: int) -> str:
     pieces = [sep] * (3 * len(rows.primes))
     pieces[::3] = map([sep + head for head in heads].__getitem__, rows.slot.tolist())
     pieces[1::3] = map(int.__repr__, rows.primes.tolist())
-    pieces[2::3] = _row_tails(rows, list(tails))
+    pieces[2::3] = _row_tails(rows, tails)
     return _joined(pieces, "[]", depth)
 
 

@@ -241,11 +241,13 @@ class ScanReport:
 
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
-# At 10^7, `scan --json` on the Gauss order took 2.1-2.5 s and 485 MB peak
-# RSS with k = 5 (every prime achievable, 209 MB of JSON) and 2.2-3.0 s and
-# 328 MB with k = 7, point (1, 0), three fresh runs each on a 2-core x86_64;
-# the text report of the latter took 2.2-2.4 s and 170 MB (two runs).
-# Writing the report takes most of it, growing linearly with the bound.
+# At 10^7, `scan --json` on the Gauss order took 1.05-1.16 s and 446 MB
+# peak RSS with k = 5 (every prime achievable, 209 MB of JSON), 0.89-1.21 s
+# and 308 MB with k = 7, point (1, 0), and 1.42-1.86 s and 382 MB with
+# k = 13, point (1, 8) (147,585 isogeny rows), four fresh runs each on a
+# 2-core x86_64; the text report of the k = 7 scan took 0.90-1.09 s and
+# 161 MB.  Writing the report takes most of it, growing linearly with the
+# bound.
 # The lattice pass of _first_isogenies reads exact int64 points and norms
 # from norm_rows and coset_blocks.  Its own int64 products are of two
 # residues mod k, y mod k in place of y, so each is below k**2 and each
