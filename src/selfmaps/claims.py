@@ -32,8 +32,8 @@ from .elliptic_pbundle import (
     admits_all_degrees,
     exceptional_triples,
     matching_exceptional_family,
-    missing_primes,
     nonsplit_verdict,
+    scan_primes,
 )
 from .group_condition import (
     build_cyclic,
@@ -127,7 +127,7 @@ def _check_exceptional_families(families: tuple[ExceptionalFamily, ...]) -> tupl
         if point is None:
             return False, f"{label}: kernel has no point of exact order {family.k}"
         desc = EllipticBundleDescriptor(CurveModel.cm(family.order), SplitTorsion(point))
-        missing = missing_primes(desc, 10_000)
+        missing = scan_primes(desc, 10_000).missing
         if missing:
             return False, f"{label}: scan to 10000 misses {missing[:5]}"
         verdict = admits_all_degrees(desc)
@@ -162,7 +162,7 @@ def _check_small_torsion() -> tuple[bool, str]:
         for k in (1, 2, 3):
             for v in _exact_order_orbits(curve, k):
                 desc = EllipticBundleDescriptor(curve, SplitTorsion(TorsionPoint(k, v)))
-                missing = missing_primes(desc, 10_000)
+                missing = scan_primes(desc, 10_000).missing
                 if missing:
                     return False, f"{curve} k={k} L={v}: missing {missing[:5]}"
                 scans += 1

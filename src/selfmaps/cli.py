@@ -36,7 +36,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .elliptic_pbundle import (
@@ -308,13 +308,18 @@ def classify_descriptor(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
     return _high_genus_verdict(desc, bound)
 
 
+# an isogeny route's text as a str.format template of its x, y and sign;
+# scan fills it in once per isogeny row
+_ISOGENY_TEXT = "isogeny ({0},{1}) sign {2:+d}"
+
+
 def _witness_text(witness: Witness) -> str:
     if isinstance(witness, TorsionMultiple):
         return f"torsion multiple (k={witness.k})"
     if isinstance(witness, AutRoute):
         return f"automorphism ({witness.phi.x},{witness.phi.y}) exponent {witness.m}"
     if isinstance(witness, IsogenyRoute):
-        return f"isogeny ({witness.alpha.x},{witness.alpha.y}) sign {witness.sign:+d}"
+        return _ISOGENY_TEXT.format(witness.alpha.x, witness.alpha.y, witness.sign)
     raise TypeError(f"not a witness: {witness!r}")
 
 
@@ -427,7 +432,7 @@ def _render_scan(d: dict) -> list[str]:
     rows = d["rows"]
     # "yes  <route>" or "no   no route", once per route
     tails = ["no   no route" if witness is None else "yes  " + _witness_text(witness) for witness in rows.routes]
-    isogeny = "yes  " + _isogeny_route(rows.order, str) if len(rows.isogenies[0]) else ""
+    isogeny = "yes  " + _ISOGENY_TEXT
     lines = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
     lines += map("  {:>6}  {}".format, rows.primes.tolist(), _row_tails(rows, [*tails, isogeny]))
     lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
@@ -468,18 +473,19 @@ def _render_density(d: dict) -> list[str]:
     return lines
 
 
-# Largest --max-n cm-table accepts, checked before degree_two_table runs.
-# Rows with n >= 3 are always empty, and the cost grows linearly with
-# max_n: fresh runs on a 2-core x86_64 took 0.36 s and 33 MB peak RSS at
-# 10^4, 1.3 s and 66 MB at 10^5 (median of 3), and 9.7 s and 355 MB at
-# 10^6.
+# Largest --max-n cm-table accepts, the documented input range of the
+# command.  Only orders with n <= 2 are searched (see _cmd_cm_table), so
+# every max_n up to the cap runs at start-up cost.
 CM_TABLE_MAX_N_CAP = 10**5
 
 
 def _cmd_cm_table(args: argparse.Namespace) -> _Outcome:
     if args.max_n > CM_TABLE_MAX_N_CAP:
         raise DescriptorError(f"--max-n {args.max_n} is above the cm-table cap {CM_TABLE_MAX_N_CAP}")
-    table = degree_two_table(args.max_n)
+    # Norm 2 means (2x + t*y)**2 + |D|*y**2 = 8 with |D| = 4n - t**2, so
+    # from n = 3 on (|D| > 8) it needs y = 0 and x**2 = 2: no order past
+    # n = 2 has a row, and degree_two_table's brute force runs only to there.
+    table = degree_two_table(min(args.max_n, 2))
     rows = [
         {
             "t": order.t,
@@ -490,7 +496,7 @@ def _cmd_cm_table(args: argparse.Namespace) -> _Outcome:
         for order, elems in table.items()
         if elems
     ]
-    return None, {"max_n": args.max_n, "orders_scanned": len(table), "rows": rows}, 0
+    return None, {"max_n": args.max_n, "orders_scanned": 2 * args.max_n, "rows": rows}, 0
 
 
 def _render_cm_table(d: dict) -> list[str]:
@@ -649,37 +655,15 @@ def _braced(text: str) -> str:
     return text.replace("{", "{{").replace("}", "}}")
 
 
-def _isogeny_route(order: OrderParams, encode: Callable[[str], str]) -> str:
-    """An isogeny row's route as a str.format template of its x, y and sign (fields 0, 1 and 2).
-
-    _witness_text writes the route of a sample whose x, y and sign note
-    their format specs and write a marker that the rest of the text does
-    not hold; the texts between markers go through encode.
-    """
-    marker, fields = "", []
-
-    class Value(int):
-        def __format__(self, spec: str) -> str:
-            fields.append(f"{{{int(self)}:{spec}}}")
-            return marker
-
-    def route() -> str:
-        fields.clear()
-        return _witness_text(IsogenyRoute(QuadElem(order, Value(0), Value(1)), Value(2)))
-
-    text = route()
-    marker = next(c for c in map(chr, range(len(text) + 1)) if c not in text)
-    return "".join(map(str.__add__, (_braced(encode(t)) for t in route().split(marker)), [*fields, ""]))
-
-
 def _isogeny_row(order: OrderParams, depth: int) -> tuple[str, str]:
     """An isogeny row's JSON text before its prime, and after it as a str.format template of its x, y and sign."""
     sample = IsogenyRoute(QuadElem(order, _SLOT, _SLOT), _SLOT)
     # slots at the prime, the route, x, y and the sign, in the order of the sorted keys
     head, *texts = _json_value({**_scan_row(sample), "prime": _SLOT, "route": _SLOT}, depth).split("\0")
     after_prime, after_route, after_x, after_y, after_sign = map(_braced, texts)
-    route = _isogeny_route(order, lambda text: _encode_str(text)[1:-1])
-    return head, f'{after_prime}"{route}"{after_route}{{0}}{after_x}{{1}}{after_y}{{2}}{after_sign}'
+    # the escaper leaves the fields of the template as they are
+    route = _encode_str(_ISOGENY_TEXT)
+    return head, f"{after_prime}{route}{after_route}{{0}}{after_x}{{1}}{after_y}{{2}}{after_sign}"
 
 
 def _row_tails(rows: ScanReport, tails: Sequence[str]) -> list[str]:

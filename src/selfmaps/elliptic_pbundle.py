@@ -75,7 +75,6 @@ __all__ = [
     "SCAN_BOUND_CAP",
     "prime_achievable",
     "scan_primes",
-    "missing_primes",
     "admits_all_degrees",
     "nonsplit_verdict",
     "exceptional_triples",
@@ -218,8 +217,9 @@ class ScanReport:
     when slot[i] is NO_ROUTE; slot ISOGENY marks the primes that take,
     in turn, the rows of isogenies, the arrays (x, y, sign) of
     IsogenyRoute(QuadElem(order, x, y), sign), with order the curve's.
-    No object is built per prime: the CLI writes the report from these
-    arrays.
+    scan_primes builds it without an object per prime: the CLI writes
+    the report from these arrays, and admits_all_degrees and the claims
+    read missing.
     """
 
     bound: int
@@ -373,16 +373,14 @@ def _first_isogenies(
     return primes[by_prime], xs[by_prime], ys[by_prime], signs[by_prime]
 
 
-def _scan_parts(
-    desc: EllipticBundleDescriptor, bound: int, routes: dict[int, AutRoute] | None
-) -> tuple[tuple[Witness | None, ...], np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """The work scan_primes and missing_primes share, for the primes up to bound.
+def scan_primes(
+    desc: EllipticBundleDescriptor, bound: int, *, routes: dict[int, AutRoute] | None = None
+) -> ScanReport:
+    """prime_achievable for every prime up to bound, with one residue table
+    and one lattice pass for the primes that need an isogeny.
 
-    Returns ScanReport.routes, the primes as an array, each prime's
-    slot (the index in routes of its residue's witness, or NO_ROUTE),
-    the needed primes, those with slot NO_ROUTE, and the columns
-    _first_isogenies finds for them.  routes is the descriptor's
-    _aut_routes table, built here when the caller has none.
+    routes is the descriptor's _aut_routes table, built here when the
+    caller has none.
     """
     import numpy as np
 
@@ -407,36 +405,10 @@ def _scan_parts(
         if r < len(table):
             table[r] = index[id(witness)]
     slot = table[primes % k if k <= bound else primes]
-    needed = primes[slot == NO_ROUTE]
-    return (None, *witnesses.values()), primes, slot, needed, _first_isogenies(desc.curve, point, needed, bound)
-
-
-def scan_primes(desc: EllipticBundleDescriptor, bound: int) -> ScanReport:
-    """prime_achievable for every prime up to bound, with one residue table
-    and one lattice pass for the primes that need an isogeny."""
-    import numpy as np
-
-    routes, primes, slot, _, (found, *isogenies) = _scan_parts(desc, bound, None)
-    slot[np.searchsorted(primes, found)] = ISOGENY
-    return ScanReport(bound, primes, slot, routes, desc.curve.order, tuple(isogenies))
-
-
-def missing_primes(
-    desc: EllipticBundleDescriptor, bound: int, *, routes: dict[int, AutRoute] | None = None
-) -> tuple[int, ...]:
-    """scan_primes(desc, bound).missing, without the report.
-
-    The missing primes are the needed primes, in increasing order, that
-    no isogeny route covers.  routes is the descriptor's _aut_routes
-    table, for a caller that has built it already.
-    """
-    import numpy as np
-
-    _, _, _, needed, (found, *_) = _scan_parts(desc, bound, routes)
+    found, *isogenies = _first_isogenies(desc.curve, point, primes[slot == NO_ROUTE], bound)
     if found.size:
-        # found is a sorted subset of needed
-        needed = np.delete(needed, np.searchsorted(needed, found))
-    return tuple(needed.tolist())
+        slot[np.searchsorted(primes, found)] = ISOGENY
+    return ScanReport(bound, primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies))
 
 
 @dataclass(frozen=True)
@@ -537,7 +509,7 @@ def admits_all_degrees(desc: EllipticBundleDescriptor) -> Verdict:
         else:
             note = "unit pullbacks cover every residue class"
         return AllDegrees(certificate=certificate, note=note)
-    missing = missing_primes(desc, 1000, routes=routes)
+    missing = scan_primes(desc, 1000, routes=routes).missing
     if not missing:
         raise RuntimeError(
             "residue certificate incomplete yet no missing prime up to 1000; "

@@ -366,10 +366,14 @@ def test_scan_output_matches_row_dicts(tmp_path_factory, case):
 
 
 def test_scan_route_text_with_percent_and_nul(tmp_path, monkeypatch):
-    # route texts hold only digits, signs and fixed words, so none has a %
-    # or a NUL; the row templates must not depend on that
+    # route texts hold only digits, signs and fixed words, so none has a %,
+    # a NUL or a brace; the row templates must not depend on that.  Isogeny
+    # routes take their text from the template, the others from _witness_text
+    monkeypatch.setattr(cli, "_ISOGENY_TEXT", "%s %d %% \x00 {{}} " + cli._ISOGENY_TEXT)
     witness_text = cli._witness_text
-    monkeypatch.setattr(cli, "_witness_text", lambda w: "%s %d %% \x00 " + witness_text(w))
+    monkeypatch.setattr(
+        cli, "_witness_text", lambda w: witness_text(w) if isinstance(w, IsogenyRoute) else "%s %d %% \x00 {} " + witness_text(w)
+    )
     path = tmp_path / "k13.desc"
     path.write_text("surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=13\npoint=1 8\n")
     assert_scan_matches_row_dicts(path, 3000)
@@ -573,6 +577,30 @@ def test_cm_table_rows(capsys):
     assert [(r["t"], r["n"]) for r in rows] == [(0, 1), (0, 2), (1, 2)]
     assert [r["discriminant"] for r in rows] == [-4, -8, -7]
     assert rows[0]["elements"] == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
+
+
+def _brute_force_cm_table(max_n):
+    """cm-table's details from degree_two_table over every order with n <= max_n."""
+    table = qorders.degree_two_table(max_n)
+    rows = [
+        {"t": o.t, "n": o.n, "discriminant": o.discriminant, "elements": [[e.x, e.y] for e in elems]}
+        for o, elems in table.items()
+        if elems
+    ]
+    return {"max_n": max_n, "orders_scanned": len(table), "rows": rows}
+
+
+def test_cm_table_matches_the_brute_force_table(capsys):
+    # the command searches only n <= 2, where norm 2 can be reached
+    for max_n in (2, 3, 4, 8, 9, 10, 12, 137, 1000, 2999, 3000):
+        code, out, _ = run_cli(capsys, "cm-table", "--max-n", str(max_n), "--json")
+        assert code == 0
+        assert json.loads(out)["details"] == _brute_force_cm_table(max_n), max_n
+    for max_n in (-3, 0, 1):
+        with pytest.raises(ValueError) as brute_force_error:
+            qorders.degree_two_table(max_n)
+        code, out, err = run_cli(capsys, "cm-table", "--max-n", str(max_n))
+        assert (code, out, err) == (2, "", f"error: {brute_force_error.value}\n")
 
 
 def test_cm_table_max_n_above_cap_is_an_input_error(capsys, monkeypatch):

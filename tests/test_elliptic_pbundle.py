@@ -30,7 +30,6 @@ from selfmaps.elliptic_pbundle import (
     admits_all_degrees,
     exceptional_triples,
     matching_exceptional_family,
-    missing_primes,
     nonsplit_verdict,
     prime_achievable,
     _aut_routes,
@@ -375,30 +374,38 @@ def missing_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(missing_cases())
-def test_missing_primes_matches_scan_and_per_prime_oracle(case):
+def test_scan_missing_matches_the_per_prime_oracle(case):
     curve, k, v, bound = case
     desc = split_desc(curve, k, v)
     oracle = [p for p in primes_up_to(bound) if not prime_achievable(desc, p).achievable]
-    missing = missing_primes(desc, bound)
-    assert missing == scan_primes(desc, bound).missing
+    missing = scan_primes(desc, bound).missing
+    # a caller's own unit routes give the same primes
+    assert missing == scan_primes(desc, bound, routes=_aut_routes(curve, desc.bundle.point)).missing
     assert list(missing) == oracle
 
 
 @pytest.mark.parametrize(
-    "desc, bound",
+    "desc, bound, message",
     [
-        (split_desc(CurveModel.cm(GAUSS), 7, (1, 0)), 1),
-        (split_desc(CurveModel.cm(GAUSS), 7, (1, 0)), SCAN_BOUND_CAP + 1),
-        (EllipticBundleDescriptor(CurveModel.cm(GAUSS), SplitNonTorsion()), 100),
+        (split_desc(CurveModel.cm(GAUSS), 7, (1, 0)), 1, "need bound >= 2, got 1"),
+        (
+            split_desc(CurveModel.cm(GAUSS), 7, (1, 0)),
+            SCAN_BOUND_CAP + 1,
+            f"bound {SCAN_BOUND_CAP + 1} is above the scan cap {SCAN_BOUND_CAP}",
+        ),
+        (
+            EllipticBundleDescriptor(CurveModel.cm(GAUSS), SplitNonTorsion()),
+            100,
+            "per-prime decisions apply to split torsion bundles, got SplitNonTorsion",
+        ),
     ],
     ids=["bound-1", "above-cap", "not-split-torsion"],
 )
-def test_missing_primes_rejects_what_scan_rejects(desc, bound):
-    with pytest.raises(ValueError) as scan_error:
-        scan_primes(desc, bound)
-    with pytest.raises(ValueError) as missing_error:
-        missing_primes(desc, bound)
-    assert str(missing_error.value) == str(scan_error.value)
+def test_scan_primes_rejects_bad_input(desc, bound, message):
+    for routes in (None, {}):
+        with pytest.raises(ValueError) as error:
+            scan_primes(desc, bound, routes=routes)
+        assert str(error.value) == message
 
 
 @pytest.mark.parametrize(
@@ -483,7 +490,7 @@ def test_scan_columns_are_the_per_prime_decisions(case):
         # one row of isogeny columns per prime with slot ISOGENY
         assert {len(column) for column in report.isogenies} == {int((report.slot == ISOGENY).sum())}
         assert report.witnesses == expected, budget
-        assert report.missing == missing_primes(desc, bound), budget
+        assert report.missing == tuple(p for p, witness in expected.items() if witness is None), budget
 
 
 def _points(blocks) -> list:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from selfmaps.cm_elliptic import EndoMatrix
+from selfmaps.cm_elliptic import CurveModel, EndoMatrix
+from selfmaps.elliptic_pbundle import EllipticBundleDescriptor, SplitNonzeroDegree, nonsplit_verdict
 from selfmaps.ns_lattice import (
     EndoOnNS,
     NSClass,
@@ -25,9 +27,14 @@ def test_mismatched_surfaces_rejected():
 
 
 def test_other_section_self_intersection():
-    for e in range(-20, 21):
+    # the verdict of P(O + L), deg L = d, names the square of its negative
+    # section H - e*F, e = |d|, as the lattice form computes it
+    for d in (*range(-20, 0), *range(1, 21)):
+        verdict = nonsplit_verdict(EllipticBundleDescriptor(CurveModel.no_cm(), SplitNonzeroDegree(d)))
+        named = [int(m) for m in re.findall(r"self-intersection (-?\d+)", verdict.reason)]
+        e = abs(d)
         other = NSClass(1, -e, e)
-        assert _intersect(other, other) == -e
+        assert named == [_intersect(other, other)] == [-e]
 
 
 def test_from_degrees_frozen():

@@ -76,7 +76,7 @@ out["square_proof_step_raises"] = raises(
 )
 # a failed certificate with no missing prime means the certificate and
 # the scan disagree (Gauss order, k = 7, point (1, 0) misses 2)
-eb.missing_primes = lambda *args, **kwargs: ()
+eb.scan_primes = lambda *args, **kwargs: SimpleNamespace(missing=())
 out["methods_disagree_raises"] = raises(
     lambda: eb.admits_all_degrees(eb.EllipticBundleDescriptor(curve, eb.SplitTorsion(TorsionPoint(7, (1, 0))))),
     RuntimeError,

@@ -31,6 +31,8 @@ SUITE is one of:
     density       `density --order T N --bound B --json` for the Gauss
                   order (0 1) and t = 1, n = 2 (discriminant -7), each at
                   B = 10^6 and 10^7
+    cm-table      `cm-table --max-n N --json` at N = 10^4 and at the cap
+                  N = 10^5
     group         `group-check GROUP P --json` on Z/71 x| (Z/71)* (order
                   4970) with its non-identity elements relabeled by a fixed
                   permutation, at P = 71 (the normal subgroup of order 71,
@@ -105,6 +107,7 @@ SCAN_CASES = {
 }
 DENSITY_ORDERS = {"gauss": "0 1", "disc7": "1 2"}
 DENSITY_BOUNDS = (10**6, 10**7)
+CM_TABLE_MAX_NS = (10**4, 10**5)
 GROUP_P, GROUP_QS = 71, (71, 5)
 SEMIDIRECT_P, SEMIDIRECT_QS = 97, (97, 2)
 
@@ -300,6 +303,11 @@ def _density(src: Path, work: Path) -> dict:
     return {"cases": cases}
 
 
+def _cm_table(src: Path, work: Path) -> dict:
+    cases = {f"max-n-1e{len(str(n)) - 1}": cli_runs(src, ["cm-table", "--max-n", str(n), "--json"]) for n in CM_TABLE_MAX_NS}
+    return {"cases": cases}
+
+
 def _group(src: Path, work: Path) -> dict:
     import numpy
 
@@ -422,6 +430,7 @@ SUITES = {
         {"command": "python -m selfmaps.cli density --order T N --bound B --json", "orders": DENSITY_ORDERS},
         _density,
     ),
+    "cm-table": ("BENCH_cm_table.json", {"command": "python -m selfmaps.cli cm-table --max-n N --json"}, _cm_table),
     "group": (
         "BENCH_group.json",
         {

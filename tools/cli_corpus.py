@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3027 invocations of selfmaps.cli.main in this process: scan
+Runs 3031 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -20,7 +20,8 @@ orders and at 10^5 for n = 10^30; and the isogeny routes at scale: scan
 order of discriminant -3, point (1, 3), and on the order with n = 3,
 point (7, 1); the residue filter that skips the walk: scan --json at
 10^6 on the Gauss order with k = 999,983, point (1, 0); and the text
-report of the first two of those k = 13 scans.  Each line holds
+report of the first two of those k = 13 scans; and cm-table --json at
+its --max-n cap of 10^5 and at --max-n 1, 2 and 3.  Each line holds
 the invocation, its exit code, and sha256 prefixes of stdout (minus its
 timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
@@ -181,6 +182,10 @@ def invocations(work: Path) -> list[list[str]]:
     # only up to bound 3000
     for name in ("gauss", "disc3"):
         cases.append(["scan", str(work / f"{name}-k13.desc"), "--bound", "1000000"])
+    # cm-table at its cap, and on both sides of n = 2, the largest n with
+    # a norm-2 element
+    cases.append(["cm-table", "--max-n", "100000", "--json"])
+    cases += [["cm-table", "--max-n", n, "--json"] for n in ("1", "2", "3")]
     return cases
 
 
