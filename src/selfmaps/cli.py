@@ -413,7 +413,7 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
         report = scan_primes(e, args.bound)
     else:
         none = prime_array(args.bound)
-        report = ScanReport(args.bound, none, none, (None,), e.curve.order, (none,) * 3)
+        report = ScanReport(args.bound, none, none, (None,), e.curve.order, (none,) * 3, ())
     missing = report.missing
     details = {
         "bound": args.bound,

@@ -217,9 +217,10 @@ class ScanReport:
     when slot[i] is NO_ROUTE; slot ISOGENY marks the primes that take,
     in turn, the rows of isogenies, the arrays (x, y, sign) of
     IsogenyRoute(QuadElem(order, x, y), sign), with order the curve's.
-    scan_primes builds it without an object per prime: the CLI writes
-    the report from these arrays, and admits_all_degrees and the claims
-    read missing.
+    missing holds the primes whose slot is NO_ROUTE, in increasing
+    order.  scan_primes builds it without an object per prime: the CLI
+    writes the report from these arrays, and admits_all_degrees and the
+    claims read missing.
     """
 
     bound: int
@@ -228,10 +229,7 @@ class ScanReport:
     routes: tuple[Witness | None, ...]
     order: OrderParams | None
     isogenies: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def missing(self) -> tuple[int, ...]:
-        return tuple(self.primes[self.slot == NO_ROUTE].tolist())
+    missing: tuple[int, ...]
 
     @property
     def witnesses(self) -> dict[int, Witness | None]:
@@ -405,10 +403,14 @@ def scan_primes(
         if r < len(table):
             table[r] = index[id(witness)]
     slot = table[primes % k if k <= bound else primes]
-    found, *isogenies = _first_isogenies(desc.curve, point, primes[slot == NO_ROUTE], bound)
+    needed = primes[slot == NO_ROUTE]
+    found, *isogenies = _first_isogenies(desc.curve, point, needed, bound)
     if found.size:
         slot[np.searchsorted(primes, found)] = ISOGENY
-    return ScanReport(bound, primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies))
+        needed = np.delete(needed, np.searchsorted(needed, found))
+    return ScanReport(
+        bound, primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies), tuple(needed.tolist())
+    )
 
 
 @dataclass(frozen=True)

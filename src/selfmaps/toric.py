@@ -235,8 +235,9 @@ def parse_fan_text(text: str) -> list[Ray]:
 # such as /dev/zero from being read until memory runs out.
 INPUT_BYTE_CAP = 2**20
 # One read of cap + 1 bytes would reserve that much memory whatever the
-# file's size, so a file is read in blocks of this many bytes, or of its
-# size plus one where that is larger.
+# file's size, so a file is read in blocks of this many bytes: all of a
+# file without a size (a pipe, /proc), and what a file holds beyond its
+# size plus one byte, which it reads first.
 _READ_BLOCK = 2**20
 
 
@@ -248,15 +249,18 @@ def read_capped_text(path, cap: int = INPUT_BYTE_CAP) -> str:
     """
     blocks, size = [], 0
     with open(path, "rb") as f:
-        block_size = max(_READ_BLOCK, os.fstat(f.fileno()).st_size + 1)
+        st_size = os.fstat(f.fileno()).st_size
+        block_size = st_size + 1 if st_size else _READ_BLOCK
         while size <= cap:
             want = min(block_size, cap + 1 - size)
             blocks.append(block := f.read(want))
             size += len(block)
             # a buffered read returns short only at the end, so a regular
-            # file takes one read and no second buffer of its size
+            # file takes one read of its size plus one byte, and one that
+            # grew since fstat goes on in blocks
             if len(block) < want:
                 break
+            block_size = _READ_BLOCK
     if size > cap:
         raise ValueError(f"{path} is larger than the input cap of {cap} bytes")
     return b"".join(blocks).decode("utf-8")

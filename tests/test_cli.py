@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -470,6 +471,7 @@ def scan_report(bound, witnesses):
         routes,
         order,
         tuple(np.array(column, dtype=np.int64) for column in columns),
+        tuple(p for p, w in witnesses.items() if w is None),
     )
 
 
@@ -693,6 +695,48 @@ def test_capped_read_of_a_pipe_in_blocks(monkeypatch, cap):
             assert read_capped_text(path, cap) == text
     finally:
         os.close(r)
+
+
+def _read_sizes(monkeypatch) -> list:
+    """The byte counts read_capped_text asks its file for, recorded from here on."""
+    sizes = []
+
+    class Recording(io.BufferedReader):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(toric, "open", lambda path, mode: Recording(io.FileIO(path, mode)), raising=False)
+    return sizes
+
+
+def test_capped_read_of_a_small_file_asks_for_its_size_plus_one(tmp_path, monkeypatch):
+    # a read of _READ_BLOCK bytes would ask for 1 TiB here
+    monkeypatch.setattr(toric, "_READ_BLOCK", 2**40)
+    text = "3\n0 1 2\n1 2 0\n2 0 1\n"
+    grp = write(tmp_path, "z3.grp", text)
+    sizes = _read_sizes(monkeypatch)
+    for cap in (INPUT_BYTE_CAP, 2**62):
+        assert read_capped_text(grp, cap) == text
+    assert sizes == [len(text) + 1] * 2
+
+
+@pytest.mark.parametrize("cap, last", [(19, 2), (20, 3), (2**62, 4)])
+def test_capped_read_of_a_file_larger_than_its_fstat_size(tmp_path, monkeypatch, cap, last):
+    # as for a file that grew after fstat: its size plus one byte, then
+    # blocks (of 4 bytes here) to its end or one byte past the cap
+    text = "3\n0 1 2\n1 2 0\n2 0 1\n"
+    grp = write(tmp_path, "z3.grp", text)
+    monkeypatch.setattr(toric, "_READ_BLOCK", 4)
+    monkeypatch.setattr(toric.os, "fstat", lambda fd: SimpleNamespace(st_size=5))
+    sizes = _read_sizes(monkeypatch)
+    if cap < len(text):
+        with pytest.raises(ValueError, match=f"larger than the input cap of {cap} bytes"):
+            read_capped_text(grp, cap)
+    else:
+        assert read_capped_text(grp, cap) == text
+    # 18 bytes, then at most what is left up to one byte past the cap
+    assert sizes == [6, 4, 4, 4, last]
 
 
 def test_group_check_rejects_bad_p_before_reading_the_table(tmp_path, capsys):

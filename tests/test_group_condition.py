@@ -379,24 +379,31 @@ def _intercalates(t):
 
 
 @st.composite
-def corrupted_tables(draw):
-    t = [row[:] for row in draw(st.sampled_from(BASE_TABLES))]
+def corrupted_tables(draw, bases=BASE_TABLES, kinds=("swap", "intercalate", "relabel", "rows")):
+    t = [row[:] for row in draw(st.sampled_from(bases))]
     n = len(t)
     cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    kinds = st.sampled_from(["swap", "intercalate", "relabel", "rows"])
-    for kind in draw(st.lists(kinds, max_size=3)):
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
         if kind == "swap":
             (i1, j1), (i2, j2) = draw(cell), draw(cell)
             t[i1][j1], t[i2][j2] = t[i2][j2], t[i1][j1]
         elif kind == "intercalate":
-            squares = _intercalates(t)
+            if n <= 16:
+                squares = _intercalates(t)
+            else:
+                # all of them would take n^4 steps: those with one row drawn
+                i = draw(st.integers(0, n - 1))
+                squares = [(i, k, j, l) for k, j, l in _row_intercalates(np.array(t), i)]
             if squares:
                 i, k, j, l = draw(st.sampled_from(squares))
                 t[i][j], t[i][l] = t[i][l], t[i][j]
                 t[k][j], t[k][l] = t[k][l], t[k][j]
-        elif kind == "relabel":
-            # an isomorphic table whose identity can move away from 0
+        elif kind in ("relabel", "relabel0"):
+            # an isomorphic table whose identity can move away from 0,
+            # or with relabel0 stays at 0
             sigma = draw(st.permutations(range(n)))
+            if kind == "relabel0":
+                sigma = [0, *(x for x in sigma if x)]
             relabeled = [[0] * n for _ in range(n)]
             for i in range(n):
                 for j in range(n):
@@ -422,7 +429,8 @@ def _check_against_ordered_oracle(table):
     else:
         prefix = "associativity fails for triples with middle element "
         assert got.startswith(prefix)
-        assert int(got[len(prefix) :]) in bad_middles
+        # up to order 64 every element is a generator, taken in increasing order
+        assert int(got[len(prefix) :]) == min(bad_middles)
 
 
 @settings(max_examples=300, deadline=None)
@@ -436,6 +444,59 @@ def test_validate_group_matches_ordered_oracle(table):
 def test_validate_group_matches_ordered_oracle_on_two_threads(table):
     with mock.patch.object(group_condition, "_SPLIT_ORDER", 1):
         _check_against_ordered_oracle(table)
+
+
+# order 48, where Light's test takes its middle elements in blocks of
+# 28: mostly intercalate swaps, which reach the associativity stage
+BLOCKED_TABLES = corrupted_tables([np.asarray(build_cyclic(48).table).tolist()], ("swap", "intercalate", "intercalate", "relabel0"))
+
+
+# the brute-force oracle takes n^3 steps, so fewer examples at order 48
+@settings(max_examples=40, deadline=None)
+@given(BLOCKED_TABLES)
+def test_validate_group_matches_ordered_oracle_at_order_48(table):
+    _check_against_ordered_oracle(table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(BLOCKED_TABLES)
+def test_validate_group_matches_ordered_oracle_at_order_48_on_two_threads(table):
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", 1):
+        _check_against_ordered_oracle(table)
+
+
+@pytest.mark.parametrize("split_order", [group_condition._SPLIT_ORDER, 1])
+@pytest.mark.parametrize("i, j", [(1, 2), (7, 40), (29, 29), (50, 3)])
+def test_blocked_lights_test_reports_the_smallest_bad_middle(split_order, i, j):
+    # Z/60 has the intercalates i, i+30 x j, j+30; with one swapped, the
+    # failing middle elements spread over several blocks of 18
+    t = np.add.outer(np.arange(60), np.arange(60)) % 60
+    k, l = (i + 30) % 60, (j + 30) % 60
+    t[[i, k], j], t[[i, k], l] = t[[i, k], l], t[[i, k], j]
+    n = np.arange(60)
+    bad = np.nonzero((t[t] != t[n[:, None, None], t[None, :, :]]).any(axis=(0, 2)))[0]
+    assert bad.size
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", split_order):
+        with pytest.raises(GroupValidationError) as info:
+            validate_group(t)
+    assert str(info.value) == f"associativity fails for triples with middle element {bad.min()}"
+
+
+@pytest.mark.parametrize("split_order", [group_condition._SPLIT_ORDER, 1])
+@pytest.mark.parametrize("triples", [group_condition._TRIPLES, 7 * 60 * 60, 1])
+def test_blocked_lights_test_finds_a_bad_middle_past_the_first_block(split_order, triples):
+    # SWAPPED_Z6 x Z/10, (l, g) numbered 10 * label[l] + g: the middle
+    # nucleus of SWAPPED_Z6 is {0, 3}, so 0..19 pass and 20 fails first
+    label = np.argsort([0, 3, 1, 2, 4, 5])
+    loop = label[np.asarray(SWAPPED_Z6)][np.ix_(np.argsort(label), np.argsort(label))]
+    t = (10 * loop[:, None, :, None] + (np.add.outer(np.arange(10), np.arange(10)) % 10)[None, :, None, :]).reshape(60, 60)
+    n = np.arange(60)
+    bad = np.nonzero((t[t] != t[n[:, None, None], t[None, :, :]]).any(axis=(0, 2)))[0]
+    assert bad.min() == 20
+    with mock.patch.object(group_condition, "_SPLIT_ORDER", split_order):
+        with mock.patch.object(group_condition, "_TRIPLES", triples):
+            with pytest.raises(GroupValidationError, match="associativity fails for triples with middle element 20$"):
+                validate_group(t)
 
 
 def test_validate_group_copy_semantics():

@@ -10,6 +10,7 @@ from selfmaps.elliptic_pbundle import EllipticBundleDescriptor, SplitNonzeroDegr
 from selfmaps.ns_lattice import (
     EndoOnNS,
     NSClass,
+    SquareDegreeCertificate,
     atiyah_deg2_search,
     square_degree_certificate,
     toric_prime_candidates,
@@ -118,6 +119,24 @@ def test_square_degree_certificate():
         square_degree_certificate(0)
     with pytest.raises(ValueError):
         square_degree_certificate(2)
+
+
+def _pairwise_certificate(c_squared: int, pairs_bound: int = 100) -> SquareDegreeCertificate:
+    """The cancellation step checked on every pair a1, a2 in 1..pairs_bound."""
+    for a1 in range(1, pairs_bound + 1):
+        for a2 in range(1, pairs_bound + 1):
+            if (a1 * c_squared == a2 * c_squared) != (a1 == a2):
+                return SquareDegreeCertificate(c_squared, pairs_bound, False, False)
+    return SquareDegreeCertificate(c_squared, pairs_bound, True, True)
+
+
+def test_square_degree_certificate_matches_the_pairwise_oracle():
+    for c_squared in range(-1, -61, -1):
+        assert square_degree_certificate(c_squared) == _pairwise_certificate(c_squared)
+    for pairs_bound in range(1, 121):
+        for c_squared in (-1, -2, -7, -60):
+            expected = _pairwise_certificate(c_squared, pairs_bound)
+            assert square_degree_certificate(c_squared, pairs_bound) == expected
 
 
 def test_atiyah_deg2_search_empty_with_parity_reason():

@@ -43,6 +43,17 @@ SUITE is one of:
                   recording the median of each part and of their sum, the
                   largest peak RSS and the sha256 of the reports' holds,
                   images and witnesses
+    classify      `classify DESC --json` on one descriptor per surface
+                  kind and bundle shape: the simple surfaces, a toric
+                  hexagon, every elliptic bundle shape (split torsion at
+                  the default bound, split_degree with degree -5) and
+                  high-genus bundles with p = 1 and on relabeled tables
+                  of Z/7 x| (Z/7)* (order 42, p = 7) and Z/13 x| (Z/13)*
+                  (order 156, p = 13); then, in this process, cli.main on
+                  each descriptor in CLASSIFY_ROUNDS rounds, each case once
+                  per round after one untimed call, recording the median
+                  microseconds per case, as start-up hides sub-millisecond
+                  work; each in-process payload must hash as the CLI's
     startup       fresh-interpreter start-up: `--version`, `toric` of
                   the plane fan, `classify` of an abelian and of a toric
                   descriptor (the paths that run no numpy array pass),
@@ -75,9 +86,11 @@ nothing else heavy running: the numbers are wall times on a shared host.
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.machinery
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -108,6 +121,30 @@ SCAN_CASES = {
 DENSITY_ORDERS = {"gauss": "0 1", "disc7": "1 2"}
 DENSITY_BOUNDS = (10**6, 10**7)
 CM_TABLE_MAX_NS = (10**4, 10**5)
+# case: descriptor; CLASSIFY_FILES holds the files they name
+CLASSIFY_DESCRIPTORS = {
+    "abelian": "surface=abelian\n",
+    "hyperelliptic": "surface=hyperelliptic\n",
+    "kodaira-one": "surface=kodaira_one\n",
+    "toric-hexagon": "surface=toric\nfan_file=hexagon.fan\n",
+    **{
+        shape.replace("_", "-"): f"surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle={shape}\n{extra}"
+        for shape, extra in (
+            ("split_torsion", "k=7\npoint=1 0\n"),
+            ("split_nontorsion", ""),
+            ("atiyah_deg0", ""),
+            ("atiyah_deg1", ""),
+            ("split_degree", "degree=-5\n"),
+        )
+    },
+    "high-genus-trivial": "surface=high_genus_bundle\np=1\n",
+    **{f"high-genus-{p * (p - 1)}": f"surface=high_genus_bundle\np={p}\ngroup_file=semidirect{p}.grp\n" for p in (7, 13)},
+}
+CLASSIFY_FILES = {
+    "hexagon.fan": "1 0\n1 1\n0 1\n-1 0\n-1 -1\n0 -1\n",
+    **{f"semidirect{p}.grp": f"write_semidirect(path, {p})" for p in (7, 13)},
+}
+CLASSIFY_ROUNDS = 51
 GROUP_P, GROUP_QS = 71, (71, 5)
 SEMIDIRECT_P, SEMIDIRECT_QS = 97, (97, 2)
 
@@ -212,13 +249,18 @@ def cli_runs(src: Path, argv: list[str], env: dict | None = None) -> dict:
     return _runs(src, argv[0], ["-m", "selfmaps.cli", *argv], _wall_and_digest, env)
 
 
-def claim_seconds(src: Path) -> dict:
-    """Median in-process seconds of each claim over RUNS calls of run_claims."""
+def _import_from(src: Path, module: str):
+    """The selfmaps module MODULE of the package in SRC."""
     # the package is looked up in SRC alone, so this process's sys.path stays as it is
     spec = importlib.machinery.PathFinder.find_spec("selfmaps", [str(src)])
     sys.modules["selfmaps"] = package = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
-    claims = importlib.import_module("selfmaps.claims")
+    return importlib.import_module(module)
+
+
+def claim_seconds(src: Path) -> dict:
+    """Median in-process seconds of each claim over RUNS calls of run_claims."""
+    claims = _import_from(src, "selfmaps.claims")
     spent: dict[str, list[float]] = {}
 
     def timed(name, check):
@@ -317,6 +359,40 @@ def _group(src: Path, work: Path) -> dict:
     script = _SEMIDIRECT_SCRIPT.format(p=SEMIDIRECT_P, qs=SEMIDIRECT_QS)
     cases[f"semidirect{SEMIDIRECT_P}"] = _runs(src, f"semidirect{SEMIDIRECT_P}", ["-c", script], _semidirect_parts)
     return {"numpy": numpy.__version__, "cases": cases}
+
+
+def main_microseconds(src: Path, argvs: dict, cases: dict) -> dict:
+    """Median in-process microseconds of cli.main per case, over CLASSIFY_ROUNDS interleaved rounds."""
+    cli = _import_from(src, "selfmaps.cli")
+    spent: dict[str, list[float]] = {case: [] for case in argvs}
+    for round_ in range(CLASSIFY_ROUNDS + 1):
+        for case, argv in argvs.items():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                start = time.perf_counter()
+                code = cli.main(argv)
+                seconds = time.perf_counter() - start
+            if code != 0:
+                raise SystemExit(f"{case} exited {code} in process")
+            # the first round fills the one-time caches and is not timed
+            if round_ == 0:
+                if payload_sha256(io.BytesIO(out.getvalue().encode())) != cases[case]["payload_sha256"]:
+                    raise SystemExit(f"{case} printed another payload in process")
+            else:
+                spent[case].append(seconds)
+    return {"rounds": CLASSIFY_ROUNDS, "main_us_median": {case: round(statistics.median(s) * 1e6, 1) for case, s in spent.items()}}
+
+
+def _classify(src: Path, work: Path) -> dict:
+    (work / "hexagon.fan").write_text(CLASSIFY_FILES["hexagon.fan"])
+    for p in (7, 13):
+        write_semidirect(work / f"semidirect{p}.grp", p)
+    argvs = {}
+    for case, text in CLASSIFY_DESCRIPTORS.items():
+        (work / f"{case}.desc").write_text(text)
+        argvs[case] = ["classify", str(work / f"{case}.desc"), "--json"]
+    cases = {case: cli_runs(src, argv) for case, argv in argvs.items()}
+    return {"cases": cases, "in_process": main_microseconds(src, argvs, cases)}
 
 
 STARTUP_FILES = {
@@ -438,6 +514,11 @@ SUITES = {
             "in_process": f"build_semidirect({SEMIDIRECT_P}), then rho_bar_surjective at q in {list(SEMIDIRECT_QS)}",
         },
         _group,
+    ),
+    "classify": (
+        "BENCH_classify.json",
+        {"command": "python -m selfmaps.cli classify DESC --json", "descriptors": CLASSIFY_DESCRIPTORS, "files": CLASSIFY_FILES},
+        _classify,
     ),
     "startup": (
         "BENCH_startup.json",

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3031 invocations of selfmaps.cli.main in this process: scan
+Runs 3067 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -20,10 +20,12 @@ orders and at 10^5 for n = 10^30; and the isogeny routes at scale: scan
 order of discriminant -3, point (1, 3), and on the order with n = 3,
 point (7, 1); the residue filter that skips the walk: scan --json at
 10^6 on the Gauss order with k = 999,983, point (1, 0); and the text
-report of the first two of those k = 13 scans; and cm-table --json at
-its --max-n cap of 10^5 and at --max-n 1, 2 and 3.  Each line holds
-the invocation, its exit code, and sha256 prefixes of stdout (minus its
-timing_ms line) and of stderr.
+report of the first two of those k = 13 scans; cm-table --json at its
+--max-n cap of 10^5 and at --max-n 1, 2 and 3; classify of split_degree
+bundles with degree +-1, +-2 and +-5; and group-check and high-genus
+classify at p = 2, 3 and 5 on Z/48 and on Z/48 with one intercalate
+swapped.  Each line holds the invocation, its exit code, and sha256
+prefixes of stdout (minus its timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
 print the same file: `diff` the outputs of a commit and its parent, both
 made with one copy of this script (PYTHONPATH picks the checkout).
@@ -186,6 +188,22 @@ def invocations(work: Path) -> list[list[str]]:
     # a norm-2 element
     cases.append(["cm-table", "--max-n", "100000", "--json"])
     cases += [["cm-table", "--max-n", n, "--json"] for n in ("1", "2", "3")]
+    # the square-degree certificate of split bundles with nonzero degree
+    for degree in (1, -1, 2, -2, 5, -5):
+        desc = descriptor(f"degree{degree}.desc", "curve=nocm", f"split_degree\ndegree={degree}")
+        cases += [["classify", desc], ["classify", desc, "--json"]]
+    # Light's test on a table of order 48, in blocks of middle elements:
+    # Z/48, which passes, and Z/48 with the intercalate 1, 25 x 2, 26
+    # swapped, which fails at the associativity stage
+    z48 = [[(a + b) % 48 for b in range(48)] for a in range(48)]
+    swapped = [row[:] for row in z48]
+    swapped[1][2], swapped[1][26], swapped[25][2], swapped[25][26] = z48[1][26], z48[1][2], z48[25][26], z48[25][2]
+    for name, table in (("z48", z48), ("z48swap", swapped)):
+        group = write(f"{name}.grp", _group_text(48, table))
+        for p in ("2", "3", "5"):
+            desc = write(f"hg-{name}-{p}.desc", f"surface=high_genus_bundle\np={p}\ngroup_file={name}.grp\n")
+            cases += [["group-check", group, p, *j] for j in ([], ["--json"])]
+            cases += [["classify", desc, *j] for j in ([], ["--json"])]
     return cases
 
 
