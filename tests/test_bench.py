@@ -115,3 +115,15 @@ def test_describe_ignores_changed_bench_records(tmp_path):
     assert describe(tmp_path) == commit
     (tmp_path / "code.py").write_text("x = 2\n")
     assert describe(tmp_path) == f"{commit}-dirty"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_semidirect_text_is_the_affine_group_table(p):
+    # the classify suite's group files, written without numpy
+    from selfmaps.group_condition import build_semidirect, element_orders, parse_group_text, validate_group
+
+    group = validate_group(parse_group_text(_load_bench().semidirect_text(p)))
+    assert group.order == p * (p - 1)
+    # (a, u) = (1, 1), numbered p - 1, generates the normal subgroup of order p
+    assert group.table[p - 1, p - 1] == (2 % p) * (p - 1)
+    assert sorted(element_orders(group)) == sorted(element_orders(build_semidirect(p)))

@@ -47,8 +47,8 @@ SUITE is one of:
                   kind and bundle shape: the simple surfaces, a toric
                   hexagon, every elliptic bundle shape (split torsion at
                   the default bound, split_degree with degree -5) and
-                  high-genus bundles with p = 1 and on relabeled tables
-                  of Z/7 x| (Z/7)* (order 42, p = 7) and Z/13 x| (Z/13)*
+                  high-genus bundles with p = 1 and on the tables of
+                  Z/7 x| (Z/7)* (order 42, p = 7) and Z/13 x| (Z/13)*
                   (order 156, p = 13); then, in this process, cli.main on
                   each descriptor in CLASSIFY_ROUNDS rounds, each case once
                   per round after one untimed call, recording the median
@@ -142,7 +142,7 @@ CLASSIFY_DESCRIPTORS = {
 }
 CLASSIFY_FILES = {
     "hexagon.fan": "1 0\n1 1\n0 1\n-1 0\n-1 -1\n0 -1\n",
-    **{f"semidirect{p}.grp": f"write_semidirect(path, {p})" for p in (7, 13)},
+    **{f"semidirect{p}.grp": f"semidirect_text({p})" for p in (7, 13)},
 }
 CLASSIFY_ROUNDS = 51
 GROUP_P, GROUP_QS = 71, (71, 5)
@@ -383,10 +383,22 @@ def main_microseconds(src: Path, argvs: dict, cases: dict) -> dict:
     return {"rounds": CLASSIFY_ROUNDS, "main_us_median": {case: round(statistics.median(s) * 1e6, 1) for case, s in spent.items()}}
 
 
+def semidirect_text(p: int) -> str:
+    """Table file of (a, u)(b, v) = (a + u*b, u*v), (a, u) numbered (p - 1)*a + u - 1.
+
+    Pure Python, for small p: write_semidirect loads numpy, which would
+    raise this process's peak RSS, and so every child's, above what the
+    classify children use.
+    """
+    pairs = [(a, u) for a in range(p) for u in range(1, p)]
+    rows = (" ".join(str((a + u * b) % p * (p - 1) + u * v % p - 1) for b, v in pairs) for a, u in pairs)
+    return f"{len(pairs)}\n" + "".join(row + "\n" for row in rows)
+
+
 def _classify(src: Path, work: Path) -> dict:
     (work / "hexagon.fan").write_text(CLASSIFY_FILES["hexagon.fan"])
     for p in (7, 13):
-        write_semidirect(work / f"semidirect{p}.grp", p)
+        (work / f"semidirect{p}.grp").write_text(semidirect_text(p))
     argvs = {}
     for case, text in CLASSIFY_DESCRIPTORS.items():
         (work / f"{case}.desc").write_text(text)
