@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .elliptic_pbundle import (
-    ISOGENY,
+    NO_ROUTE,
     SCAN_BOUND_CAP,
     AtiyahDegreeOne,
     AtiyahDegreeZero,
@@ -363,6 +363,7 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
 # a subcommand handler returns its verdict (None for table-style commands),
 # its details dict and its exit code; main times it, builds the report
 # payload and, in text mode, prints the renderer's lines above the verdict's
+# (a line may be a list of pieces that hold many lines: scan's rows)
 _Outcome = tuple[Verdict | None, dict, int]
 
 
@@ -428,16 +429,22 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
     return None, details, 0
 
 
-def _render_scan(d: dict) -> list[str]:
+def _render_scan(d: dict) -> list:
     rows = d["rows"]
-    # "yes  <route>" or "no   no route", once per route
-    tails = ["no   no route" if witness is None else "yes  " + _witness_text(witness) for witness in rows.routes]
-    isogeny = "yes  " + _ISOGENY_TEXT
-    lines = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
-    lines += map("  {:>6}  {}".format, rows.primes.tolist(), _row_tails(rows, [*tails, isogeny]))
+    names = _prime_texts(rows, {})
+    lines: list = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
+    if names:
+        # "yes  <route>" or "no   no route", once per route, and the isogeny template
+        tails = ["no   no route" if witness is None else "yes  " + _witness_text(witness) for witness in rows.routes]
+        tails.append("yes  " + _ISOGENY_TEXT)
+        block = _row_pieces(rows, names, ["  "] * len(tails), ["  " + tail for tail in tails], "\n", "", "")
+        # a prime's text takes six places or more: pad those below 10**5
+        short = int(rows.primes.searchsorted(10**5))
+        block[1 : 2 * short : 2] = [name.rjust(6) for name in names[:short]]
+        lines.append(block)
     lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
     if d["missing"]:
-        lines.append("missing primes: " + ", ".join(str(p) for p in d["missing"]))
+        lines.append("missing primes: " + ", ".join(_missing_texts(rows, names)))
     return lines
 
 
@@ -634,16 +641,8 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _joined(pieces: list[str], brackets: str, depth: int) -> str:
-    """A container as one join of its pieces, of which the first is a separator."""
-    # every separator starts with ",", but the first one opens the container
-    pieces[0] = brackets[0] + pieces[0][1:]
-    pieces.append("\n" + "  " * depth + brackets[1])
-    return "".join(pieces)
-
-
 class _Slot(int):
-    """A value's place in a scan row template: _json_value writes it as a NUL."""
+    """A value's place in a scan row template: _json_pieces writes it as a NUL."""
 
 
 # _encode_str escapes every NUL of a str, so the NULs of a row template are its slots
@@ -666,47 +665,90 @@ def _isogeny_row(order: OrderParams, depth: int) -> tuple[str, str]:
     return head, f"{after_prime}{route}{after_route}{{0}}{after_x}{{1}}{after_y}{{2}}{after_sign}"
 
 
-def _row_tails(rows: ScanReport, tails: Sequence[str]) -> list[str]:
-    """Each row's text after its prime, from tails indexed by ScanReport.slot.
+def _prime_texts(rows: ScanReport, texts: dict[int, list[str]]) -> list[str]:
+    """The decimal text of each of rows.primes, built once per report and kept in texts by id."""
+    if id(rows) not in texts:
+        texts[id(rows)] = [f"{prime}" for prime in rows.primes.tolist()]
+    return texts[id(rows)]
 
-    tails[ISOGENY], its last entry, is a str.format template that each
-    isogeny row fills with its x, y and sign.
+
+def _missing_texts(rows: ScanReport, names: list[str]) -> list[str]:
+    """The texts of rows.missing, the primes whose slot is NO_ROUTE, taken from names, the texts of rows.primes."""
+    import numpy as np
+
+    return list(map(names.__getitem__, np.flatnonzero(rows.slot == NO_ROUTE).tolist()))
+
+
+def _row_pieces(
+    rows: ScanReport, names: list[str], heads: Sequence[str], tails: Sequence[str], sep: str, first: str, last: str
+) -> list[str]:
+    """Rows of a scan report as pieces: before each row its joint text, then its prime's text; then the last joint.
+
+    Row i reads heads[j] + names[i] + tails[j] for its slot j, with
+    ISOGENY the last index, whose tail is a str.format template of the
+    row's x, y and sign.  Rows are separated by sep and stand between
+    first and last.  So the joint before a row is the previous row's tail
+    (or first), sep and the row's head: one string per pair of slots,
+    built once, except after an isogeny row, whose tail is filled in.
     """
     import numpy as np
 
-    texts = np.array(tails, dtype=object)[rows.slot]
-    texts[rows.slot == ISOGENY] = list(map(tails[ISOGENY].format, *(column.tolist() for column in rows.isogenies)))
-    return texts.tolist()
+    edge = len(heads)  # the slot index of the text before the first row and after the last
+    iso = edge - 1
+
+    def joint(a: int, b: int) -> str:
+        after = last if b == edge else heads[b] if a == edge else sep + heads[b]
+        if a == edge:
+            return first + after
+        return tails[a] + (_braced(after) if a == iso else after)
+
+    table = np.array([joint(a, b) for a in range(edge + 1) for b in range(edge + 1)], dtype=object)
+    slots = rows.slot.astype(np.intp) % edge
+    before = np.concatenate(([edge], slots))
+    joints = table[before * (edge + 1) + np.concatenate((slots, [edge]))]
+    after_isogeny = before == iso
+    joints[after_isogeny] = list(map(str.format, joints[after_isogeny], *(column.tolist() for column in rows.isogenies)))
+    pieces = [""] * (2 * len(names) + 1)
+    pieces[::2] = joints.tolist()
+    pieces[1::2] = names
+    return pieces
 
 
-def _scan_rows(rows: ScanReport, depth: int) -> str:
-    """The rows as the list of _scan_row dicts, each with its "prime", without building them.
+def _scan_rows(rows: ScanReport, depth: int, names: list[str]) -> list[str]:
+    """The rows as the pieces of the list of _scan_row dicts, each with its "prime", without building them.
 
     The row of each of rows.routes, None giving the row without a route,
     is written once with a NUL for its prime and split there into a head
-    and a tail; isogeny rows take theirs from _isogeny_row.  The list is
-    then one join over head, prime and tail of each row.
+    and a tail; isogeny rows take theirs from _isogeny_row.  Each row is
+    then two pieces, the joint before it and its prime (_row_pieces).
     """
-    if not len(rows.primes):
-        return "[]"
-    sep = ",\n" + "  " * (depth + 1)
+    if not names:
+        return ["[]"]
+    lead = "\n" + "  " * (depth + 1)
     routes = [_json_value({**_scan_row(w), "prime": _SLOT}, depth + 1).split("\0") for w in rows.routes]
     isogeny = _isogeny_row(rows.order, depth + 1) if len(rows.isogenies[0]) else ("", "")
     heads, tails = zip(*routes, isogeny)
-    pieces = [sep] * (3 * len(rows.primes))
-    pieces[::3] = map([sep + head for head in heads].__getitem__, rows.slot.tolist())
-    pieces[1::3] = map(int.__repr__, rows.primes.tolist())
-    pieces[2::3] = _row_tails(rows, tails)
-    return _joined(pieces, "[]", depth)
+    return _row_pieces(rows, names, [lead + head for head in heads], tails, ",", "[", "\n" + "  " * depth + "]")
 
 
-def _json_value(o, depth: int) -> str:
-    """The text of json.dumps(o, sort_keys=True) with an indent of 2, at this depth.
+def _flat_list(texts: list[str], depth: int) -> str:
+    """A list of scalars, given as their texts, as one piece at this depth."""
+    if not texts:
+        return "[]"
+    lead = "\n" + "  " * (depth + 1)
+    return "[" + lead + ("," + lead).join(texts) + "\n" + "  " * depth + "]"
+
+
+def _json_pieces(o, depth: int, out: list[str], texts: dict[int, list[str]]) -> None:
+    """Append the text of json.dumps(o, sort_keys=True) with an indent of 2, at this depth, to out as pieces.
 
     With an indent, json falls back to its pure-Python encoder.  This
     builds the same text from the stdlib's C string escaper and
-    int.__repr__, with one join per container, so that a large child
-    (the scan rows) is copied once per level and no more.
+    int.__repr__ as one flat list of pieces, so that no container is
+    joined on its own and a large child (the scan rows) is never copied.
+    texts keeps each ScanReport's prime texts (_prime_texts): the missing
+    primes of a report in the same dict as the report, rows.missing
+    itself, take their texts from there.
 
     Only what CLI payloads hold is accepted: str keys, and values whose
     exact type is str, int, float, bool, None, list, tuple, dict or
@@ -716,37 +758,58 @@ def _json_value(o, depth: int) -> str:
     """
     kind = type(o)
     if kind is str:
-        return _encode_str(o)
-    if kind is int:
-        return int.__repr__(o)
-    if kind is float:
-        return _float_text(o)
-    if kind is bool:
-        return "true" if o else "false"
-    if o is None:
-        return "null"
-    if kind is ScanReport:
-        return _scan_rows(o, depth)
-    if kind not in (list, tuple, dict):
-        if kind is _Slot:
-            return "\0"
+        out.append(_encode_str(o))
+    elif kind is int:
+        out.append(int.__repr__(o))
+    elif kind is float:
+        out.append(_float_text(o))
+    elif kind is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif kind is ScanReport:
+        out += _scan_rows(o, depth, _prime_texts(o, texts))
+    elif kind is _Slot:
+        out.append("\0")
+    elif kind not in (list, tuple, dict):
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    if not o:
-        return "{}" if kind is dict else "[]"
-    sep = ",\n" + "  " * (depth + 1)
-    if kind is dict:
-        if not all(type(key) is str for key in o):
-            raise TypeError(f"keys must be str: {list(o)!r}")
-        pieces = [text for key in sorted(o) for text in (sep + _encode_str(key) + ": ", _json_value(o[key], depth + 1))]
-        return _joined(pieces, "{}", depth)
-    if all(type(item) is int for item in o):
-        texts = list(map(int.__repr__, o))
+    elif not o:
+        out.append("{}" if kind is dict else "[]")
     else:
-        texts = [_json_value(item, depth + 1) for item in o]
-    # a list's items are small, so its brackets may be added to the first and last
-    texts[0] = "[" + sep[1:] + texts[0]
-    texts[-1] += "\n" + "  " * depth + "]"
-    return sep.join(texts)
+        lead = "\n" + "  " * (depth + 1)
+        end = "\n" + "  " * depth + ("}" if kind is dict else "]")
+        if kind is dict:
+            if not all(type(key) is str for key in o):
+                raise TypeError(f"keys must be str: {list(o)!r}")
+            # the payload holds each report, so an id here is no other object's
+            reports = {id(value.missing): value for value in o.values() if type(value) is ScanReport}
+            opening = "{"
+            for key in sorted(o):
+                out.append(opening + lead + _encode_str(key) + ": ")
+                opening = ","
+                value = o[key]
+                if id(value) in reports:
+                    rows = reports[id(value)]
+                    out.append(_flat_list(_missing_texts(rows, _prime_texts(rows, texts)), depth + 1))
+                else:
+                    _json_pieces(value, depth + 1, out, texts)
+            out.append(end)
+        elif all(type(item) is int for item in o):
+            out.append(_flat_list(list(map(int.__repr__, o)), depth))
+        else:
+            opening = "["
+            for item in o:
+                out.append(opening + lead)
+                opening = ","
+                _json_pieces(item, depth + 1, out, texts)
+            out.append(end)
+
+
+def _json_value(o, depth: int) -> str:
+    """The text of json.dumps(o, sort_keys=True) with an indent of 2, at this depth (see _json_pieces)."""
+    out: list[str] = []
+    _json_pieces(o, depth, out, {})
+    return "".join(out)
 
 
 def _json_text(payload) -> str:
@@ -761,26 +824,55 @@ EXIT_CLOSED_PIPE = 141
 EXIT_INTERNAL_ERROR = 3
 
 
-def _report_text(args: argparse.Namespace, verdict: Verdict | None, details: dict, start: float) -> str:
-    """The --json report payload (docs/report_schema.md) as text, or the rendered lines."""
+# A report is written to stdout this many pieces at a time, so that the
+# text of a whole report and its encoded copy never exist at once.  A scan
+# row is two pieces, so a chunk holds 2**14 rows: under 1 MB of text, or
+# about 5 MB of JSON where every row carries a witness.
+_CHUNK_PIECES = 2**15
+
+
+def _report_pieces(args: argparse.Namespace, verdict: Verdict | None, details: dict, start: float) -> list[str]:
+    """The --json report payload (docs/report_schema.md), or the rendered lines, as text pieces."""
     if args.json:
         # the command's time, taken before its payload is built or written
         timing_ms = round((time.perf_counter() - start) * 1000, 3)
-        return _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tool": "selfmaps",
-                "tool_version": __version__,
-                "command": args.command,
-                "verdict": None if verdict is None else verdict_to_payload(verdict),
-                "details": details,
-                "timing_ms": timing_ms,
-            }
-        )
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "tool": "selfmaps",
+            "tool_version": __version__,
+            "command": args.command,
+            "verdict": None if verdict is None else verdict_to_payload(verdict),
+            "details": details,
+            "timing_ms": timing_ms,
+        }
+        pieces: list[str] = []
+        _json_pieces(payload, 0, pieces, {})
+        return pieces
     lines = globals()[args.render](details)
     if verdict is not None:
         lines.extend(_verdict_lines(verdict))
-    return "\n".join(lines)
+    pieces = []
+    for line in lines:
+        # a renderer gives a block of many lines as one list of pieces
+        if type(line) is list:
+            pieces += line
+        else:
+            pieces.append(line)
+        pieces.append("\n")
+    del pieces[-1:]
+    return pieces
+
+
+def _write_report(pieces: list[str]) -> None:
+    """Write the pieces to stdout, _CHUNK_PIECES of them joined at a time, and a newline."""
+    write = sys.stdout.write
+    for first in range(0, len(pieces), _CHUNK_PIECES):
+        write("".join(pieces[first : first + _CHUNK_PIECES]))
+    # A write that a closed pipe cuts short returns without error (the
+    # buffer's short count is dropped), so, as in print, the newline is
+    # written on its own: it, or the flush, raises BrokenPipeError.
+    write("\n")
+    sys.stdout.flush()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -792,14 +884,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        text = _report_text(args, verdict, details, start)
+        # every piece is built before the first byte is written
+        pieces = _report_pieces(args, verdict, details, start)
     except Exception as exc:
         # one stderr line and no traceback; KeyboardInterrupt and SystemExit pass
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
+    # what the pieces hold is all that writing needs
+    del verdict, details
     try:
-        print(text)
-        sys.stdout.flush()
+        _write_report(pieces)
     except BrokenPipeError:
         # The devnull recipe of the `signal` docs: the rest of the buffer
         # goes nowhere, so the flush at interpreter exit cannot raise again.

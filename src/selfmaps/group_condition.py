@@ -243,9 +243,11 @@ def _generating_set(table: np.ndarray) -> list[int]:
     g, g*g, g*(g*g), ...  The walk stops at its first repeated element,
     so within n steps also where left multiplication by g is no
     permutation.  A dropped generator lies in the closure of the new
-    one, so the closure is unchanged.  Correct for any table (closure
-    is closure of the magma, so the result is valid input for the
-    associativity test below).
+    one, so the closure is unchanged.  The closure holds the orbit, so
+    when the orbit and the closure so far cover every element, as for a
+    generator of a cyclic table, the search for it is skipped.  Correct
+    for any table (closure is closure of the magma, so the result is
+    valid input for the associativity test below).
     """
     n = table.shape[0]
     if n <= _SMALL_ORDER:
@@ -264,6 +266,10 @@ def _generating_set(table: np.ndarray) -> list[int]:
         gens = [h for h in gens if h not in orbit]
         gens.append(g)
         known[g] = True
+        covered = known.copy()
+        covered[list(orbit)] = True
+        if covered.all():
+            break
         frontier = np.array([g])
         # once every element is reached, products cannot add anything,
         # so the closing confirmation round is skipped

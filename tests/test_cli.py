@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,6 +290,77 @@ def test_scan_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
     assert (tmp_path / "stderr").read_bytes() == b""
 
 
+K7_DESCRIPTOR = "surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=7\npoint=1 0\n"
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_scan_of_several_chunks_into_closed_pipe_exits_141_without_traceback(tmp_path, mode):
+    # at bound 10^6 the report (about 3.4 MB of text, 17 MB of JSON) is
+    # 157,000 pieces, so the pipe closes while chunks are still to come
+    desc = write(tmp_path, "k7.desc", K7_DESCRIPTOR)
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "selfmaps.cli", "scan", desc, "--bound", "1000000", *mode],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=child_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert first.strip() in (b"{", b"scan of k=7 descriptor up to 1000000")
+    assert code == EXIT_CLOSED_PIPE == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "mode, target",
+    # the JSON report writes timing_ms after its rows, and the text report
+    # its missing primes after them
+    [(("--json",), "_float_text"), ((), "_missing_texts")],
+    ids=["json", "text"],
+)
+def test_internal_error_while_the_pieces_are_built_writes_nothing(tmp_path, capsys, monkeypatch, mode, target):
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, target, boom)
+    # one piece a chunk: any piece written before the error would show
+    monkeypatch.setattr(cli, "_CHUNK_PIECES", 1)
+    desc = write(tmp_path, "k7.desc", K7_DESCRIPTOR)
+    code, out, err = run_cli(capsys, "scan", desc, "--bound", "3000", *mode)
+    assert code == cli.EXIT_INTERNAL_ERROR == 3 and out == ""
+    assert err == "error: internal: RuntimeError('boom')\n"
+
+
+# Address-space budget of `scan --bound 10**7 --json` on the Gauss k = 5
+# descriptor, the largest scan report (209 MB of JSON), with one OpenBLAS
+# thread: README, "Memory budgets".
+SCAN_AS_BUDGET_KB = 300_000
+
+
+def test_scan_at_the_bound_cap_runs_within_its_memory_budget(tmp_path):
+    desc = write(tmp_path, "k5.desc", K7_DESCRIPTOR.replace("k=7\npoint=1 0", "k=5\npoint=4 2"))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (SCAN_AS_BUDGET_KB * 1024,) * 2)
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfmaps.cli", "scan", desc, "--bound", str(SCAN_BOUND_CAP), "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit,
+    )
+    size, tail = 0, b""
+    for block in iter(lambda: proc.stdout.read(1 << 20), b""):
+        size, tail = size + len(block), (tail + block)[-64:]
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0 and err == b""
+    # the whole report: 664,579 rows, every one with its witness
+    assert size > 2 * 10**8 and tail.endswith(b'\n  "verdict": null\n}\n')
+
+
 def _row_dicts(witnesses):
     """Scan rows as the list of dicts scan once built per prime: the reference."""
     rows = []
@@ -477,12 +550,28 @@ def scan_report(bound, witnesses):
 
 @st.composite
 def scan_reports(draw):
-    """Small ScanReports: residue routes that one witness may stand for several primes of, isogeny rows and missing rows."""
+    """Small ScanReports: residue routes that one witness may stand for several primes of, isogeny rows and missing rows.
+
+    Some have every row missing, or none.
+    """
     pool = draw(st.lists(RESIDUE_WITNESSES, min_size=1, max_size=3))
     order = draw(st.builds(OrderParams, st.sampled_from((0, 1)), st.integers(1, 10**30)))
     isogenies = st.builds(IsogenyRoute, st.builds(QuadElem, st.just(order), INT64_COORDS, INT64_COORDS), st.sampled_from((1, -1)))
+    routes = draw(st.sampled_from(["mixed", "all missing", "none missing"]))
+    if routes == "all missing":
+        pool = [None]
+    elif routes == "none missing":
+        pool = [w for w in pool if w is not None]
+    witnesses = st.sampled_from(pool) | isogenies if pool else isogenies
+    if routes == "all missing":
+        witnesses = st.none()
     primes = sorted(draw(st.lists(st.integers(2, 10**6), unique=True, max_size=6)))
-    return scan_report(max(primes, default=1), {p: draw(st.sampled_from(pool) | isogenies) for p in primes})
+    return scan_report(max(primes, default=1), {p: draw(witnesses) for p in primes})
+
+
+def scan_details(rows):
+    """A dict holding a ScanReport and its missing primes, as scan's details do: the writer takes their texts from the rows'."""
+    return {"missing": rows.missing, "missing_count": len(rows.missing), "rows": rows}
 
 
 def _with_row_dicts(o):
@@ -500,8 +589,9 @@ def assert_writes_like_json_dumps(payload):
     assert _json_text(payload) == json.dumps(_with_row_dicts(payload), indent=2, sort_keys=True)
 
 
-PAYLOADS = st.recursive(SCALARS | scan_reports(), _json_values, max_leaves=25)
+PAYLOADS = st.recursive(SCALARS | scan_reports() | scan_reports().map(scan_details), _json_values, max_leaves=25)
 _SHARED_AUT = AutRoute(QuadElem(OrderParams(0, 1), 0, -1), 2)
+_ISOGENIES = [IsogenyRoute(QuadElem(OrderParams(0, 1), x, y), sign) for x, y, sign in ((1, 2, 1), (-3, 0, -1), (2**62, -(2**62), 1))]
 
 
 @settings(max_examples=400, deadline=None)
@@ -513,8 +603,39 @@ _SHARED_AUT = AutRoute(QuadElem(OrderParams(0, 1), 0, -1), 2)
 @example([2**64, -(2**100), True, False, None])
 @example(scan_report(1, {}))
 @example([{"rows": scan_report(7, {2: _SHARED_AUT, 3: None, 5: TorsionMultiple(5), 7: _SHARED_AUT})}, scan_report(2, {2: None})])
+# an isogeny row first and last, and between rows of other kinds
+@example(scan_details(scan_report(13, {2: _ISOGENIES[0], 3: None, 5: _ISOGENIES[1], 7: _SHARED_AUT, 11: None, 13: _ISOGENIES[2]})))
+@example(scan_report(5, {2: _ISOGENIES[0], 3: _ISOGENIES[1], 5: _ISOGENIES[2]}))
+# one row of each kind
+@example([scan_details(scan_report(p, {p: w})) for p, w in ((2, None), (3, TorsionMultiple(3)), (5, _SHARED_AUT), (7, _ISOGENIES[0]))])
+# every row missing, and none
+@example(scan_details(scan_report(7, {2: None, 3: None, 5: None, 7: None})))
+@example(scan_details(scan_report(7, {2: TorsionMultiple(1), 3: _ISOGENIES[1], 5: _SHARED_AUT, 7: _SHARED_AUT})))
+@example(scan_details(scan_report(1, {})))
 def test_json_writer_matches_json_dumps_indent2(payload):
     assert_writes_like_json_dumps(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS, st.integers(1, 7))
+@example(scan_details(scan_report(13, {2: _ISOGENIES[0], 3: None, 5: _ISOGENIES[1], 7: _SHARED_AUT, 11: None, 13: _ISOGENIES[2]})), 1)
+def test_report_written_in_chunks_is_the_json_text(payload, chunk):
+    # a chunk of 1 to 7 pieces ends at every kind of piece
+    pieces = []
+    cli._json_pieces(payload, 0, pieces, {})
+    out = io.StringIO()
+    with mock.patch.object(cli, "_CHUNK_PIECES", chunk), contextlib.redirect_stdout(out):
+        cli._write_report(pieces)
+    assert out.getvalue() == json.dumps(_with_row_dicts(payload), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("chunk", range(1, 8))
+def test_scan_written_in_chunks_matches_row_dicts(tmp_path, chunk):
+    # both report modes, with torsion, automorphism and isogeny rows and missing primes
+    path = tmp_path / "k13.desc"
+    path.write_text("surface=elliptic_bundle\ncurve=cm\norder=0 1\nbundle=split_torsion\nk=13\npoint=1 8\n")
+    with mock.patch.object(cli, "_CHUNK_PIECES", chunk):
+        assert_scan_matches_row_dicts(path, 400)
 
 
 @given(PAYLOADS)

@@ -864,6 +864,63 @@ def test_generating_set_drops_generators_on_a_later_power_orbit():
     assert _generating_set(build_semidirect(43).table) == [2, 42]
 
 
+def _generating_set_by_search(table: np.ndarray) -> list[int]:
+    """_generating_set without its shortcut: the closure is searched after every new generator."""
+    n = table.shape[0]
+    if n <= group_condition._SMALL_ORDER:
+        return list(range(1, n))
+    known = np.zeros(n, dtype=bool)
+    known[0] = True
+    gens: list[int] = []
+    while not known.all():
+        g = int(np.nonzero(~known)[0][0])
+        row = table[g].tolist()
+        orbit = {g}
+        cur = row[g]
+        while cur not in orbit:
+            orbit.add(cur)
+            cur = row[cur]
+        gens = [h for h in gens if h not in orbit]
+        gens.append(g)
+        known[g] = True
+        frontier = np.array([g])
+        while frontier.size and not known.all():
+            kidx = np.nonzero(known)[0]
+            reached = np.zeros(n, dtype=bool)
+            reached[table[np.ix_(frontier, kidx)]] = True
+            reached[table[np.ix_(kidx, frontier)]] = True
+            frontier = np.nonzero(reached & ~known)[0]
+            known[frontier] = True
+    return gens
+
+
+@st.composite
+def generating_set_tables(draw):
+    """Tables above order 64: relabeled cyclic and semidirect groups, corrupted groups and random magmas."""
+    kind = draw(st.sampled_from(["cyclic", "semidirect", "corrupted", "magma"]))
+    if kind == "corrupted":
+        return draw(large_corrupted_tables())
+    if kind == "magma":
+        n = draw(st.integers(65, 120))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.integers(0, n, (n, n))
+    group = build_cyclic(draw(st.integers(65, 400))) if kind == "cyclic" else build_semidirect(draw(st.sampled_from([11, 13, 17])))
+    # a relabeling fixing 0, or none, which keeps 1 a generator of a cyclic group
+    rest = draw(st.permutations(range(1, group.order)) | st.just(range(1, group.order)))
+    return _relabeled(group, [0, *rest]).table
+
+
+@settings(max_examples=150, deadline=None)
+@given(generating_set_tables())
+def test_generating_set_matches_the_closure_search(t):
+    assert _generating_set(t) == _generating_set_by_search(t)
+
+
+def test_generating_set_of_a_cyclic_table_is_its_first_generator():
+    # the orbit of 1 is the whole group, so no closure is searched
+    assert _generating_set(build_cyclic(1806).table) == [1]
+
+
 def _brute_closure(table: np.ndarray, gens) -> np.ndarray:
     """Elements reached from 0 and gens by all products of reached pairs, until none is new."""
     known = np.zeros(table.shape[0], dtype=bool)

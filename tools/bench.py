@@ -23,10 +23,11 @@ SUITE is one of:
                   (k = 7, point (1, 0): 52,344 of the 78,498 primes are
                   missing, and no isogeny can reach their residues) at
                   B = 10^6; gauss-k7-text, the same scan without --json,
-                  which times the text renderer; gauss-k7 again and
+                  which times the text renderer; gauss-k5, gauss-k7 and
                   gauss-k13 (k = 13, point (1, 8), an eigenvector of the
                   dual of w, so the lattice pass walks the working
-                  classes of every row) at B = 10^7; and gauss-k999983
+                  classes of every row) at B = 10^7, where the k = 5
+                  report is the largest (209 MB); and gauss-k999983
                   (k = 999,983, point (1, 0)) at B = 10^6
     density       `density --order T N --bound B --json` for the Gauss
                   order (0 1) and t = 1, n = 2 (discriminant -7), each at
@@ -114,6 +115,7 @@ SCAN_CASES = {
     "gauss-k5": ["gauss-k5", 10**6, "--json"],
     "gauss-k7": ["gauss-k7", 10**6, "--json"],
     "gauss-k7-text": ["gauss-k7", 10**6],
+    "gauss-k5-1e7": ["gauss-k5", 10**7, "--json"],
     "gauss-k7-1e7": ["gauss-k7", 10**7, "--json"],
     "gauss-k13-1e7": ["gauss-k13", 10**7, "--json"],
     "gauss-k999983": ["gauss-k999983", 10**6, "--json"],
