@@ -239,13 +239,14 @@ class ScanReport:
 
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
-# At 10^7, `scan --json` on the Gauss order took 1.05-1.16 s and 446 MB
-# peak RSS with k = 5 (every prime achievable, 209 MB of JSON), 0.89-1.21 s
-# and 308 MB with k = 7, point (1, 0), and 1.42-1.86 s and 382 MB with
-# k = 13, point (1, 8) (147,585 isogeny rows), four fresh runs each on a
-# 2-core x86_64; the text report of the k = 7 scan took 0.90-1.09 s and
-# 161 MB.  Writing the report takes most of it, growing linearly with the
-# bound.
+# At 10^7, `scan --json` on the Gauss order took 0.55-0.57 s and 124 MB
+# peak RSS with k = 5 (every prime achievable, 209 MB of JSON), 0.59-0.78 s
+# and 161 MB with k = 7, point (1, 0), and 1.01-1.06 s and 222 MB with
+# k = 13, point (1, 8) (147,585 isogeny rows): medians of five fresh runs
+# in two records each on a 2-core x86_64.  The text report of the k = 7
+# scan took 0.46-0.51 s and 149 MB (six fresh runs).  In process, building
+# the report's pieces takes as long as the scan or longer (k = 5: 0.19 s
+# scan, 0.15 s pieces, 0.04 s writing), growing linearly with the bound.
 # The lattice pass of _first_isogenies reads exact int64 points and norms
 # from norm_rows and coset_blocks.  Its own int64 products are of two
 # residues mod k, y mod k in place of y, so each is below k**2 and each

@@ -557,14 +557,12 @@ def scan_reports(draw):
     pool = draw(st.lists(RESIDUE_WITNESSES, min_size=1, max_size=3))
     order = draw(st.builds(OrderParams, st.sampled_from((0, 1)), st.integers(1, 10**30)))
     isogenies = st.builds(IsogenyRoute, st.builds(QuadElem, st.just(order), INT64_COORDS, INT64_COORDS), st.sampled_from((1, -1)))
-    routes = draw(st.sampled_from(["mixed", "all missing", "none missing"]))
-    if routes == "all missing":
-        pool = [None]
-    elif routes == "none missing":
-        pool = [w for w in pool if w is not None]
-    witnesses = st.sampled_from(pool) | isogenies if pool else isogenies
-    if routes == "all missing":
+    kind = draw(st.sampled_from(["mixed", "all missing", "none missing"]))
+    if kind == "all missing":
         witnesses = st.none()
+    else:
+        residues = pool if kind == "mixed" else [w for w in pool if w is not None]
+        witnesses = st.sampled_from(residues) | isogenies if residues else isogenies
     primes = sorted(draw(st.lists(st.integers(2, 10**6), unique=True, max_size=6)))
     return scan_report(max(primes, default=1), {p: draw(witnesses) for p in primes})
 

@@ -896,14 +896,22 @@ def _generating_set_by_search(table: np.ndarray) -> list[int]:
 
 @st.composite
 def generating_set_tables(draw):
-    """Tables above order 64: relabeled cyclic and semidirect groups, corrupted groups and random magmas."""
-    kind = draw(st.sampled_from(["cyclic", "semidirect", "corrupted", "magma"]))
+    """Tables above order 64: relabeled cyclic and semidirect groups, corrupted groups and random magmas.
+
+    Some magmas hold Z/m on their first m > n/2 elements, so the orbit of
+    1 is most of the table but its closure is not all of it.
+    """
+    kind = draw(st.sampled_from(["cyclic", "semidirect", "corrupted", "magma", "submagma"]))
     if kind == "corrupted":
         return draw(large_corrupted_tables())
-    if kind == "magma":
+    if kind in ("magma", "submagma"):
         n = draw(st.integers(65, 120))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        return rng.integers(0, n, (n, n))
+        table = rng.integers(0, n, (n, n))
+        if kind == "submagma":
+            m = draw(st.integers(n // 2 + 1, n - 1))
+            table[:m, :m] = np.add.outer(np.arange(m), np.arange(m)) % m
+        return table
     group = build_cyclic(draw(st.integers(65, 400))) if kind == "cyclic" else build_semidirect(draw(st.sampled_from([11, 13, 17])))
     # a relabeling fixing 0, or none, which keeps 1 a generator of a cyclic group
     rest = draw(st.permutations(range(1, group.order)) | st.just(range(1, group.order)))
