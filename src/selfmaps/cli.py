@@ -890,8 +890,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # one stderr line and no traceback; KeyboardInterrupt and SystemExit pass
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
-    # what the pieces hold is all that writing needs
-    del verdict, details
     try:
         _write_report(pieces)
     except BrokenPipeError:
