@@ -414,7 +414,7 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
         report = scan_primes(e, args.bound)
     else:
         none = prime_array(args.bound)
-        report = ScanReport(args.bound, none, none, (None,), e.curve.order, (none,) * 3, ())
+        report = ScanReport(none, none, (None,), e.curve.order, (none,) * 3, ())
     missing = report.missing
     details = {
         "bound": args.bound,
@@ -810,11 +810,6 @@ def _json_value(o, depth: int) -> str:
     out: list[str] = []
     _json_pieces(o, depth, out, {})
     return "".join(out)
-
-
-def _json_text(payload) -> str:
-    """Byte for byte what json.dumps(payload, sort_keys=True) prints with an indent of 2."""
-    return _json_value(payload, 0)
 
 
 # 128 + SIGPIPE: what a shell reports for a writer killed by a closed pipe.

@@ -210,7 +210,7 @@ NO_ROUTE, ISOGENY = 0, -1
 
 @dataclass(frozen=True, eq=False)
 class ScanReport:
-    """Each prime up to bound, in increasing order, with its witness or none, as columns.
+    """Each prime up to the scan's bound, in increasing order, with its witness or none, as columns.
 
     routes holds None, then the distinct torsion and automorphism
     witnesses, and routes[slot[i]] is the witness of primes[i], or None
@@ -223,7 +223,6 @@ class ScanReport:
     claims read missing.
     """
 
-    bound: int
     primes: np.ndarray
     slot: np.ndarray
     routes: tuple[Witness | None, ...]
@@ -409,9 +408,7 @@ def scan_primes(
     if found.size:
         slot[np.searchsorted(primes, found)] = ISOGENY
         needed = np.delete(needed, np.searchsorted(needed, found))
-    return ScanReport(
-        bound, primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies), tuple(needed.tolist())
-    )
+    return ScanReport(primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies), tuple(needed.tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ The discriminant t**2 - 4n is then always negative, so the norm form
 x**2 + t*x*y + n*y**2 is positive definite and every search by norm is
 a finite exhaustion.  Brute-force enumeration is deliberate: it is the
 ground truth the rest of the package is checked against, and there is
-no per-prime fast path beside it.  norm_blocks walks that exhaustion for
-every norm up to a bound at once, in numpy blocks of whole rows of
-lattice points, one entry per point; represented_norms marks the norms
-it yields, so a claim about all primes below the bound costs one pass
-over the norm form, not one search per prime.  The prime scan of
-elliptic_pbundle walks the same rows, from the same norm_rows layout,
-through coset_blocks, which keeps only the points whose x lies in one of
-two classes mod k per row.  elements_of_norm stays their brute-force
+no per-prime fast path beside it.  represented_norms walks that
+exhaustion for every norm up to a bound at once: it marks the norms of
+the rows of norm_rows, in numpy grids of whole rows of lattice points
+from _row_grids, so a claim about all primes below the bound costs one
+pass over the norm form, not one search per prime.  The prime scan of
+elliptic_pbundle walks the same rows, through the same grids, in
+coset_blocks, which keeps only the points whose x lies in one of two
+classes mod k per row.  elements_of_norm stays their brute-force
 oracle.  is_prime reads a pure-Python bytearray sieve, built on first
 use, up to _SIEVE_CAP; above it, strong probable-prime
 tests to the twelve prime bases 2 to 37 decide it exactly below
@@ -28,7 +28,7 @@ legendre_euler, legendre_reciprocity and _split_type_of_prime stay its
 per-prime oracle.
 
 numpy is imported inside the array passes alone: norm_rows,
-norm_blocks, coset_blocks, represented_norms, _prime_flags,
+_row_grids, coset_blocks, represented_norms, _prime_flags,
 primes_up_to, split_symbols with its three Legendre helpers, and
 split_density_report.  Importing this
 module, the element arithmetic and is_prime never load it, so CLI paths
@@ -59,7 +59,6 @@ __all__ = [
     "units",
     "elements_of_norm",
     "norm_rows",
-    "norm_blocks",
     "coset_blocks",
     "represented_norms",
     "degree_two_table",
@@ -178,7 +177,7 @@ def elements_of_norm(order: OrderParams, m: int) -> tuple[QuadElem, ...]:
     return tuple(sorted(found, key=lambda a: (a.y, a.x)))
 
 
-# Most points norm_blocks puts in one block, unless a single row is longer.
+# Most cells _row_grids puts in one grid, unless a single row is longer.
 # Blocks of 2**16 points ran the perfbench scan workload no faster and
 # peaked 0.5 MB higher (51.1 against 50.6 MB, two runs each, seed 5).
 _BLOCK_POINTS = 2**14
@@ -211,51 +210,44 @@ def norm_rows(
     )
 
 
-def _row_blocks(counts: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Consecutive rows of at most _BLOCK_POINTS points together, unless one row is longer.
+def _row_grids(sizes: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Consecutive whole rows of the given sizes as 2-D grids of at most _BLOCK_POINTS cells, unless one row is longer.
 
-    Yields each block's slice of rows and the offsets of its rows' first
-    points within the block.
+    Yields each grid's slice of rows, the column indices 0, 1, ..., w - 1
+    as an int64 array of shape (1, w), w the grid's widest row, and the
+    mask of shape (rows, w) that is true where the index is below its
+    row's size.  A grid of values flattened by the mask, which reads it
+    row-major, lists each row's points in turn in index order.
+
+    The walks compute values in every cell, also in the discarded ones
+    past a row's end, in int64.  That is exact.  In a row of
+    norm_rows(order, bound), x + t*y/2 starts at -sqrt(bound) or above
+    and runs over at most the widest row, 2*sqrt(bound) + 1 cells, so its
+    absolute value stays at most 2*sqrt(bound) + 1.  As
+    norm = (x + t*y/2)**2 + |D|*y**2/4 and |D|*y**2/4 <= bound, every
+    norm is below about 5*bound, as is every value formed on the way,
+    and any bound small enough for a table of that many entries to be
+    allocated is far below 2**62.
     """
     import numpy as np
 
-    ends = np.cumsum(counts)
-    starts = ends - counts
     start = 0
-    while start < len(counts):
-        stop = max(start + 1, int(np.searchsorted(ends, starts[start] + _BLOCK_POINTS, side="right")))
-        yield slice(start, stop), starts[start:stop] - starts[start]
-        start = stop
-
-
-def norm_blocks(
-    order: OrderParams, bound: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ys, xs, norms) for blocks of whole rows of norm_rows(order, bound).
-
-    Each block holds consecutive rows, at most _BLOCK_POINTS points
-    unless one row is longer, as int64 arrays with one entry per point
-    in (y, x) order: ys, xs and norms = x**2 + t*x*y + n*y**2.  The
-    int64 arithmetic is exact: every norm is at most bound, every
-    intermediate value is below 4*bound in absolute value, and any bound
-    small enough for a table of that many entries to be allocated is far
-    below 2**62.
-    """
-    import numpy as np
-
-    row_ys, firsts, counts, ny2 = norm_rows(order, bound)
-    for rows, offsets in _row_blocks(counts):
-        # a point's x is its row's first x plus its index within the row
-        xs = np.arange(int(offsets[-1] + counts[rows.stop - 1]), dtype=np.int64)
-        xs += np.repeat(firsts[rows] - offsets, counts[rows])
-        ys = np.repeat(row_ys[rows], counts[rows])
-        yield ys, xs, xs * (xs + order.t * ys) + np.repeat(ny2[rows], counts[rows])
+    while start < len(sizes):
+        # r rows from start take r times their widest row in cells, and no
+        # more rows than the budget over the first row's size can fit
+        cells = np.maximum.accumulate(sizes[start : start + _BLOCK_POINTS // max(1, int(sizes[start])) + 1])
+        cells *= np.arange(1, len(cells) + 1)
+        r = max(1, int(cells.searchsorted(_BLOCK_POINTS, side="right")))
+        rows = slice(start, start + r)
+        columns = np.arange(cells[r - 1] // r, dtype=np.int64)[None, :]
+        yield rows, columns, columns < sizes[rows, None]
+        start += r
 
 
 def coset_blocks(
     order: OrderParams, rows: tuple[np.ndarray, ...], k: int, classes: tuple[np.ndarray, np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """norm_blocks over the given rows, keeping the points whose x is in one of two classes mod k.
+    """(ys, xs, norms) of the points of the given rows whose x is in one of two classes mod k.
 
     rows is a selection of the four arrays of norm_rows, and classes two
     int64 arrays of residues in [0, k), one entry per row each.  In a row
@@ -264,10 +256,11 @@ def coset_blocks(
     d0 < d1, the row's points in them are x0 + d0, x0 + d1, x0 + d0 + k,
     x0 + d1 + k, ..., alternating, up to the row's end; a single class
     is walked as the two classes d0 and d0 + k mod 2k.  So the points
-    come in the (y, x) order of norm_blocks without a sort, and blocks
-    again hold whole rows, at most _BLOCK_POINTS points unless one row
-    is longer.  Beside the values of norm_blocks, the int64 arithmetic
-    only forms residues mod k and indices below a row's length plus 2*k.
+    come in (y, x) order without a sort.  Each block holds the points of
+    one grid of _row_grids, as int64 arrays with one entry per point:
+    ys, xs and norms = x**2 + t*x*y + n*y**2, each norm at most bound.
+    Beside these, the int64 arithmetic only forms residues mod k and
+    offsets from x0 below the widest row's length plus 2*k.
     """
     import numpy as np
 
@@ -282,21 +275,26 @@ def coset_blocks(
     full = sizes > 0
     row_ys, ny2, sizes, period = row_ys[full], ny2[full], sizes[full], period[full]
     starts, gaps = (firsts + d0)[full], (d1 - d0)[full]
-    for block, offsets in _row_blocks(sizes):
+    for block, i, mask in _row_grids(sizes):
         # i, a point's index within its row, is even in the first class and odd in the second
-        i = np.arange(int(offsets[-1] + sizes[block.stop - 1]), dtype=np.int64)
-        i -= np.repeat(offsets, sizes[block])
-        xs = np.repeat(starts[block], sizes[block]) + (i >> 1) * np.repeat(period[block], sizes[block])
-        xs += (i & 1) * np.repeat(gaps[block], sizes[block])
+        xs = (i >> 1) * period[block, None]
+        xs += starts[block, None]
+        xs[:, 1::2] += gaps[block, None]
+        xs = xs[mask]
+        # the rows' own values per point, which cost less than a second masked grid
         ys = np.repeat(row_ys[block], sizes[block])
-        yield ys, xs, xs * (xs + order.t * ys) + np.repeat(ny2[block], sizes[block])
+        norms = xs + order.t * ys
+        norms *= xs
+        norms += np.repeat(ny2[block], sizes[block])
+        yield ys, xs, norms
 
 
 def represented_norms(order: OrderParams, bound: int) -> bytearray:
     """flags[m] == 1 exactly when some element has norm m, for 0 <= m <= bound.
 
-    Marks the norms of every block of norm_blocks, through a numpy view
-    of the flags.
+    Marks the norms of the points of norm_rows(order, bound), one grid of
+    _row_grids at a time, through a numpy view of the flags.  In a row,
+    x = x0 + j has norm j*(j + 2*x0 + t*y) plus the norm of x0.
     """
     import numpy as np
 
@@ -304,8 +302,15 @@ def represented_norms(order: OrderParams, bound: int) -> bytearray:
         raise ValueError(f"bound must be non-negative, got {bound!r}")
     flags = bytearray(bound + 1)
     marks = np.frombuffer(flags, dtype=np.uint8)
-    for _, _, norms in norm_blocks(order, bound):
-        marks[norms] = 1
+    row_ys, firsts, counts, ny2 = norm_rows(order, bound)
+    xt = firsts + order.t * row_ys
+    first_norms = firsts * xt + ny2
+    slopes = firsts + xt
+    for rows, j, mask in _row_grids(counts):
+        norms = j + slopes[rows, None]
+        norms *= j
+        norms += first_norms[rows, None]
+        marks[norms[mask]] = 1
     return flags
 
 

@@ -21,7 +21,6 @@ from selfmaps.cli import (
     EXIT_CLOSED_PIPE,
     SIEVE_BOUND_CAP,
     DescriptorError,
-    _json_text,
     main,
     parse_descriptor_text,
 )
@@ -120,7 +119,7 @@ def test_classify_json_payload_roundtrips(tmp_path, capsys):
     assert payload["schema_version"] == 1
     assert payload["verdict"]["kind"] == "all_degrees"
     # the parsed payload, written again, is the same text
-    assert _json_text(payload) + "\n" == out
+    assert cli._json_value(payload, 0) + "\n" == out
 
 
 def test_classify_input_errors(tmp_path, capsys):
@@ -530,7 +529,7 @@ RESIDUE_WITNESSES = (
 INT64_COORDS = st.integers(-(2**62), 2**62)
 
 
-def scan_report(bound, witnesses):
+def scan_report(witnesses):
     """The ScanReport of a {prime: witness} dict whose IsogenyRoutes share one order."""
     routes = (None, *dict.fromkeys(w for w in witnesses.values() if type(w) not in (IsogenyRoute, type(None))))
     slots = [ISOGENY if type(w) is IsogenyRoute else NO_ROUTE if w is None else routes.index(w) for w in witnesses.values()]
@@ -538,7 +537,6 @@ def scan_report(bound, witnesses):
     columns = ([w.alpha.x for w in isogenies], [w.alpha.y for w in isogenies], [w.sign for w in isogenies])
     order = isogenies[0].alpha.order if isogenies else None
     return ScanReport(
-        bound,
         np.array(list(witnesses), dtype=np.int64),
         np.array(slots, dtype=np.int8),
         routes,
@@ -564,7 +562,7 @@ def scan_reports(draw):
         residues = pool if kind == "mixed" else [w for w in pool if w is not None]
         witnesses = st.sampled_from(residues) | isogenies if residues else isogenies
     primes = sorted(draw(st.lists(st.integers(2, 10**6), unique=True, max_size=6)))
-    return scan_report(max(primes, default=1), {p: draw(witnesses) for p in primes})
+    return scan_report({p: draw(witnesses) for p in primes})
 
 
 def scan_details(rows):
@@ -584,7 +582,7 @@ def _with_row_dicts(o):
 
 
 def assert_writes_like_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(_with_row_dicts(payload), indent=2, sort_keys=True)
+    assert cli._json_value(payload, 0) == json.dumps(_with_row_dicts(payload), indent=2, sort_keys=True)
 
 
 PAYLOADS = st.recursive(SCALARS | scan_reports() | scan_reports().map(scan_details), _json_values, max_leaves=25)
@@ -599,24 +597,24 @@ _ISOGENIES = [IsogenyRoute(QuadElem(OrderParams(0, 1), x, y), sign) for x, y, si
 @example({"a": {}, "b": [[], {}], "c": ((),)})
 @example({"": [-0.0, float("inf"), float("-inf"), float("nan")]})
 @example([2**64, -(2**100), True, False, None])
-@example(scan_report(1, {}))
-@example([{"rows": scan_report(7, {2: _SHARED_AUT, 3: None, 5: TorsionMultiple(5), 7: _SHARED_AUT})}, scan_report(2, {2: None})])
+@example(scan_report({}))
+@example([{"rows": scan_report({2: _SHARED_AUT, 3: None, 5: TorsionMultiple(5), 7: _SHARED_AUT})}, scan_report({2: None})])
 # an isogeny row first and last, and between rows of other kinds
-@example(scan_details(scan_report(13, {2: _ISOGENIES[0], 3: None, 5: _ISOGENIES[1], 7: _SHARED_AUT, 11: None, 13: _ISOGENIES[2]})))
-@example(scan_report(5, {2: _ISOGENIES[0], 3: _ISOGENIES[1], 5: _ISOGENIES[2]}))
+@example(scan_details(scan_report({2: _ISOGENIES[0], 3: None, 5: _ISOGENIES[1], 7: _SHARED_AUT, 11: None, 13: _ISOGENIES[2]})))
+@example(scan_report({2: _ISOGENIES[0], 3: _ISOGENIES[1], 5: _ISOGENIES[2]}))
 # one row of each kind
-@example([scan_details(scan_report(p, {p: w})) for p, w in ((2, None), (3, TorsionMultiple(3)), (5, _SHARED_AUT), (7, _ISOGENIES[0]))])
+@example([scan_details(scan_report({p: w})) for p, w in ((2, None), (3, TorsionMultiple(3)), (5, _SHARED_AUT), (7, _ISOGENIES[0]))])
 # every row missing, and none
-@example(scan_details(scan_report(7, {2: None, 3: None, 5: None, 7: None})))
-@example(scan_details(scan_report(7, {2: TorsionMultiple(1), 3: _ISOGENIES[1], 5: _SHARED_AUT, 7: _SHARED_AUT})))
-@example(scan_details(scan_report(1, {})))
+@example(scan_details(scan_report({2: None, 3: None, 5: None, 7: None})))
+@example(scan_details(scan_report({2: TorsionMultiple(1), 3: _ISOGENIES[1], 5: _SHARED_AUT, 7: _SHARED_AUT})))
+@example(scan_details(scan_report({})))
 def test_json_writer_matches_json_dumps_indent2(payload):
     assert_writes_like_json_dumps(payload)
 
 
 @settings(max_examples=200, deadline=None)
 @given(PAYLOADS, st.integers(1, 7))
-@example(scan_details(scan_report(13, {2: _ISOGENIES[0], 3: None, 5: _ISOGENIES[1], 7: _SHARED_AUT, 11: None, 13: _ISOGENIES[2]})), 1)
+@example(scan_details(scan_report({2: _ISOGENIES[0], 3: None, 5: _ISOGENIES[1], 7: _SHARED_AUT, 11: None, 13: _ISOGENIES[2]})), 1)
 def test_report_written_in_chunks_is_the_json_text(payload, chunk):
     # a chunk of 1 to 7 pieces ends at every kind of piece
     pieces = []
@@ -651,7 +649,7 @@ class _Tag(str):
 )
 def test_json_writer_rejects_what_payloads_never_hold(payload):
     with pytest.raises(TypeError):
-        _json_text(payload)
+        cli._json_value(payload, 0)
 
 
 def test_density_with_modulus(capsys):

@@ -21,7 +21,8 @@ import re
 
 import pytest
 
-from selfmaps.cli import _json_text, main
+from selfmaps import cli
+from selfmaps.cli import main
 from selfmaps.group_condition import build_cyclic, build_semidirect
 
 FANS = {
@@ -298,4 +299,4 @@ def test_json_payload_roundtrips(name, corpus, capsys):
     argv, _ = GOLDEN[name]
     assert main(_resolve(corpus, argv) + ["--json"]) == 0
     out = capsys.readouterr().out
-    assert _json_text(json.loads(out)) + "\n" == out
+    assert cli._json_value(json.loads(out), 0) + "\n" == out

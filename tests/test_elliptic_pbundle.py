@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -38,7 +38,7 @@ from selfmaps.elliptic_pbundle import (
     _working_classes,
     scan_primes,
 )
-from selfmaps.qorders import OrderParams, QuadElem, coset_blocks, norm, norm_blocks, primes_up_to
+from selfmaps.qorders import OrderParams, QuadElem, coset_blocks, norm, primes_up_to
 from selfmaps.verdicts import (
     AllDegrees,
     AutRoute,
@@ -354,8 +354,8 @@ def test_lattice_pass_matches_the_oracle_across_block_seams(case):
     needed = [p for p in primes_up_to(bound) if p % k and p % k not in routes]
     expected = {p: _decide(curve, point, routes, p).witness for p in needed}
     expected = {p: w for p, w in expected.items() if w is not None}
-    # blocks of one nonempty row each, and of the default size
-    for budget in (1, qorders._BLOCK_POINTS):
+    # blocks of one nonempty row each, of several rows, and of the default size
+    for budget in (1, 50, qorders._BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qorders, "_BLOCK_POINTS", budget)
             assert isogeny_routes(curve, _first_isogenies(curve, point, needed, bound)) == expected, budget
@@ -482,8 +482,9 @@ def test_scan_columns_are_the_per_prime_decisions(case):
     point = desc.bundle.point
     routes = _aut_routes(curve, point)
     expected = {p: _decide(curve, point, routes, p).witness for p in primes_up_to(bound)}
-    # blocks of one nonempty row each, where later blocks find smaller primes, and of the default size
-    for budget in (1, qorders._BLOCK_POINTS):
+    # blocks of one nonempty row each, where later blocks find smaller
+    # primes, of several rows, and of the default size
+    for budget in (1, 50, qorders._BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qorders, "_BLOCK_POINTS", budget)
             report = scan_primes(desc, bound)
@@ -495,6 +496,16 @@ def test_scan_columns_are_the_per_prime_decisions(case):
 
 def _points(blocks) -> list:
     return [(y, x, m) for ys, xs, norms in blocks for y, x, m in zip(ys.tolist(), xs.tolist(), norms.tolist())]
+
+
+def _box_walk(order: OrderParams, bound: int) -> list:
+    """(y, x, norm) of the points x + y*w with y <= 0 and norm <= bound, in (y, x) order, by a box search."""
+    # norm >= 3*y**2/4 and norm >= (x + t*y/2)**2
+    y_max = isqrt(4 * bound // 3)
+    x_max = isqrt(bound) + y_max // 2 + 1
+    t, n = order.t, order.n
+    box = ((y, x, x * x + t * x * y + n * y * y) for y in range(-y_max, 1) for x in range(-x_max, x_max + 1))
+    return [point for point in box if point[2] <= bound]
 
 
 @settings(max_examples=40, deadline=None)
@@ -511,16 +522,17 @@ def test_coset_walk_is_the_full_walk_at_its_working_points(case):
     v = point.v
     b = torsion_action(dual(QuadElem(order, 0, 1)), k).apply_mod(v, k)
     fixed_up_to_sign = {v, ((-v[0]) % k, (-v[1]) % k)}
-    # blocks of one nonempty row each, and of the default size
-    for budget in (1, qorders._BLOCK_POINTS):
+    expected = [
+        (y, x, m)
+        for y, x, m in _box_walk(order, bound)
+        if ((x * v[0] + y * b[0]) % k, (x * v[1] + y * b[1]) % k) in fixed_up_to_sign
+    ]
+    # blocks of one nonempty row each, of several rows, and of the default size
+    for budget in (1, 50, qorders._BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qorders, "_BLOCK_POINTS", budget)
-            full = _points(norm_blocks(order, bound))
             working = _working_classes(order, point, bound)
             blocks = [] if working is None else list(coset_blocks(order, working[0], k, working[1]))
-        expected = [
-            (y, x, m) for y, x, m in full if ((x * v[0] + y * b[0]) % k, (x * v[1] + y * b[1]) % k) in fixed_up_to_sign
-        ]
         if working is None:
             assert {m for _, _, m in expected} <= {1}
         assert _points(blocks) == ([] if working is None else expected), budget

@@ -29,7 +29,6 @@ from selfmaps.qorders import (
     legendre_euler,
     legendre_reciprocity,
     norm,
-    norm_blocks,
     primes_up_to,
     represented_norms,
     split_density_report,
@@ -324,42 +323,30 @@ orders_40_st = st.builds(OrderParams, t=st.integers(0, 1), n=st.integers(1, 40))
 @given(orders_40_st, st.integers(0, 2000))
 @example(OrderParams(0, 1), 2000)
 @example(OrderParams(1, 1), 0)
+@example(OrderParams(1, 1), 1)
 @example(OrderParams(1, 40), 1)
 def test_represented_norms_matches_brute_force(order, bound):
-    norms = represented_norms(order, 2000)
-    assert len(norms) == 2001 and norms[0] == 1
-    for m in range(1, 2001):
-        assert norms[m] == (elements_of_norm(order, m) != ()), m
-    # a smaller bound gives a prefix of the same table
-    assert represented_norms(order, bound) == norms[: bound + 1]
-
-
-@settings(max_examples=60, deadline=None)
-@given(orders_40_st, st.integers(0, 2000))
-@example(OrderParams(0, 1), 2000)
-@example(OrderParams(1, 1), 0)
-@example(OrderParams(1, 1), 1)
-def test_norm_blocks_matches_a_box_search(order, bound):
-    # norm >= 3*y**2/4 and norm >= (x + t*y/2)**2, so every point of norm
-    # <= 2000 has |y| <= 51 and |x| <= 71
-    t, n = order.t, order.n
-    box = ((y, x, x * x + t * x * y + n * y * y) for y in range(-60, 1) for x in range(-80, 81))
-    expected = [point for point in box if point[2] <= bound]
-    # a budget of one point, so that a block holds one nonempty row, and
-    # the default, which holds every row here in one block
-    for budget in (1, qorders._BLOCK_POINTS):
+    expected = bytearray([1] + [elements_of_norm(order, m) != () for m in range(1, 2001)])
+    counts = qorders.norm_rows(order, bound)[2].tolist()
+    # a budget of one cell, so that a grid holds one row, a middle one,
+    # where grids hold several rows of unequal sizes, and the default,
+    # which holds every row here in one grid
+    for budget in (1, 50, qorders._BLOCK_POINTS):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(qorders, "_BLOCK_POINTS", budget)
-            blocks = list(norm_blocks(order, bound))
-        assert all(a.dtype == np.int64 for block in blocks for a in block)
-        points = [
-            (y, x, m) for ys, xs, norms in blocks for y, x, m in zip(ys.tolist(), xs.tolist(), norms.tolist())
-        ]
-        assert points == expected, budget
-        # whole rows only, and over the budget only when the block is one row
-        rows = [set(ys.tolist()) for ys, _, _ in blocks]
-        assert sum(map(len, rows)) == len(set().union(*rows)), budget
-        assert all(len(ys) <= budget or len(ys_set) == 1 for (ys, _, _), ys_set in zip(blocks, rows)), budget
+            assert represented_norms(order, 2000) == expected, budget
+            # a smaller bound gives a prefix of the same table
+            assert represented_norms(order, bound) == expected[: bound + 1], budget
+            grids = list(qorders._row_grids(np.array(counts, dtype=np.int64)))
+        # consecutive whole rows, as wide as their widest, and over the
+        # budget only when the grid is one row
+        stops = [rows.stop for rows, _, _ in grids]
+        assert [rows.start for rows, _, _ in grids] == [0, *stops[:-1]] and stops[-1] == len(counts), budget
+        for rows, columns, mask in grids:
+            width = max(counts[rows])
+            assert columns.tolist() == [list(range(width))], budget
+            assert mask.tolist() == [[j < c for j in range(width)] for c in counts[rows]], budget
+            assert mask.size <= budget or len(counts[rows]) == 1, budget
 
 
 def test_represented_norms_rejects_negative_bound():
