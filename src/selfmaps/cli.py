@@ -36,7 +36,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .elliptic_pbundle import (
@@ -308,9 +308,9 @@ def classify_descriptor(desc: SurfaceDescriptor, bound: int) -> tuple[Verdict, d
     return _high_genus_verdict(desc, bound)
 
 
-# an isogeny route's text as a str.format template of its x, y and sign;
-# scan fills it in once per isogeny row
-_ISOGENY_TEXT = "isogeny ({0},{1}) sign {2:+d}"
+def _isogeny_text(x: int, y: int, sign: int) -> str:
+    """The route text of IsogenyRoute(QuadElem(order, x, y), sign); scan calls it once per isogeny row."""
+    return f"isogeny ({x},{y}) sign {sign:+d}"
 
 
 def _witness_text(witness: Witness) -> str:
@@ -319,7 +319,7 @@ def _witness_text(witness: Witness) -> str:
     if isinstance(witness, AutRoute):
         return f"automorphism ({witness.phi.x},{witness.phi.y}) exponent {witness.m}"
     if isinstance(witness, IsogenyRoute):
-        return _ISOGENY_TEXT.format(witness.alpha.x, witness.alpha.y, witness.sign)
+        return _isogeny_text(witness.alpha.x, witness.alpha.y, witness.sign)
     raise TypeError(f"not a witness: {witness!r}")
 
 
@@ -405,7 +405,21 @@ def _scan_row(witness: Witness | None) -> dict:
     return {"achievable": True, "route": _witness_text(witness), "witness": witness_to_payload(witness)}
 
 
+@dataclass(frozen=True)
+class _ScanRows:
+    """scan's rows: the report and the decimal text of each of its primes, which _json_pieces writes as row dicts."""
+
+    report: ScanReport
+    names: list[str]
+
+
+class _PrimeTexts(list):
+    """Decimal texts of primes, which _json_pieces writes as a list of numbers."""
+
+
 def _cmd_scan(args: argparse.Namespace) -> _Outcome:
+    import numpy as np
+
     desc = load_descriptor(args.descriptor)
     if desc.surface != "elliptic_bundle" or not isinstance(desc.elliptic.bundle, SplitTorsion):
         raise DescriptorError("scan needs an elliptic_bundle descriptor with bundle=split_torsion")
@@ -414,16 +428,17 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
         report = scan_primes(e, args.bound)
     else:
         none = prime_array(args.bound)
-        report = ScanReport(none, none, (None,), e.curve.order, (none,) * 3, ())
-    missing = report.missing
+        report = ScanReport(none, none, (None,), e.curve.order, (none,) * 3)
+    names = [f"{prime}" for prime in report.primes.tolist()]
+    missing = _PrimeTexts(map(names.__getitem__, np.flatnonzero(report.slot == NO_ROUTE).tolist()))
     details = {
         "bound": args.bound,
         "k": e.bundle.k,
         "point": list(e.bundle.point.v),
         "curve": repr(e.curve),
-        "rows": report,
+        "rows": _ScanRows(report, names),
         "missing": missing,
-        "achievable_count": len(report.primes) - len(missing),
+        "achievable_count": len(names) - len(missing),
         "missing_count": len(missing),
     }
     return None, details, 0
@@ -431,20 +446,22 @@ def _cmd_scan(args: argparse.Namespace) -> _Outcome:
 
 def _render_scan(d: dict) -> list:
     rows = d["rows"]
-    names = _prime_texts(rows, {})
     lines: list = [f"scan of k={d['k']} descriptor up to {d['bound']}"]
-    if names:
-        # "yes  <route>" or "no   no route", once per route, and the isogeny template
-        tails = ["no   no route" if witness is None else "yes  " + _witness_text(witness) for witness in rows.routes]
-        tails.append("yes  " + _ISOGENY_TEXT)
-        block = _row_pieces(rows, names, ["  "] * len(tails), ["  " + tail for tail in tails], "\n", "", "")
+    if rows.names:
+        # "yes  <route>" or "no   no route", once per route; an isogeny row's route is its own
+        tails = ["  no   no route" if witness is None else "  yes  " + _witness_text(witness) for witness in rows.report.routes]
+
+        def isogeny(x: int, y: int, sign: int, joint: str) -> str:
+            return f"  yes  {_isogeny_text(x, y, sign)}{joint}"
+
+        block = _row_pieces(rows, ["  "] * (len(tails) + 1), [*tails, ""], isogeny, "\n", "", "")
         # a prime's text takes six places or more: pad those below 10**5
-        short = int(rows.primes.searchsorted(10**5))
-        block[1 : 2 * short : 2] = [name.rjust(6) for name in names[:short]]
+        short = int(rows.report.primes.searchsorted(10**5))
+        block[1 : 2 * short : 2] = [name.rjust(6) for name in rows.names[:short]]
         lines.append(block)
     lines.append(f"achievable: {d['achievable_count']}, missing: {d['missing_count']}")
     if d["missing"]:
-        lines.append("missing primes: " + ", ".join(_missing_texts(rows, names)))
+        lines.append("missing primes: " + ", ".join(d["missing"]))
     return lines
 
 
@@ -642,93 +659,77 @@ def _float_text(value: float) -> str:
 
 
 class _Slot(int):
-    """A value's place in a scan row template: _json_pieces writes it as a NUL."""
+    """A value's place in a sample scan row: _json_pieces writes it as a NUL."""
 
 
-# _encode_str escapes every NUL of a str, so the NULs of a row template are its slots
+# _encode_str escapes every NUL of a str, so the NULs of a sample row are its slots
 _SLOT = _Slot()
 
 
-def _braced(text: str) -> str:
-    """text as literal text of a str.format template."""
-    return text.replace("{", "{{").replace("}", "}}")
-
-
-def _isogeny_row(order: OrderParams, depth: int) -> tuple[str, str]:
-    """An isogeny row's JSON text before its prime, and after it as a str.format template of its x, y and sign."""
-    sample = IsogenyRoute(QuadElem(order, _SLOT, _SLOT), _SLOT)
-    # slots at the prime, the route, x, y and the sign, in the order of the sorted keys
-    head, *texts = _json_value({**_scan_row(sample), "prime": _SLOT, "route": _SLOT}, depth).split("\0")
-    after_prime, after_route, after_x, after_y, after_sign = map(_braced, texts)
-    # the escaper leaves the fields of the template as they are
-    route = _encode_str(_ISOGENY_TEXT)
-    return head, f"{after_prime}{route}{after_route}{{0}}{after_x}{{1}}{after_y}{{2}}{after_sign}"
-
-
-def _prime_texts(rows: ScanReport, texts: dict[int, list[str]]) -> list[str]:
-    """The decimal text of each of rows.primes, built once per report and kept in texts by id."""
-    if id(rows) not in texts:
-        texts[id(rows)] = [f"{prime}" for prime in rows.primes.tolist()]
-    return texts[id(rows)]
-
-
-def _missing_texts(rows: ScanReport, names: list[str]) -> list[str]:
-    """The texts of rows.missing, the primes whose slot is NO_ROUTE, taken from names, the texts of rows.primes."""
-    import numpy as np
-
-    return list(map(names.__getitem__, np.flatnonzero(rows.slot == NO_ROUTE).tolist()))
-
-
 def _row_pieces(
-    rows: ScanReport, names: list[str], heads: Sequence[str], tails: Sequence[str], sep: str, first: str, last: str
+    rows: _ScanRows, heads: Sequence[str], tails: Sequence[str], isogeny: Callable[..., str], sep: str, first: str, last: str
 ) -> list[str]:
     """Rows of a scan report as pieces: before each row its joint text, then its prime's text; then the last joint.
 
     Row i reads heads[j] + names[i] + tails[j] for its slot j, with
-    ISOGENY the last index, whose tail is a str.format template of the
-    row's x, y and sign.  Rows are separated by sep and stand between
-    first and last.  So the joint before a row is the previous row's tail
-    (or first), sep and the row's head: one string per pair of slots,
-    built once, except after an isogeny row, whose tail is filled in.
+    ISOGENY the last index: an isogeny row reads heads[j] + names[i] +
+    isogeny(x, y, sign, tails[j]), isogeny giving the row's own text
+    followed by the text passed to it.  Rows are separated by sep and
+    stand between first and last.  So the joint before a row is the
+    previous row's tail (or first), sep and the row's head: one string
+    per pair of slots, built once; after an isogeny row, isogeny puts
+    the row's own text before it, in one piece.
     """
     import numpy as np
 
+    report = rows.report
     edge = len(heads)  # the slot index of the text before the first row and after the last
     iso = edge - 1
 
     def joint(a: int, b: int) -> str:
         after = last if b == edge else heads[b] if a == edge else sep + heads[b]
-        if a == edge:
-            return first + after
-        return tails[a] + (_braced(after) if a == iso else after)
+        return (first if a == edge else tails[a]) + after
 
     table = np.array([joint(a, b) for a in range(edge + 1) for b in range(edge + 1)], dtype=object)
-    slots = rows.slot.astype(np.intp) % edge
+    slots = report.slot.astype(np.intp) % edge
     before = np.concatenate(([edge], slots))
     joints = table[before * (edge + 1) + np.concatenate((slots, [edge]))]
     after_isogeny = before == iso
-    joints[after_isogeny] = list(map(str.format, joints[after_isogeny], *(column.tolist() for column in rows.isogenies)))
-    pieces = [""] * (2 * len(names) + 1)
+    joints[after_isogeny] = list(map(isogeny, *(column.tolist() for column in report.isogenies), joints[after_isogeny]))
+    pieces = [""] * (2 * len(rows.names) + 1)
     pieces[::2] = joints.tolist()
-    pieces[1::2] = names
+    pieces[1::2] = rows.names
     return pieces
 
 
-def _scan_rows(rows: ScanReport, depth: int, names: list[str]) -> list[str]:
+def _scan_rows(rows: _ScanRows, depth: int) -> list[str]:
     """The rows as the pieces of the list of _scan_row dicts, each with its "prime", without building them.
 
-    The row of each of rows.routes, None giving the row without a route,
-    is written once with a NUL for its prime and split there into a head
-    and a tail; isogeny rows take theirs from _isogeny_row.  Each row is
-    then two pieces, the joint before it and its prime (_row_pieces).
+    The row of each of rows.report.routes, None giving the row without a
+    route, is written once with a NUL for its prime and split there into
+    a head and a tail.  An isogeny row is written once with a NUL for its
+    prime, route, x, y and sign: the texts between them fill each isogeny
+    row's f-string.  Each row is then two pieces, the joint before it and
+    its prime (_row_pieces).
     """
-    if not names:
+    if not rows.names:
         return ["[]"]
+    report = rows.report
     lead = "\n" + "  " * (depth + 1)
-    routes = [_json_value({**_scan_row(w), "prime": _SLOT}, depth + 1).split("\0") for w in rows.routes]
-    isogeny = _isogeny_row(rows.order, depth + 1) if len(rows.isogenies[0]) else ("", "")
-    heads, tails = zip(*routes, isogeny)
-    return _row_pieces(rows, names, [lead + head for head in heads], tails, ",", "[", "\n" + "  " * depth + "]")
+    routes = [_json_value({**_scan_row(w), "prime": _SLOT}, depth + 1).split("\0") for w in report.routes]
+    texts = [""] * 6
+    if len(report.isogenies[0]):
+        sample = IsogenyRoute(QuadElem(report.order, _SLOT, _SLOT), _SLOT)
+        # slots at the prime, the route, x, y and the sign, in the order of the sorted keys
+        texts = _json_value({**_scan_row(sample), "prime": _SLOT, "route": _SLOT}, depth + 1).split("\0")
+    head, after_prime, after_route, after_x, after_y, tail = texts
+
+    def isogeny(x: int, y: int, sign: int, joint: str) -> str:
+        route = _encode_str(_isogeny_text(x, y, sign))
+        return f"{after_prime}{route}{after_route}{x}{after_x}{y}{after_y}{sign}{joint}"
+
+    heads, tails = zip(*routes, (head, tail))
+    return _row_pieces(rows, [lead + head for head in heads], tails, isogeny, ",", "[", "\n" + "  " * depth + "]")
 
 
 def _flat_list(texts: list[str], depth: int) -> str:
@@ -739,22 +740,19 @@ def _flat_list(texts: list[str], depth: int) -> str:
     return "[" + lead + ("," + lead).join(texts) + "\n" + "  " * depth + "]"
 
 
-def _json_pieces(o, depth: int, out: list[str], texts: dict[int, list[str]]) -> None:
+def _json_pieces(o, depth: int, out: list[str]) -> None:
     """Append the text of json.dumps(o, sort_keys=True) with an indent of 2, at this depth, to out as pieces.
 
     With an indent, json falls back to its pure-Python encoder.  This
     builds the same text from the stdlib's C string escaper and
     int.__repr__ as one flat list of pieces, so that no container is
     joined on its own and a large child (the scan rows) is never copied.
-    texts keeps each ScanReport's prime texts (_prime_texts): the missing
-    primes of a report in the same dict as the report, rows.missing
-    itself, take their texts from there.
 
     Only what CLI payloads hold is accepted: str keys, and values whose
-    exact type is str, int, float, bool, None, list, tuple, dict or
-    ScanReport.  Anything else raises TypeError, also where json.dumps
-    would accept it (int keys, subclasses).  Circular payloads are not
-    detected; the CLI builds none.
+    exact type is str, int, float, bool, None, list, tuple, dict,
+    _ScanRows or _PrimeTexts.  Anything else raises TypeError, also where
+    json.dumps would accept it (int keys, subclasses).  Circular payloads
+    are not detected; the CLI builds none.
     """
     kind = type(o)
     if kind is str:
@@ -767,8 +765,10 @@ def _json_pieces(o, depth: int, out: list[str], texts: dict[int, list[str]]) -> 
         out.append("true" if o else "false")
     elif o is None:
         out.append("null")
-    elif kind is ScanReport:
-        out += _scan_rows(o, depth, _prime_texts(o, texts))
+    elif kind is _ScanRows:
+        out += _scan_rows(o, depth)
+    elif kind is _PrimeTexts:
+        out.append(_flat_list(o, depth))
     elif kind is _Slot:
         out.append("\0")
     elif kind not in (list, tuple, dict):
@@ -781,18 +781,11 @@ def _json_pieces(o, depth: int, out: list[str], texts: dict[int, list[str]]) -> 
         if kind is dict:
             if not all(type(key) is str for key in o):
                 raise TypeError(f"keys must be str: {list(o)!r}")
-            # the payload holds each report, so an id here is no other object's
-            reports = {id(value.missing): value for value in o.values() if type(value) is ScanReport}
             opening = "{"
             for key in sorted(o):
                 out.append(opening + lead + _encode_str(key) + ": ")
                 opening = ","
-                value = o[key]
-                if id(value) in reports:
-                    rows = reports[id(value)]
-                    out.append(_flat_list(_missing_texts(rows, _prime_texts(rows, texts)), depth + 1))
-                else:
-                    _json_pieces(value, depth + 1, out, texts)
+                _json_pieces(o[key], depth + 1, out)
             out.append(end)
         elif all(type(item) is int for item in o):
             out.append(_flat_list(list(map(int.__repr__, o)), depth))
@@ -801,14 +794,14 @@ def _json_pieces(o, depth: int, out: list[str], texts: dict[int, list[str]]) -> 
             for item in o:
                 out.append(opening + lead)
                 opening = ","
-                _json_pieces(item, depth + 1, out, texts)
+                _json_pieces(item, depth + 1, out)
             out.append(end)
 
 
 def _json_value(o, depth: int) -> str:
     """The text of json.dumps(o, sort_keys=True) with an indent of 2, at this depth (see _json_pieces)."""
     out: list[str] = []
-    _json_pieces(o, depth, out, {})
+    _json_pieces(o, depth, out)
     return "".join(out)
 
 
@@ -841,7 +834,7 @@ def _report_pieces(args: argparse.Namespace, verdict: Verdict | None, details: d
             "timing_ms": timing_ms,
         }
         pieces: list[str] = []
-        _json_pieces(payload, 0, pieces, {})
+        _json_pieces(payload, 0, pieces)
         return pieces
     lines = globals()[args.render](details)
     if verdict is not None:

@@ -217,10 +217,9 @@ class ScanReport:
     when slot[i] is NO_ROUTE; slot ISOGENY marks the primes that take,
     in turn, the rows of isogenies, the arrays (x, y, sign) of
     IsogenyRoute(QuadElem(order, x, y), sign), with order the curve's.
-    missing holds the primes whose slot is NO_ROUTE, in increasing
-    order.  scan_primes builds it without an object per prime: the CLI
-    writes the report from these arrays, and admits_all_degrees and the
-    claims read missing.
+    scan_primes builds it without an object per prime: the CLI writes
+    the report from these arrays, and admits_all_degrees and the claims
+    read missing.
     """
 
     primes: np.ndarray
@@ -228,7 +227,11 @@ class ScanReport:
     routes: tuple[Witness | None, ...]
     order: OrderParams | None
     isogenies: tuple[np.ndarray, np.ndarray, np.ndarray]
-    missing: tuple[int, ...]
+
+    @property
+    def missing(self) -> tuple[int, ...]:
+        """The primes whose slot is NO_ROUTE, in increasing order, built on each call."""
+        return tuple(self.primes[self.slot == NO_ROUTE].tolist())
 
     @property
     def witnesses(self) -> dict[int, Witness | None]:
@@ -407,8 +410,7 @@ def scan_primes(
     found, *isogenies = _first_isogenies(desc.curve, point, needed, bound)
     if found.size:
         slot[np.searchsorted(primes, found)] = ISOGENY
-        needed = np.delete(needed, np.searchsorted(needed, found))
-    return ScanReport(primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies), tuple(needed.tolist()))
+    return ScanReport(primes, slot, (None, *witnesses.values()), desc.curve.order, tuple(isogenies))
 
 
 @dataclass(frozen=True)

@@ -315,8 +315,8 @@ def test_scan_of_several_chunks_into_closed_pipe_exits_141_without_traceback(tmp
 @pytest.mark.parametrize(
     "mode, target",
     # the JSON report writes timing_ms after its rows, and the text report
-    # its missing primes after them
-    [(("--json",), "_float_text"), ((), "_missing_texts")],
+    # builds its rows after its first line
+    [(("--json",), "_float_text"), ((), "_row_pieces")],
     ids=["json", "text"],
 )
 def test_internal_error_while_the_pieces_are_built_writes_nothing(tmp_path, capsys, monkeypatch, mode, target):
@@ -332,14 +332,21 @@ def test_internal_error_while_the_pieces_are_built_writes_nothing(tmp_path, caps
     assert err == "error: internal: RuntimeError('boom')\n"
 
 
-# Address-space budget of `scan --bound 10**7 --json` on the Gauss k = 5
-# descriptor, the largest scan report (209 MB of JSON), with one OpenBLAS
-# thread: README, "Memory budgets".
+# Address-space budget of `scan --bound 10**7 --json` on the Gauss order,
+# with one OpenBLAS thread: README, "Memory budgets".
 SCAN_AS_BUDGET_KB = 300_000
 
 
-def test_scan_at_the_bound_cap_runs_within_its_memory_budget(tmp_path):
-    desc = write(tmp_path, "k5.desc", K7_DESCRIPTOR.replace("k=7\npoint=1 0", "k=5\npoint=4 2"))
+@pytest.mark.parametrize(
+    "k, point, size",
+    # k = 5 prints the largest report: 664,579 rows, every one with its
+    # witness (209 MB); k = 13 has the largest peak RSS, with 147,585
+    # isogeny rows, each with a piece of its own (151 MB)
+    [(5, "4 2", 2 * 10**8), (13, "1 8", 1.5 * 10**8)],
+    ids=["k5", "k13"],
+)
+def test_scan_at_the_bound_cap_runs_within_its_memory_budget(tmp_path, k, point, size):
+    desc = write(tmp_path, f"k{k}.desc", K7_DESCRIPTOR.replace("k=7\npoint=1 0", f"k={k}\npoint={point}"))
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (SCAN_AS_BUDGET_KB * 1024,) * 2)
@@ -351,13 +358,12 @@ def test_scan_at_the_bound_cap_runs_within_its_memory_budget(tmp_path):
         env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
         preexec_fn=limit,
     )
-    size, tail = 0, b""
+    written, tail = 0, b""
     for block in iter(lambda: proc.stdout.read(1 << 20), b""):
-        size, tail = size + len(block), (tail + block)[-64:]
+        written, tail = written + len(block), (tail + block)[-64:]
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 0 and err == b""
-    # the whole report: 664,579 rows, every one with its witness
-    assert size > 2 * 10**8 and tail.endswith(b'\n  "verdict": null\n}\n')
+    assert written > size and tail.endswith(b'\n  "verdict": null\n}\n')
 
 
 def _row_dicts(witnesses):
@@ -440,10 +446,10 @@ def test_scan_output_matches_row_dicts(tmp_path_factory, case):
 
 def test_scan_route_text_with_percent_and_nul(tmp_path, monkeypatch):
     # route texts hold only digits, signs and fixed words, so none has a %,
-    # a NUL or a brace; the row templates must not depend on that.  Isogeny
-    # routes take their text from the template, the others from _witness_text
-    monkeypatch.setattr(cli, "_ISOGENY_TEXT", "%s %d %% \x00 {{}} " + cli._ISOGENY_TEXT)
-    witness_text = cli._witness_text
+    # a NUL or a brace; the row texts must not depend on that.  Isogeny
+    # routes take their text from _isogeny_text, the others from _witness_text
+    isogeny_text, witness_text = cli._isogeny_text, cli._witness_text
+    monkeypatch.setattr(cli, "_isogeny_text", lambda x, y, sign: "%s %d %% \x00 {{}} " + isogeny_text(x, y, sign))
     monkeypatch.setattr(
         cli, "_witness_text", lambda w: witness_text(w) if isinstance(w, IsogenyRoute) else "%s %d %% \x00 {} " + witness_text(w)
     )
@@ -530,20 +536,20 @@ INT64_COORDS = st.integers(-(2**62), 2**62)
 
 
 def scan_report(witnesses):
-    """The ScanReport of a {prime: witness} dict whose IsogenyRoutes share one order."""
+    """scan's rows value for the ScanReport of a {prime: witness} dict whose IsogenyRoutes share one order."""
     routes = (None, *dict.fromkeys(w for w in witnesses.values() if type(w) not in (IsogenyRoute, type(None))))
     slots = [ISOGENY if type(w) is IsogenyRoute else NO_ROUTE if w is None else routes.index(w) for w in witnesses.values()]
     isogenies = [w for w in witnesses.values() if type(w) is IsogenyRoute]
     columns = ([w.alpha.x for w in isogenies], [w.alpha.y for w in isogenies], [w.sign for w in isogenies])
     order = isogenies[0].alpha.order if isogenies else None
-    return ScanReport(
+    report = ScanReport(
         np.array(list(witnesses), dtype=np.int64),
         np.array(slots, dtype=np.int8),
         routes,
         order,
         tuple(np.array(column, dtype=np.int64) for column in columns),
-        tuple(p for p, w in witnesses.items() if w is None),
     )
+    return cli._ScanRows(report, [str(p) for p in witnesses])
 
 
 @st.composite
@@ -566,14 +572,17 @@ def scan_reports(draw):
 
 
 def scan_details(rows):
-    """A dict holding a ScanReport and its missing primes, as scan's details do: the writer takes their texts from the rows'."""
-    return {"missing": rows.missing, "missing_count": len(rows.missing), "rows": rows}
+    """A dict holding scan's rows and the texts of their missing primes, as scan's details do."""
+    missing = rows.report.missing
+    return {"missing": cli._PrimeTexts(map(str, missing)), "missing_count": len(missing), "rows": rows}
 
 
 def _with_row_dicts(o):
-    """o with each ScanReport replaced by its list of row dicts: what json.dumps must write for it."""
-    if type(o) is ScanReport:
-        return [{**cli._scan_row(w), "prime": p} for p, w in o.witnesses.items()]
+    """o with scan's rows replaced by their list of row dicts, and prime texts by their ints: what json.dumps must write."""
+    if type(o) is cli._ScanRows:
+        return [{**cli._scan_row(w), "prime": p} for p, w in o.report.witnesses.items()]
+    if type(o) is cli._PrimeTexts:
+        return list(map(int, o))
     if type(o) is dict:
         return {key: _with_row_dicts(value) for key, value in o.items()}
     if type(o) in (list, tuple):
@@ -618,7 +627,7 @@ def test_json_writer_matches_json_dumps_indent2(payload):
 def test_report_written_in_chunks_is_the_json_text(payload, chunk):
     # a chunk of 1 to 7 pieces ends at every kind of piece
     pieces = []
-    cli._json_pieces(payload, 0, pieces, {})
+    cli._json_pieces(payload, 0, pieces)
     out = io.StringIO()
     with mock.patch.object(cli, "_CHUNK_PIECES", chunk), contextlib.redirect_stdout(out):
         cli._write_report(pieces)

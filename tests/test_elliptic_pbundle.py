@@ -296,12 +296,14 @@ def test_scan_table_matches_per_prime_rule():
             points = [(a, b) for a in range(k) for b in range(k) if gcd(gcd(a, b), k) == 1]
             desc = split_desc(curve, k, rng.choice(points))
             report = scan_primes(desc, 3000)
-            assert list(report.witnesses) == primes
+            # the property builds the whole dict on each read
+            witnesses = report.witnesses
+            assert list(witnesses) == primes
             missing = set(report.missing)
             for p in primes:
                 decision = prime_achievable(desc, p)
                 assert decision == _reference_decision(desc, p), (curve, k, p)
-                assert report.witnesses[p] == decision.witness, (curve, k, p)
+                assert witnesses[p] == decision.witness, (curve, k, p)
                 assert (p in missing) == (not decision.achievable), (curve, k, p)
 
 
@@ -336,10 +338,12 @@ def test_scan_matches_per_prime_oracle(case):
     report = scan_primes(desc, bound)
     missing = set(report.missing)
     primes = primes_up_to(bound)
-    assert list(report.witnesses) == primes
+    # the property builds the whole dict on each read
+    witnesses = report.witnesses
+    assert list(witnesses) == primes
     for p in primes:
         decision = _decide(curve, point, routes, p)
-        assert report.witnesses[p] == decision.witness, (p, decision)
+        assert witnesses[p] == decision.witness, (p, decision)
         assert (p in missing) == (not decision.achievable), (p, decision)
 
 
