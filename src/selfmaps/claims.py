@@ -74,11 +74,6 @@ class ClaimResult:
     passed: bool
     detail: str
 
-    @property
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status} {self.name}: {self.detail}"
-
 
 def _exact_order_orbits(curve: CurveModel, k: int) -> Iterator[tuple[int, int]]:
     """Exact-order-k points, one representative per unit orbit."""

@@ -691,9 +691,12 @@ def _row_pieces(
         return (first if a == edge else tails[a]) + after
 
     table = np.array([joint(a, b) for a in range(edge + 1) for b in range(edge + 1)], dtype=object)
-    slots = report.slot.astype(np.intp) % edge
-    before = np.concatenate(([edge], slots))
-    joints = table[before * (edge + 1) + np.concatenate((slots, [edge]))]
+    codes = np.empty(len(rows.names) + 2, dtype=np.int16)
+    codes[0] = codes[-1] = edge
+    np.remainder(report.slot, edge, out=codes[1:-1])
+    before = codes[:-1]
+    # each joint code is below (edge + 1)**2, far below 2**15
+    joints = table[before * (edge + 1) + codes[1:]]
     after_isogeny = before == iso
     joints[after_isogeny] = list(map(isogeny, *(column.tolist() for column in report.isogenies), joints[after_isogeny]))
     pieces = [""] * (2 * len(rows.names) + 1)

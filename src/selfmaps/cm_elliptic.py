@@ -99,9 +99,6 @@ class EndoMatrix:
         w = self.apply(v)
         return (w[0] % k, w[1] % k)
 
-    def rows(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
 
 @dataclass(frozen=True)
 class TorsionPoint:

@@ -233,12 +233,6 @@ class ScanReport:
         """The primes whose slot is NO_ROUTE, in increasing order, built on each call."""
         return tuple(self.primes[self.slot == NO_ROUTE].tolist())
 
-    @property
-    def witnesses(self) -> dict[int, Witness | None]:
-        """Each prime mapped to its witness or None, built on each call: a view for tests and oracles."""
-        found = iter([IsogenyRoute(QuadElem(self.order, x, y), s) for x, y, s in zip(*(c.tolist() for c in self.isogenies))])
-        return {p: next(found) if s == ISOGENY else self.routes[s] for p, s in zip(self.primes.tolist(), self.slot.tolist())}
-
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
 # At 10^7, `scan --json` on the Gauss order took 0.61-0.66 s and 124 MB

@@ -182,13 +182,6 @@ class CayleyGroup:
     def mul(self, i: int, j: int) -> int:
         return int(self.table[i, j])
 
-    def inv(self, i: int) -> int:
-        return int(self.inverse[i])
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.table[self.table[g, x], self.inverse[g]])
-
 
 def _adopt(table: np.ndarray) -> CayleyGroup:
     """CayleyGroup over ``table`` itself, without the constructor's copy.

@@ -32,14 +32,6 @@ class NSClass:
     f: int
     e: int
 
-    def __add__(self, other: "NSClass") -> "NSClass":
-        if self.e != other.e:
-            raise ValueError(f"classes live on different surfaces: e={self.e} vs e={other.e}")
-        return NSClass(self.h + other.h, self.f + other.f, self.e)
-
-    def __rmul__(self, scalar: int) -> "NSClass":
-        return NSClass(scalar * self.h, scalar * self.f, self.e)
-
 
 @dataclass(frozen=True)
 class EndoOnNS:
@@ -50,13 +42,14 @@ class EndoOnNS:
     back to d_B * F and H to d_F * H + s * F; pairing the images forces
     det = degree, which makes the pushforward degree * pullback^(-1)
     integral (it is the adjugate).  The pushforward is computed and
-    checked once, at construction, and shared by every pushforward call.
+    checked once, at construction, and kept in the field pushforward,
+    which pushforward_class reads.
     """
 
     pullback: EndoMatrix
     degree: int
     e: int
-    _pushforward: EndoMatrix = field(init=False, repr=False, compare=False)
+    pushforward: EndoMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = self.pullback
@@ -71,7 +64,7 @@ class EndoOnNS:
         adjugate = EndoMatrix(p.d, -p.b, -p.c, p.a)
         if adjugate * p != EndoMatrix(self.degree, 0, 0, self.degree):
             raise ValueError("pushforward is not integral for this pullback")
-        object.__setattr__(self, "_pushforward", adjugate)
+        object.__setattr__(self, "pushforward", adjugate)
 
     @classmethod
     def from_degrees(cls, base_degree: int, fiber_degree: int, e: int) -> "EndoOnNS":
@@ -91,10 +84,6 @@ class EndoOnNS:
         matrix = EndoMatrix(fiber_degree, 0, twist2 // 2, base_degree)
         return cls(pullback=matrix, degree=base_degree * fiber_degree, e=e)
 
-    def pushforward(self) -> EndoMatrix:
-        """degree * pullback^(-1); integral because det(pullback) = degree."""
-        return self._pushforward
-
     def pullback_class(self, c: NSClass) -> NSClass:
         if c.e != self.e:
             raise ValueError(f"class lives on e={c.e}, endomorphism on e={self.e}")
@@ -104,7 +93,7 @@ class EndoOnNS:
     def pushforward_class(self, c: NSClass) -> NSClass:
         if c.e != self.e:
             raise ValueError(f"class lives on e={c.e}, endomorphism on e={self.e}")
-        h, f = self._pushforward.apply((c.h, c.f))
+        h, f = self.pushforward.apply((c.h, c.f))
         return NSClass(h, f, self.e)
 
 

@@ -109,34 +109,8 @@ class QuadElem:
     x: int
     y: int
 
-    def _same_order(self, other: "QuadElem") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mixed orders: {self.order} vs {other.order}")
-
-    def __add__(self, other: "QuadElem") -> "QuadElem":
-        self._same_order(other)
-        return QuadElem(self.order, self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "QuadElem") -> "QuadElem":
-        self._same_order(other)
-        return QuadElem(self.order, self.x - other.x, self.y - other.y)
-
     def __neg__(self) -> "QuadElem":
         return QuadElem(self.order, -self.x, -self.y)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return QuadElem(self.order, self.x * other, self.y * other)
-        self._same_order(other)
-        t, n = self.order.t, self.order.n
-        # (x1 + y1 w)(x2 + y2 w) with w*w = t*w - n
-        return QuadElem(
-            self.order,
-            self.x * other.x - n * self.y * other.y,
-            self.x * other.y + self.y * other.x + t * self.y * other.y,
-        )
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"QuadElem(t={self.order.t}, n={self.order.n}, x={self.x}, y={self.y})"

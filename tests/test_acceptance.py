@@ -29,7 +29,7 @@ def battery() -> dict[str, ClaimResult]:
 
 def _assert_claim(battery: dict[str, ClaimResult], name: str) -> None:
     result = battery[name]
-    print(result.line)
+    print(f"{'PASS' if result.passed else 'FAIL'} {result.name}: {result.detail}")
     assert result.passed, result.detail
 
 

@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import scan_witnesses
 
 import selfmaps
 from selfmaps import cli, elliptic_pbundle, group_condition, qorders, toric
@@ -394,7 +395,7 @@ def _rendered_rows(d, rows):
 def assert_scan_matches_row_dicts(path, bound):
     """`scan --json` prints json.dumps of the row dicts, and text mode their old lines."""
     e = cli.load_descriptor(path).elliptic
-    witnesses = elliptic_pbundle.scan_primes(e, bound).witnesses if bound >= 2 else {}
+    witnesses = scan_witnesses(elliptic_pbundle.scan_primes(e, bound)) if bound >= 2 else {}
     rows = _row_dicts(witnesses)
     missing = [row["prime"] for row in rows if not row["achievable"]]
     details = {
@@ -580,7 +581,7 @@ def scan_details(rows):
 def _with_row_dicts(o):
     """o with scan's rows replaced by their list of row dicts, and prime texts by their ints: what json.dumps must write."""
     if type(o) is cli._ScanRows:
-        return [{**cli._scan_row(w), "prime": p} for p, w in o.report.witnesses.items()]
+        return [{**cli._scan_row(w), "prime": p} for p, w in scan_witnesses(o.report).items()]
     if type(o) is cli._PrimeTexts:
         return list(map(int, o))
     if type(o) is dict:

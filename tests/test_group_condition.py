@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import conjugate
 
 from selfmaps import group_condition
 from selfmaps.group_condition import (
@@ -214,11 +215,11 @@ def test_conjugation_rho_matches_all_pairs_oracle(group_and_q):
         rho = conjugation_rho(group, sub)
         gen = sub.generator
         assert set(rho) == {
-            n for n in range(group.order) if group.conjugate(n, gen) in sub.elements
+            n for n in range(group.order) if conjugate(group, n, gen) in sub.elements
         }
         for n, delta in rho.items():
             assert 1 <= delta < q
-            assert group.conjugate(n, gen) == _power(group, gen, delta)
+            assert conjugate(group, n, gen) == _power(group, gen, delta)
         for a in rho:
             for b in rho:
                 assert rho[group.mul(a, b)] == rho[a] * rho[b] % q
@@ -245,7 +246,7 @@ def test_conjugation_rho_matches_direct_conjugation():
     rho = conjugation_rho(group, sub)
     assert sorted(set(rho.values())) == [1, 2, 3, 4]
     for n, delta in rho.items():
-        assert group.conjugate(n, sub.generator) == _power(group, sub.generator, delta)
+        assert conjugate(group, n, sub.generator) == _power(group, sub.generator, delta)
 
 
 def _check_witnesses(group: CayleyGroup, report):
@@ -255,7 +256,7 @@ def _check_witnesses(group: CayleyGroup, report):
     assert sorted(report.witnesses) == list(range(1, p))
     for residue, (elem, sign) in report.witnesses.items():
         assert sign in (1, -1)
-        assert group.conjugate(elem, gen) == _power(group, gen, sign * residue % p)
+        assert conjugate(group, elem, gen) == _power(group, gen, sign * residue % p)
 
 
 def test_rho_bar_on_cyclic_groups():
@@ -319,7 +320,7 @@ def test_load_group(tmp_path):
     path.write_text("# Z/3\n3\n0 1 2\n1 2 0\n2 0 1\n")
     group = load_group(path)
     assert group.order == 3
-    assert group.inv(1) == 2
+    assert int(group.inverse[1]) == 2
 
 
 def _oracle_failure(table):
@@ -815,9 +816,9 @@ def _rho_bar_oracle(group: CayleyGroup, q: int):
         members = set(sub.elements)
         exponent = {_power(group, sub.generator, k): k for k in range(q)}
         norm = [
-            x for x in range(group.order) if all(group.conjugate(x, e) in members for e in sub.elements)
+            x for x in range(group.order) if all(conjugate(group, x, e) in members for e in sub.elements)
         ]
-        rho = {x: exponent[group.conjugate(x, sub.generator)] for x in norm}
+        rho = {x: exponent[conjugate(group, x, sub.generator)] for x in norm}
         witnesses = {}
         for r in range(1, q):
             for sign in (1, -1):

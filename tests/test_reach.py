@@ -28,7 +28,7 @@ def test_every_allowlisted_name_is_a_function_of_the_package():
 
 def test_entered_sees_helper_threads_and_decorated_functions():
     # upper runs on the helper thread of _split_rows, which sys.setprofile
-    # alone does not see; witnesses is a property, whose code object starts
+    # alone does not see; missing is a property, whose code object starts
     # at its decorator's line
     reach = _load_reach()
     desc = EllipticBundleDescriptor(curve=CurveModel.cm(OrderParams(0, 1)), bundle=SplitTorsion(TorsionPoint(5, (4, 2))))
@@ -36,9 +36,9 @@ def test_entered_sees_helper_threads_and_decorated_functions():
 
     def run():
         _split_rows(lambda lo, hi: None, 1024)
-        return report.witnesses
+        return report.missing
 
     seen = {(str(Path(file).resolve()), line) for file, line in reach.entered(run)}
     keys = {name: key for key, name in reach.defined_functions(PACKAGE).items()}
-    names = ["selfmaps.group_condition._split_rows.<locals>.upper", "selfmaps.elliptic_pbundle.ScanReport.witnesses"]
+    names = ["selfmaps.group_condition._split_rows.<locals>.upper", "selfmaps.elliptic_pbundle.ScanReport.missing"]
     assert [keys[name] in seen for name in names] == [True, True]

@@ -286,7 +286,7 @@ def claim_seconds(src: Path) -> dict:
         results = claims.run_claims()
         totals.append(time.perf_counter() - start)
         if not all(r.passed for r in results):
-            raise SystemExit("a claim failed: " + "; ".join(r.line for r in results if not r.passed))
+            raise SystemExit("a claim failed: " + "; ".join(f"FAIL {r.name}: {r.detail}" for r in results if not r.passed))
     if set(spent) != {r.name for r in results}:
         raise SystemExit(f"timed {sorted(spent)}, but the battery ran {[r.name for r in results]}")
     return {

@@ -3,7 +3,7 @@
 Usage:
     PYTHONPATH=DIR/src python3 tools/cli_corpus.py > DIGESTS
 
-Runs 3067 invocations of selfmaps.cli.main in this process: scan
+Runs 3073 invocations of selfmaps.cli.main in this process: scan
 (text and --json, bounds 1 to 10^5) and classify on split torsion
 descriptors over twelve curve models and k = 1..13, classify on every
 other elliptic bundle shape at bounds -5 to 5000, density with and
@@ -24,7 +24,8 @@ report of the first two of those k = 13 scans; cm-table --json at its
 --max-n cap of 10^5 and at --max-n 1, 2 and 3; classify of split_degree
 bundles with degree +-1, +-2 and +-5; and group-check and high-genus
 classify at p = 2, 3 and 5 on Z/48 and on Z/48 with one intercalate
-swapped.  Each line holds the invocation, its exit code, and sha256
+swapped; and group-check on two threads: Z/1024 at p = 2 and 3, and
+Z/1024 with one intercalate swapped at p = 2.  Each line holds the invocation, its exit code, and sha256
 prefixes of stdout (minus its timing_ms line) and of stderr.
 Points are drawn from a fixed seed, so two checkouts that behave alike
 print the same file: `diff` the outputs of a commit and its parent, both
@@ -204,6 +205,15 @@ def invocations(work: Path) -> list[list[str]]:
             desc = write(f"hg-{name}-{p}.desc", f"surface=high_genus_bundle\np={p}\ngroup_file={name}.grp\n")
             cases += [["group-check", group, p, *j] for j in ([], ["--json"])]
             cases += [["classify", desc, *j] for j in ([], ["--json"])]
+    # the two threads of validate_group, which split the rows from order
+    # 1024 on: Z/1024 passes at p = 2 and 3, and with the intercalate
+    # 1, 513 x 2, 514 swapped the table stays Latin and fails Light's test
+    z1024 = [[(a + b) % 1024 for b in range(1024)] for a in range(1024)]
+    swapped = [row[:] for row in z1024]
+    swapped[1][2], swapped[1][514], swapped[513][2], swapped[513][514] = z1024[1][514], z1024[1][2], z1024[513][514], z1024[513][2]
+    for name, table, primes in (("z1024", z1024, ("2", "3")), ("z1024swap", swapped, ("2",))):
+        group = write(f"{name}.grp", _group_text(1024, table))
+        cases += [["group-check", group, p, *j] for p in primes for j in ([], ["--json"])]
     return cases
 
 
