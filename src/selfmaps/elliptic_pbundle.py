@@ -235,15 +235,15 @@ class ScanReport:
 
 
 # Largest bound scan_primes accepts, checked before anything is allocated.
-# At 10^7, `scan --json` on the Gauss order took 0.61-0.66 s and 124 MB
-# peak RSS with k = 5 (every prime achievable, 209 MB of JSON), 0.63-0.69 s
-# and 141 MB with k = 7, point (1, 0), and 0.98-1.15 s and 198 MB with
+# At 10^7, `scan --json` on the Gauss order took 0.59-0.72 s and 114 MB
+# peak RSS with k = 5 (every prime achievable, 209 MB of JSON), 0.68-0.71 s
+# and 129 MB with k = 7, point (1, 0), and 1.10-1.33 s and 189 MB with
 # k = 13, point (1, 8) (147,585 isogeny rows): medians of five fresh runs
 # in two records each on a 2-core x86_64.  The text report of the k = 7
-# scan took 0.53-0.64 s and 134 MB (six fresh runs).  In process, the scan
-# with the text of each prime takes 0.15-0.17 s for k = 5, building the
-# pieces 0.04 s and writing them 0.05 s; for k = 13, 0.27-0.28 s, 0.28-0.37 s
-# and 0.04-0.05 s.  Each grows linearly with the bound.
+# scan took 0.48-0.68 s and 131 MB (five fresh runs).  In process, the scan
+# with the text of each prime takes 0.19-0.23 s for k = 5, building the
+# pieces 0.04-0.06 s and writing them 0.05-0.06 s; for k = 13, 0.35-0.41 s,
+# 0.37-0.50 s and 0.05-0.06 s.  Each grows linearly with the bound.
 # The lattice pass of _first_isogenies reads exact int64 points and norms
 # from norm_rows and coset_blocks.  Its own int64 products are of two
 # residues mod k, y mod k in place of y, so each is below k**2 and each
